@@ -17,7 +17,7 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 from . import __version__
 from .analyzer import PROPERTY_FIELDS, QualityReport, analyze, score_corpus
@@ -157,6 +157,20 @@ def cmd_prompt(args: argparse.Namespace) -> int:
     return 1 if had_error else 0
 
 
+def _iter_records(path: str, from_dict: Callable[[dict], Any] = CorpusRecord.from_dict
+                  ) -> Iterator[tuple[int, Any, str | None]]:
+    """(line number, record, error) per input line; a line that is not JSON
+    or that ``from_dict`` rejects gets an error message instead of a record."""
+    for line_no, obj, err in iter_jsonl(path):
+        record = None
+        if err is None:
+            try:
+                record = from_dict(obj)
+            except DomainError as exc:
+                err = f"line {line_no}: {exc}"
+        yield line_no, record, err
+
+
 def cmd_reward(args: argparse.Namespace) -> int:
     _require_file(args.input)
     scheme = _pipeline_config(args).reward_scheme(args.properties, args.strategy)
@@ -166,12 +180,11 @@ def cmd_reward(args: argparse.Namespace) -> int:
         return 2
     had_error = False
     with _out_stream(args.out) as out:
-        for line_no, obj, err in iter_jsonl(args.input):
+        for line_no, record, err in _iter_records(args.input):
             if err is not None:
                 _emit(out, _error_record(line_no, err))
                 had_error = True
                 continue
-            record = CorpusRecord.from_dict(obj)
             report = analyze(record.test, record.focal_method)
             labeled = LabeledRecord(record, report, reward_for(report, scheme))
             _emit(out, labeled.to_dict())
@@ -182,12 +195,11 @@ def cmd_golden(args: argparse.Namespace) -> int:
     _require_file(args.input)
     had_error = False
     with _out_stream(args.out) as out:
-        for line_no, obj, err in iter_jsonl(args.input):
+        for line_no, record, err in _iter_records(args.input):
             if err is not None:
                 _emit(out, _error_record(line_no, err))
                 had_error = True
                 continue
-            record = CorpusRecord.from_dict(obj)
             if is_golden(analyze(record.test, record.focal_method)):
                 _emit(out, record.to_dict())
     return 1 if had_error else 0
@@ -195,12 +207,14 @@ def cmd_golden(args: argparse.Namespace) -> int:
 
 # ── whole-corpus commands ───────────────────────────────────────────
 
-def _read_records(path: str) -> list[CorpusRecord]:
+def _read_records(path: str, from_dict: Callable[[dict], Any] = CorpusRecord.from_dict
+                  ) -> list:
+    """Every record of the input; the first bad line is a usage error."""
     records = []
-    for line_no, obj, err in iter_jsonl(path):
+    for _, record, err in _iter_records(path, from_dict):
         if err is not None:
-            raise DomainError(f"line {line_no}: {err}")
-        records.append(CorpusRecord.from_dict(obj))
+            raise DomainError(err)
+        records.append(record)
     return records
 
 
@@ -232,11 +246,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_resample(args: argparse.Namespace) -> int:
     _require_file(args.input)
-    labeled = []
-    for line_no, obj, err in iter_jsonl(args.input):
-        if err is not None:
-            raise DomainError(f"line {line_no}: {err}")
-        labeled.append(LabeledRecord.from_dict(obj))
+    labeled = _read_records(args.input, LabeledRecord.from_dict)
     balanced = resample_balanced(labeled, args.seed)
     with _out_stream(args.out) as out:
         for item in balanced:

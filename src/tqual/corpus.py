@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .errors import DomainError
+
 __all__ = ["CorpusRecord", "iter_jsonl", "write_jsonl", "dump_line"]
 
 
@@ -34,12 +36,15 @@ class CorpusRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusRecord":
+        """Raises DomainError unless ``test`` is a string."""
+        if not isinstance(data.get("test"), str):
+            raise DomainError("record needs a string 'test' field")
         return cls(
             repo=str(data.get("repo", "")),
             focal_class=str(data.get("focal_class", "")),
             focal_method=str(data.get("focal_method", "")),
             prompt=str(data.get("prompt", "")),
-            test=str(data["test"]),
+            test=data["test"],
             source=str(data.get("source", "generated")),
         )
 

@@ -6,34 +6,14 @@ from dataclasses import dataclass, field
 
 from .lexer import Token
 
-STATEMENT_KINDS = frozenset(
-    {
-        "expression-statement",
-        "local-declaration",
-        "if",
-        "switch",
-        "while",
-        "do",
-        "for",
-        "foreach",
-        "try",
-        "using-statement",
-        "return",
-        "throw",
-        "block",
-        "unknown-statement",
-    }
-)
-
 FATAL = "fatal"
-WARNING = "warning"
 
 
 @dataclass(frozen=True)
 class SyntaxDiagnostic:
     message: str
     offset: int
-    severity: str  # FATAL or WARNING
+    severity: str  # FATAL, the only severity the parsers emit
 
     @property
     def is_fatal(self) -> bool:

@@ -7,6 +7,15 @@ or raw member spans instead of hard failures, and ``check_syntax`` answers
 the one question the pipeline needs, "would a C# compiler plausibly accept
 this test".  Soundness rule: unbalanced delimiters outside literals and
 comments are always fatal.
+
+Every skip over a run of tokens goes through one of two primitives:
+``_Cursor.scan`` walks forward counting depth over a chosen set of
+delimiter pairs and stops at a chosen depth-zero token or after a closing
+one; ``_skip_generic`` steps over a ``<...>`` generic argument list,
+forwards or backwards.  Both parsers descend at most ``MAX_NESTING``
+levels (statements, or namespace and type bodies).  Constructs past the
+cap are skipped flat, the first with a fatal ``nesting too deep``
+diagnostic, so no input exhausts the Python stack.
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ from __future__ import annotations
 from .lexer import Token, TokenKind, tokenize
 from .nodes import (
     FATAL,
-    WARNING,
     ClassNode,
     FieldNode,
     FocalFileTree,
@@ -47,12 +55,35 @@ PREDEFINED_TYPES = frozenset(
     """.split()
 )
 
+# Deepest level either parser descends to.  Each level costs at most two
+# Python frames, so a parse at the cap stays well inside the default
+# recursion limit of 1000 frames.
+MAX_NESTING = 420
+
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
-_STATEMENT_KEYWORDS = frozenset(
-    {"if", "switch", "while", "do", "for", "foreach", "try", "using",
-     "return", "throw"}
+# Depth steps for ``_Cursor.scan``: which delimiters a scan counts.
+_ALL = {**dict.fromkeys(_OPENERS, 1), **dict.fromkeys(_CLOSERS, -1)}
+_PARENS = {"(": 1, ")": -1}
+_BRACES = {"{": 1, "}": -1}
+_FLAT: dict[str, int] = {}
+
+# Scan stops.  A closer in a stop set ends the scan when unmatched.
+_STATEMENT_END = frozenset({";", ")", "]", "}"})
+_COLON = frozenset({":"})
+_MEMBER_END = frozenset({"(", "=", ";", "{", "=>", "}"})
+_TYPE_BODY = frozenset({"{", ";"})
+_METHOD_BODY = frozenset({"{", ";", "=>"})
+
+# Depth steps of generic angle brackets, read forwards.
+_ANGLES = {"<": 1, "<<": 2, ">": -1, ">>": -2}
+
+_HEADED = {"if": "if", "while": "while", "for": "for", "foreach": "foreach",
+           "using": "using-statement"}
+_UNKNOWN_STATEMENTS = frozenset(
+    {"break", "continue", "goto", "lock", "fixed", "unsafe", "checked",
+     "unchecked", "yield"}
 )
 
 
@@ -75,31 +106,38 @@ class _Cursor:
             pos += len(tok.text)
         self.char_start.append(pos)
         self.sig = [i for i, t in enumerate(tokens) if not t.is_trivia]
+        self.toks = [tokens[i] for i in self.sig]
         self.pos = 0
 
     @property
     def at_end(self) -> bool:
-        return self.pos >= len(self.sig)
+        return self.pos >= len(self.toks)
 
     def peek(self, k: int = 0) -> Token | None:
         j = self.pos + k
-        return self.tokens[self.sig[j]] if j < len(self.sig) else None
+        return self.toks[j] if j < len(self.toks) else None
 
     def peek_text(self, k: int = 0) -> str:
-        tok = self.peek(k)
-        return tok.text if tok is not None else ""
+        j = self.pos + k
+        return self.toks[j].text if j < len(self.toks) else ""
 
     def advance(self) -> Token:
-        tok = self.tokens[self.sig[self.pos]]
+        tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def offset(self, pos: int | None = None) -> int:
-        """Byte offset of the significant token at ``pos`` (default: current)."""
-        p = self.pos if pos is None else pos
-        if p >= len(self.sig):
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is ``text``."""
+        if self.peek_text() == text:
+            self.pos += 1
+            return True
+        return False
+
+    def offset(self) -> int:
+        """Byte offset of the current significant token."""
+        if self.at_end:
             return self.tokens[-1].byte_offset if self.tokens else 0
-        return self.tokens[self.sig[p]].byte_offset
+        return self.toks[self.pos].byte_offset
 
     def char_span(self, start_pos: int, end_pos: int) -> tuple[int, int]:
         """[start, end) character span covering significant tokens
@@ -115,8 +153,100 @@ class _Cursor:
         a, b = self.char_span(start_pos, end_pos)
         return self.source[a:b]
 
-    def sig_tokens(self, start_pos: int, end_pos: int) -> list[Token]:
-        return [self.tokens[self.sig[p]] for p in range(start_pos, min(end_pos + 1, len(self.sig)))]
+    def scan(self, stops: frozenset[str] = frozenset(), pairs: dict[str, int] = _ALL,
+             close: str = "") -> str:
+        """Advance, counting depth with the ``pairs`` steps, to the first
+        token in ``stops`` met at depth zero, or just past a ``close`` that
+        brings depth back to zero.  Returns the text of that token (a stop
+        is not consumed, a close is), or "" at end of input.
+
+        Closers that are not stops may take depth below zero.  A caller that
+        only looks ahead saves ``pos`` and puts it back."""
+        toks = self.toks
+        depth = 0
+        k = self.pos
+        while k < len(toks):
+            t = toks[k].text
+            if depth == 0 and t in stops:
+                self.pos = k
+                return t
+            k += 1
+            step = pairs.get(t)
+            if step:
+                depth += step
+                if depth == 0 and t == close:
+                    self.pos = k
+                    return t
+        self.pos = k
+        return ""
+
+
+def _skip_generic(toks: list[Token], k: int, step: int = 1) -> int:
+    """Index just past the generic argument list bracketed at ``toks[k]``:
+    its ``<`` when ``step`` is 1, its closing ``>``/``>>`` when ``step`` is
+    -1 (walking backwards).  Runs off the end when the list is unclosed."""
+    depth = 0
+    while 0 <= k < len(toks):
+        depth += _ANGLES.get(toks[k].text, 0) * step
+        k += step
+        if depth <= 0:
+            break
+    return k
+
+
+def _type_end(toks: list[Token], k: int, *, strict: bool) -> int:
+    """Index just past the type reference at ``toks[k]`` (predefined type or
+    dotted name, generic arguments, ``?``, array ranks), or -1 when there is
+    none.  ``strict`` also gives -1 for generic arguments that are not
+    type-like and for an array rank left open."""
+    n = len(toks)
+    if k >= n:
+        return -1
+    t = toks[k]
+    if t.kind is TokenKind.KEYWORD and t.text in PREDEFINED_TYPES:
+        k += 1
+    elif t.kind is TokenKind.IDENTIFIER:
+        k += 1
+        while k + 1 < n and toks[k].text == "." \
+                and toks[k + 1].kind is TokenKind.IDENTIFIER:
+            k += 2
+    else:
+        return -1
+    if k < n and toks[k].text == "<":
+        end = _skip_generic(toks, k)
+        if strict and not all(
+                a.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+                or a.text in (",", ".", "?", "[", "]") or a.text in _ANGLES
+                for a in toks[k + 1:end]):
+            return -1
+        k = end
+    if k < n and toks[k].text == "?":
+        k += 1
+    while k < n and toks[k].text == "[":
+        k += 1
+        while k < n and toks[k].text == ",":
+            k += 1
+        if k < n and toks[k].text == "]":
+            k += 1
+        elif strict:
+            return -1
+        else:
+            break
+    return k
+
+
+def _last_identifier(toks: list[Token], lo: int, hi: int) -> str:
+    """Text of the last identifier in ``toks[lo .. hi]``, or ""."""
+    for j in range(hi, lo - 1, -1):
+        if toks[j].kind is TokenKind.IDENTIFIER:
+            return toks[j].text
+    return ""
+
+
+def _to_semicolon(cur: _Cursor) -> None:
+    """Skip past the next depth-zero ';', or up to an unmatched closer."""
+    cur.scan(_STATEMENT_END)
+    cur.accept(";")
 
 
 # ── shared checks ────────────────────────────────────────────────────────
@@ -155,37 +285,40 @@ def _balance_diagnostics(tokens: list[Token]) -> list[SyntaxDiagnostic]:
     return diags
 
 
+def _split_commas(tokens: list[Token]) -> list[list[Token]]:
+    """Split at depth-zero commas, dropping the commas."""
+    parts: list[list[Token]] = [[]]
+    depth = 0
+    for tok in tokens:
+        if tok.text == "," and depth == 0:
+            parts.append([])
+        else:
+            depth += _ALL.get(tok.text, 0)
+            parts[-1].append(tok)
+    return parts
+
+
 def attribute_names(attr_text: str) -> list[str]:
     """Names declared by one ``[...]`` attribute list."""
-    inner = attr_text[1:-1]
     names: list[str] = []
-    sig = [t for t in tokenize(inner) if not t.is_trivia]
-    depth = 0
-    segment: list[Token] = []
-
-    def flush() -> None:
+    for part in _split_commas(tokenize(attr_text[1:-1])):
+        segment = [t for t in part if not t.is_trivia]
         idents = [t for t in segment if t.kind is TokenKind.IDENTIFIER]
         if not idents:
-            return
+            continue
         # Skip a leading target specifier such as "method:".
         if (len(segment) > 1 and segment[0].kind is TokenKind.IDENTIFIER
                 and segment[1].text == ":" and len(idents) > 1):
             names.append(idents[1].text)
         else:
             names.append(idents[0].text)
-
-    for tok in sig:
-        if tok.text in _OPENERS:
-            depth += 1
-        elif tok.text in _CLOSERS:
-            depth -= 1
-        elif tok.text == "," and depth == 0:
-            flush()
-            segment = []
-            continue
-        segment.append(tok)
-    flush()
     return names
+
+
+def _split_parameters(inner: str) -> list[str]:
+    parts = ("".join(t.text for t in part).strip()
+             for part in _split_commas(tokenize(inner)))
+    return [part for part in parts if part]
 
 
 # ── expression-level extraction ──────────────────────────────────────────
@@ -194,23 +327,13 @@ def attribute_names(attr_text: str) -> list[str]:
 def _extract_invocations(sig_toks: list[Token]) -> tuple[list[Invocation], bool]:
     """Call sites and ternary presence within one expression token range."""
     invocations: list[Invocation] = []
-    n = len(sig_toks)
-    for idx in range(n):
-        tok = sig_toks[idx]
+    for idx, tok in enumerate(sig_toks):
         if tok.kind is not TokenKind.PUNCTUATION or tok.text != "(":
             continue
         j = idx - 1
         # Step over a generic argument list: Foo<Bar>( or Foo<A, B<C>>(.
         if j >= 0 and sig_toks[j].text in (">", ">>"):
-            depth = 2 if sig_toks[j].text == ">>" else 1
-            j -= 1
-            while j >= 0 and depth > 0:
-                t = sig_toks[j].text
-                if t in (">", ">>"):
-                    depth += 2 if t == ">>" else 1
-                elif t in ("<", "<<"):
-                    depth -= 2 if t == "<<" else 1
-                j -= 1
+            j = _skip_generic(sig_toks, j, -1)
         if j < 0 or sig_toks[j].kind is not TokenKind.IDENTIFIER:
             continue
         chain = [sig_toks[j].text]
@@ -251,159 +374,142 @@ def _extract_invocations(sig_toks: list[Token]) -> tuple[list[Invocation], bool]
     return invocations, has_ternary
 
 
-# ── statement parsing ────────────────────────────────────────────────────
+# ── parser state ─────────────────────────────────────────────────────────
 
 
-class _StatementParser:
-    def __init__(self, cur: _Cursor, diags: list[SyntaxDiagnostic]):
-        self.cur = cur
-        self.diags = diags
+class _Parser:
+    """Lexes the source; holds the cursor, the diagnostics and the current
+    nesting level shared by both parsers."""
+
+    def __init__(self, source: str):
+        tokens = tokenize(source)
+        self.cur = _Cursor(source, tokens)
+        self.diags = _lex_diagnostics(tokens) + _balance_diagnostics(tokens)
+        self.depth = 0
+        self.capped = False
 
     def fatal(self, message: str) -> None:
         self.diags.append(SyntaxDiagnostic(message, self.cur.offset(), FATAL))
 
-    def warning(self, message: str) -> None:
-        self.diags.append(SyntaxDiagnostic(message, self.cur.offset(), WARNING))
+    def too_deep(self) -> bool:
+        """True at the nesting cap, where the caller skips the construct
+        flat instead of descending into it.  The first time is fatal."""
+        if self.depth < MAX_NESTING:
+            return False
+        if not self.capped:
+            self.capped = True
+            self.fatal("nesting too deep")
+        return True
 
+
+# ── statement parsing ────────────────────────────────────────────────────
+
+
+class _StatementParser(_Parser):
     def _make(self, kind: str, start: int, *, children: list[Statement] | None = None,
-              expr_ranges: list[tuple[int, int]] | None = None) -> Statement:
+              expr_ranges: list[tuple[int, int]] = ()) -> Statement:
         cur = self.cur
-        end = cur.pos - 1
-        text = cur.text(start, end) if end >= start else ""
         invocations: list[Invocation] = []
         has_ternary = False
-        for a, b in expr_ranges or []:
+        for a, b in expr_ranges:
             if b >= a:
-                invs, tern = _extract_invocations(cur.sig_tokens(a, b))
+                invs, tern = _extract_invocations(cur.toks[a:b + 1])
                 invocations.extend(invs)
                 has_ternary = has_ternary or tern
-        return Statement(kind, text, children or [], invocations, has_ternary)
+        return Statement(kind, cur.text(start, cur.pos - 1), children or [],
+                         invocations, has_ternary)
 
-    def parse_block_interior(self, *, stop_on_close: bool = True) -> list[Statement]:
+    def parse_block(self, closing: str | None, *, labels: bool = False) -> list[Statement]:
+        """Statements up to the enclosing '}', which must follow (else the
+        fatal ``closing`` diagnostic); with ``closing`` None, statements up
+        to end of input, stray '}' included.  ``labels`` skips case labels."""
         cur = self.cur
         statements: list[Statement] = []
         while not cur.at_end:
-            if stop_on_close and cur.peek_text() == "}":
+            t = cur.peek_text()
+            if closing and t == "}":
                 break
-            before = cur.pos
-            statements.append(self.parse_statement())
-            if cur.pos == before:  # safety: always make progress
-                cur.advance()
+            if labels and t == "case":
+                cur.scan(_COLON)
+                cur.accept(":")
+            elif labels and t == "default" and cur.peek_text(1) == ":":
+                cur.pos += 2
+            else:
+                before = cur.pos
+                statements.append(self.parse_statement())
+                if cur.pos == before:  # safety: always make progress
+                    cur.advance()
+        if closing and not cur.accept("}"):
+            self.fatal(closing)
         return statements
 
     def parse_statement(self) -> Statement:
+        # Every construct recurses through here with at most one frame in
+        # between, which keeps the cost of a nesting level at two frames.
         cur = self.cur
         start = cur.pos
         text = cur.peek_text()
-
+        if self.too_deep():
+            return self._parse_unknown(start)
+        self.depth += 1
         if text == "{":
             cur.advance()
-            children = self.parse_block_interior()
-            if cur.peek_text() == "}":
-                cur.advance()
+            stmt = self._make("block", start, children=self.parse_block("block not closed"))
+        elif text in _HEADED and (text != "using" or cur.peek_text(1) == "("):
+            stmt = self._parse_headed(_HEADED[text], start)
+        elif text == "switch":
+            cur.advance()
+            header = self._consume_parens()
+            if cur.accept("{"):
+                children = self.parse_block("switch body not closed", labels=True)
             else:
-                self.fatal("block not closed")
-            return self._make("block", start, children=children)
-
-        if text == "if":
-            return self._parse_if(start)
-        if text == "switch":
-            return self._parse_switch(start)
-        if text == "while":
-            return self._parse_headed_loop("while", start)
-        if text == "for":
-            return self._parse_headed_loop("for", start)
-        if text == "foreach":
-            return self._parse_headed_loop("foreach", start)
-        if text == "do":
-            return self._parse_do(start)
-        if text == "try":
-            return self._parse_try(start)
-        if text == "using":
-            return self._parse_using(start)
-        if text in ("return", "throw"):
+                self.fatal("switch body missing")
+                children = []
+            stmt = self._make("switch", start, children=children, expr_ranges=[header])
+        elif text == "do":
+            stmt = self._parse_do(start)
+        elif text == "try":
+            stmt = self._parse_try(start)
+        elif text in ("return", "throw", "using"):
             cur.advance()
             expr_start = cur.pos
             end = self._consume_simple_statement()
-            return self._make(text, start, expr_ranges=[(expr_start, end)])
-
-        if text in ("break", "continue", "goto", "lock", "fixed", "unsafe",
-                    "checked", "unchecked", "yield"):
-            return self._parse_unknown(start)
-
-        if self._looks_like_declaration():
+            stmt = self._make(_HEADED.get(text, text), start,
+                              expr_ranges=[(expr_start, end)])
+        elif text in _UNKNOWN_STATEMENTS:
+            stmt = self._parse_unknown(start)
+        else:
+            kind = ("local-declaration" if self._looks_like_declaration()
+                    else "expression-statement")
             end = self._consume_simple_statement()
-            return self._make("local-declaration", start, expr_ranges=[(start, end)])
-
-        end = self._consume_simple_statement()
-        return self._make("expression-statement", start, expr_ranges=[(start, end)])
+            stmt = self._make(kind, start, expr_ranges=[(start, end)])
+        self.depth -= 1
+        return stmt
 
     # individual constructs
 
-    def _parse_if(self, start: int) -> Statement:
+    def _parse_headed(self, kind: str, start: int) -> Statement:
+        """``keyword (header) body``, plus an ``else`` branch for ``if``."""
         cur = self.cur
         cur.advance()
         header = self._consume_parens()
         children = [self.parse_statement()] if not cur.at_end else []
-        if cur.peek_text() == "else":
-            cur.advance()
-            if not cur.at_end:
-                children.append(self.parse_statement())
-        return self._make("if", start, children=children,
-                          expr_ranges=[header] if header else [])
-
-    def _parse_switch(self, start: int) -> Statement:
-        cur = self.cur
-        cur.advance()
-        header = self._consume_parens()
-        children: list[Statement] = []
-        if cur.peek_text() == "{":
-            cur.advance()
-            while not cur.at_end and cur.peek_text() != "}":
-                t = cur.peek_text()
-                if t == "case":
-                    self._consume_until_colon()
-                elif t == "default" and cur.peek_text(1) == ":":
-                    cur.advance()
-                    cur.advance()
-                else:
-                    before = cur.pos
-                    children.append(self.parse_statement())
-                    if cur.pos == before:
-                        cur.advance()
-            if cur.peek_text() == "}":
-                cur.advance()
-            else:
-                self.fatal("switch body not closed")
-        else:
-            self.fatal("switch body missing")
-        return self._make("switch", start, children=children,
-                          expr_ranges=[header] if header else [])
-
-    def _parse_headed_loop(self, kind: str, start: int) -> Statement:
-        cur = self.cur
-        cur.advance()
-        header = self._consume_parens()
-        children = [self.parse_statement()] if not cur.at_end else []
-        return self._make(kind, start, children=children,
-                          expr_ranges=[header] if header else [])
+        if kind == "if" and cur.accept("else") and not cur.at_end:
+            children.append(self.parse_statement())
+        return self._make(kind, start, children=children, expr_ranges=[header])
 
     def _parse_do(self, start: int) -> Statement:
         cur = self.cur
         cur.advance()
         children = [self.parse_statement()] if not cur.at_end else []
-        header: tuple[int, int] | None = None
-        if cur.peek_text() == "while":
-            cur.advance()
-            header = self._consume_parens()
-            if cur.peek_text() == ";":
-                cur.advance()
-            else:
+        headers = []
+        if cur.accept("while"):
+            headers.append(self._consume_parens())
+            if not cur.accept(";"):
                 self.fatal("do-statement missing ';'")
         else:
             self.fatal("do-statement missing 'while'")
-        return self._make("do", start, children=children,
-                          expr_ranges=[header] if header else [])
+        return self._make("do", start, children=children, expr_ranges=headers)
 
     def _parse_try(self, start: int) -> Statement:
         cur = self.cur
@@ -413,8 +519,7 @@ class _StatementParser:
             children.append(self.parse_statement())
         else:
             self.fatal("try block missing")
-        while cur.peek_text() == "catch":
-            cur.advance()
+        while cur.accept("catch"):
             if cur.peek_text() == "(":
                 self._consume_parens()
             if cur.peek_text() == "when" and cur.peek_text(1) == "(":
@@ -425,352 +530,135 @@ class _StatementParser:
             else:
                 self.fatal("catch block missing")
                 break
-        if cur.peek_text() == "finally":
-            cur.advance()
+        if cur.accept("finally"):
             if cur.peek_text() == "{":
                 children.append(self.parse_statement())
             else:
                 self.fatal("finally block missing")
         return self._make("try", start, children=children)
 
-    def _parse_using(self, start: int) -> Statement:
-        cur = self.cur
-        cur.advance()
-        if cur.peek_text() == "(":
-            header = self._consume_parens()
-            children = [self.parse_statement()] if not cur.at_end else []
-            return self._make("using-statement", start, children=children,
-                              expr_ranges=[header] if header else [])
-        expr_start = cur.pos
-        end = self._consume_simple_statement()
-        return self._make("using-statement", start,
-                          expr_ranges=[(expr_start, end)])
-
     def _parse_unknown(self, start: int) -> Statement:
-        """Constructs outside the subset: swallow one balanced unit."""
+        """Constructs outside the subset: swallow one balanced unit, up to a
+        depth-zero ';' or through the '}' that closes it."""
         cur = self.cur
-        depth = 0
-        while not cur.at_end:
-            t = cur.peek_text()
-            if depth == 0 and t == ";":
-                cur.advance()
-                break
-            if t in _OPENERS:
-                depth += 1
-            elif t in _CLOSERS:
-                if depth == 0:
-                    break
-                depth -= 1
-                if depth == 0 and t == "}":
-                    cur.advance()
-                    break
+        if cur.scan(_STATEMENT_END, close="}") == ";":
             cur.advance()
         return self._make("unknown-statement", start,
                           expr_ranges=[(start, cur.pos - 1)])
 
     # low-level consumers
 
-    def _consume_parens(self) -> tuple[int, int] | None:
-        """Consume a balanced ``( ... )`` group; returns its sig-token range."""
+    def _consume_parens(self) -> tuple[int, int]:
+        """Consume a ``( ... )`` group, counting parentheses only; returns
+        its sig-token range, empty when there is no '('."""
         cur = self.cur
+        start = cur.pos
         if cur.peek_text() != "(":
             self.fatal("expected '('")
-            return None
-        start = cur.pos
-        depth = 0
-        while not cur.at_end:
-            t = cur.advance().text
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth -= 1
-                if depth == 0:
-                    return (start, cur.pos - 1)
-        self.fatal("unclosed '('")
+        elif not cur.scan(pairs=_PARENS, close=")"):
+            self.fatal("unclosed '('")
         return (start, cur.pos - 1)
 
     def _consume_simple_statement(self) -> int:
         """Consume up to and including ';' at depth zero.
 
-        Stops without consuming at an unmatched '}' (enclosing block end),
-        which is a missing-semicolon error.  Returns the last consumed
-        sig position."""
+        Stops without consuming at an unmatched closer (enclosing block
+        end), which is a missing-semicolon error.  Returns the last consumed
+        sig position, excluding the ';'."""
         cur = self.cur
-        depth = 0
-        consumed_any = False
-        while not cur.at_end:
-            t = cur.peek_text()
-            if depth == 0 and t == ";":
-                cur.advance()
-                return cur.pos - 2  # expression range excludes the ';'
-            if t in _OPENERS:
-                depth += 1
-            elif t in _CLOSERS:
-                if depth == 0:
-                    if consumed_any:
-                        self.fatal("statement missing ';'")
-                    return cur.pos - 1
-                depth -= 1
+        start = cur.pos
+        end = cur.scan(_STATEMENT_END)
+        if end == ";":
             cur.advance()
-            consumed_any = True
-        if consumed_any:
-            self.fatal("input ends mid-statement")
+            return cur.pos - 2
+        if cur.pos > start:
+            self.fatal("statement missing ';'" if end else "input ends mid-statement")
         return cur.pos - 1
 
-    def _consume_until_colon(self) -> None:
-        cur = self.cur
-        depth = 0
-        while not cur.at_end:
-            t = cur.advance().text
-            if t in _OPENERS:
-                depth += 1
-            elif t in _CLOSERS:
-                depth -= 1
-            elif t == ":" and depth == 0:
-                return
-
     def _looks_like_declaration(self) -> bool:
-        cur = self.cur
-        k = cur.pos
-        sig_len = len(cur.sig)
-
-        def tok(i: int) -> Token | None:
-            return cur.tokens[cur.sig[i]] if i < sig_len else None
-
-        t = tok(k)
-        if t is None:
+        toks = self.cur.toks
+        k = self.cur.pos
+        if k < len(toks) and toks[k].text == "const":
+            k += 1
+        if k >= len(toks):
             return False
-        if t.text == "const":
-            k += 1
-            t = tok(k)
-            if t is None:
-                return False
-        if t.text == "var" and t.kind is TokenKind.IDENTIFIER:
-            nxt = tok(k + 1)
-            return nxt is not None and nxt.kind is TokenKind.IDENTIFIER
-
-        # Type part: predefined type or dotted identifier chain.
-        if t.kind is TokenKind.KEYWORD and t.text in PREDEFINED_TYPES:
-            k += 1
-        elif t.kind is TokenKind.IDENTIFIER:
-            k += 1
-            while True:
-                a, b = tok(k), tok(k + 1)
-                if a is not None and a.text == "." and b is not None \
-                        and b.kind is TokenKind.IDENTIFIER:
-                    k += 2
-                else:
-                    break
-        else:
-            return False
-
-        # Optional generic argument list; only type-ish tokens may appear.
-        t = tok(k)
-        if t is not None and t.text == "<":
-            depth = 1
-            k += 1
-            while depth > 0:
-                t = tok(k)
-                if t is None:
-                    return False
-                if t.text in ("<", "<<"):
-                    depth += 2 if t.text == "<<" else 1
-                elif t.text in (">", ">>"):
-                    depth -= 2 if t.text == ">>" else 1
-                elif not (t.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
-                          or t.text in (",", ".", "?", "[", "]")):
-                    return False
-                k += 1
-
-        t = tok(k)
-        if t is not None and t.text == "?":
-            k += 1
-            t = tok(k)
-        while t is not None and t.text == "[":
-            k += 1
-            t = tok(k)
-            while t is not None and t.text == ",":
-                k += 1
-                t = tok(k)
-            if t is None or t.text != "]":
-                return False
-            k += 1
-            t = tok(k)
-
-        if t is None or t.kind is not TokenKind.IDENTIFIER:
-            return False
-        nxt = tok(k + 1)
-        return nxt is not None and nxt.text in ("=", ";", ",")
+        if toks[k].text == "var" and toks[k].kind is TokenKind.IDENTIFIER:
+            return k + 1 < len(toks) and toks[k + 1].kind is TokenKind.IDENTIFIER
+        k = _type_end(toks, k, strict=True)
+        return (0 <= k < len(toks) - 1 and toks[k].kind is TokenKind.IDENTIFIER
+                and toks[k + 1].text in ("=", ";", ","))
 
 
 # ── test method parsing ──────────────────────────────────────────────────
 
 
 def parse_test_method(source: str) -> TestSyntaxTree:
-    tokens = tokenize(source)
-    diags = _lex_diagnostics(tokens)
-    diags.extend(_balance_diagnostics(tokens))
-    cur = _Cursor(source, tokens)
-    sp = _StatementParser(cur, diags)
+    sp = _StatementParser(source)
+    cur = sp.cur
 
     attributes: list[str] = []
-    while True:
-        tok = cur.peek()
-        if tok is not None and tok.kind is TokenKind.ATTRIBUTE:
-            attributes.extend(attribute_names(tok.text))
-            cur.advance()
-        else:
-            break
-
-    while cur.peek_text() in MODIFIER_WORDS and cur.peek_text() != "":
+    while (tok := cur.peek()) is not None and tok.kind is TokenKind.ATTRIBUTE:
+        attributes.extend(attribute_names(cur.advance().text))
+    while cur.peek_text() in MODIFIER_WORDS:
         cur.advance()
 
     method_name = ""
     parameters: list[str] = []
     statements: list[Statement] = []
+    problem = ""
 
     type_start = cur.pos
-    _consume_type(cur)
+    type_end = _type_end(cur.toks, type_start, strict=False)
+    if type_end >= 0:
+        cur.pos = type_end
     name_tok = cur.peek()
     if name_tok is not None and name_tok.kind is TokenKind.IDENTIFIER:
-        method_name = name_tok.text
-        cur.advance()
+        method_name = cur.advance().text
     elif (cur.peek_text() == "(" and cur.pos == type_start + 1
-          and cur.tokens[cur.sig[type_start]].kind is TokenKind.IDENTIFIER):
+          and cur.toks[type_start].kind is TokenKind.IDENTIFIER):
         # Constructor-shaped header: the lone identifier was the name.
-        method_name = cur.tokens[cur.sig[type_start]].text
+        method_name = cur.toks[type_start].text
     else:
-        sp.fatal("malformed method header")
-        statements = sp.parse_block_interior(stop_on_close=False)
-        return _finish_tree(attributes, method_name, parameters, statements, diags, tokens)
+        problem = "malformed method header"
 
-    if cur.peek_text() == "<":  # generic test methods: consume and ignore
-        depth = 1
-        cur.advance()
-        while depth > 0 and not cur.at_end:
-            t = cur.advance().text
-            if t in ("<", "<<"):
-                depth += 2 if t == "<<" else 1
-            elif t in (">", ">>"):
-                depth -= 2 if t == ">>" else 1
-
-    if cur.peek_text() == "(":
-        prange = sp._consume_parens()
-        if prange is not None:
-            a, b = prange
-            inner = cur.text(a + 1, b - 1) if b - 1 >= a + 1 else ""
-            parameters = _split_parameters(inner)
-    else:
-        sp.fatal("method header missing parameter list")
-        statements = sp.parse_block_interior(stop_on_close=False)
-        return _finish_tree(attributes, method_name, parameters, statements, diags, tokens)
-
-    if cur.peek_text() == "{":
-        cur.advance()
-        statements = sp.parse_block_interior()
-        if cur.peek_text() == "}":
-            cur.advance()
+    if not problem:
+        if cur.peek_text() == "<":  # generic test methods: consume and ignore
+            cur.pos = _skip_generic(cur.toks, cur.pos)
+        if cur.peek_text() == "(":
+            a, b = sp._consume_parens()
+            parameters = _split_parameters(cur.text(a + 1, b - 1))
         else:
-            sp.fatal("method body not closed")
-    elif cur.peek_text() == "=>":
-        cur.advance()
-        expr_start = cur.pos
-        end = sp._consume_simple_statement()
-        statements = [sp._make("expression-statement", expr_start,
-                               expr_ranges=[(expr_start, end)])]
-    elif cur.peek_text() == ";":
-        cur.advance()  # bodiless declaration; nothing to analyze
-    else:
-        sp.fatal("method body missing")
-        statements = sp.parse_block_interior(stop_on_close=False)
-        return _finish_tree(attributes, method_name, parameters, statements, diags, tokens)
+            problem = "method header missing parameter list"
 
-    if not cur.at_end:
-        diags.append(SyntaxDiagnostic("unexpected content after method",
-                                      cur.offset(), FATAL))
+    if not problem:
+        if cur.accept("{"):
+            statements = sp.parse_block("method body not closed")
+        elif cur.accept("=>"):
+            expr_start = cur.pos
+            end = sp._consume_simple_statement()
+            statements = [sp._make("expression-statement", expr_start,
+                                   expr_ranges=[(expr_start, end)])]
+        elif not cur.accept(";"):  # a bodiless declaration has nothing to analyze
+            problem = "method body missing"
+
+    if problem:
+        sp.fatal(problem)
+        statements = sp.parse_block(None)
+    elif not cur.at_end:
+        sp.fatal("unexpected content after method")
         # Keep parsing so detectors can still see the trailing statements.
-        statements = statements + sp.parse_block_interior(stop_on_close=False)
+        statements = statements + sp.parse_block(None)
 
-    return _finish_tree(attributes, method_name, parameters, statements, diags, tokens)
-
-
-def _finish_tree(attributes, method_name, parameters, statements, diags, tokens):
-    fatal = any(d.is_fatal for d in diags)
+    fatal = any(d.is_fatal for d in sp.diags)
     return TestSyntaxTree(
         attributes=attributes,
         method_name=method_name,
         parameters=parameters,
         body=None if fatal else statements,
-        diagnostics=diags,
-        tokens=tokens,
+        diagnostics=sp.diags,
+        tokens=cur.tokens,
         partial_body=statements,
     )
-
-
-def _consume_type(cur: _Cursor) -> str | None:
-    """Consume a type reference if one is present; returns its text."""
-    start = cur.pos
-    tok = cur.peek()
-    if tok is None:
-        return None
-    if tok.kind is TokenKind.KEYWORD and tok.text in PREDEFINED_TYPES:
-        cur.advance()
-    elif tok.kind is TokenKind.IDENTIFIER:
-        cur.advance()
-        while cur.peek_text() == "." and (nxt := cur.peek(1)) is not None \
-                and nxt.kind is TokenKind.IDENTIFIER:
-            cur.advance()
-            cur.advance()
-    else:
-        return None
-    if cur.peek_text() == "<":
-        # Generic arguments; give up (rewind not needed, header stays valid)
-        # only on end of input.
-        depth = 1
-        cur.advance()
-        while depth > 0 and not cur.at_end:
-            t = cur.advance().text
-            if t in ("<", "<<"):
-                depth += 2 if t == "<<" else 1
-            elif t in (">", ">>"):
-                depth -= 2 if t == ">>" else 1
-    if cur.peek_text() == "?":
-        cur.advance()
-    while cur.peek_text() == "[":
-        cur.advance()
-        while cur.peek_text() == ",":
-            cur.advance()
-        if cur.peek_text() == "]":
-            cur.advance()
-        else:
-            break
-    return cur.text(start, cur.pos - 1)
-
-
-def _split_parameters(inner: str) -> list[str]:
-    sig = [t for t in tokenize(inner)]
-    parts: list[str] = []
-    depth = 0
-    buf: list[str] = []
-    for tok in sig:
-        if tok.is_trivia:
-            buf.append(tok.text)
-            continue
-        if tok.text in _OPENERS:
-            depth += 1
-        elif tok.text in _CLOSERS:
-            depth -= 1
-        if tok.text == "," and depth == 0:
-            part = "".join(buf).strip()
-            if part:
-                parts.append(part)
-            buf = []
-        else:
-            buf.append(tok.text)
-    tail = "".join(buf).strip()
-    if tail:
-        parts.append(tail)
-    return parts
 
 
 def check_syntax(source: str) -> SyntaxVerdict:
@@ -784,282 +672,171 @@ def check_syntax(source: str) -> SyntaxVerdict:
 
 # ── focal file parsing ───────────────────────────────────────────────────
 
-_TYPE_DECL_KEYWORDS = frozenset({"class", "struct", "interface", "enum"})
+_TYPE_DECL_KEYWORDS = frozenset({"class", "struct", "interface", "enum", "record"})
 
 
 def parse_focal_file(source: str) -> FocalFileTree:
-    tokens = tokenize(source)
-    diags = _lex_diagnostics(tokens)
-    diags.extend(_balance_diagnostics(tokens))
-    cur = _Cursor(source, tokens)
-    usings: list[str] = []
-    namespaces: list[str] = []
+    fp = _FocalParser(source)
     classes: list[ClassNode] = []
-    _parse_container(cur, diags, usings, namespaces, classes, top_level=True)
-    _attach_comments(cur, classes)
-    return FocalFileTree(source, usings, namespaces, classes, diags)
-
-
-def _parse_container(cur: _Cursor, diags, usings, namespaces, classes, *,
-                     top_level: bool) -> None:
-    while not cur.at_end:
-        t = cur.peek()
-        text = t.text
-        if text == "}" and not top_level:
-            return
-        if t.kind is TokenKind.ATTRIBUTE:
-            cur.advance()
-            continue
-        if text == "using":
-            start = cur.pos
-            _consume_to_semicolon(cur)
-            usings.append(cur.text(start, cur.pos - 1))
-            continue
-        if text == "namespace":
-            cur.advance()
-            name_parts: list[str] = []
-            while (tok := cur.peek()) is not None and tok.kind is TokenKind.IDENTIFIER:
-                name_parts.append(cur.advance().text)
-                if cur.peek_text() == ".":
-                    name_parts.append(cur.advance().text)
-            namespaces.append("".join(name_parts))
-            if cur.peek_text() == "{":
-                cur.advance()
-                _parse_container(cur, diags, usings, namespaces, classes,
-                                 top_level=False)
-                if cur.peek_text() == "}":
-                    cur.advance()
-                else:
-                    diags.append(SyntaxDiagnostic("namespace not closed",
-                                                  cur.offset(), FATAL))
-            elif cur.peek_text() == ";":
-                cur.advance()
-            continue
-        if _at_type_declaration(cur):
-            node = _parse_type_declaration(cur, diags)
-            if node is not None:
-                classes.append(node)
-            continue
-        # Unknown top-level construct: skip one token (or balanced block).
-        if text == "{":
-            _consume_balanced_braces(cur)
-        else:
-            cur.advance()
+    fp.parse_container(classes, top_level=True)
+    _attach_comments(fp.cur, classes)
+    return FocalFileTree(source, fp.usings, fp.namespaces, classes, fp.diags)
 
 
 def _at_type_declaration(cur: _Cursor) -> bool:
     k = 0
-    while cur.peek_text(k) in MODIFIER_WORDS and cur.peek_text(k) != "":
+    while cur.peek_text(k) in MODIFIER_WORDS:
         k += 1
-    t = cur.peek_text(k)
-    return t in _TYPE_DECL_KEYWORDS or (t == "record")
+    return cur.peek_text(k) in _TYPE_DECL_KEYWORDS
 
 
-def _parse_type_declaration(cur: _Cursor, diags) -> ClassNode | None:
-    start = cur.pos
-    while cur.peek_text() in MODIFIER_WORDS and cur.peek_text() != "":
-        cur.advance()
-    kw = cur.advance().text  # class | struct | interface | enum | record
-    if kw == "record" and cur.peek_text() in ("class", "struct"):
-        cur.advance()
-    name_tok = cur.peek()
-    if name_tok is None or name_tok.kind is not TokenKind.IDENTIFIER:
-        diags.append(SyntaxDiagnostic("type declaration missing name",
-                                      cur.offset(), FATAL))
-        return None
-    name = cur.advance().text
-    # Generic parameters, base list, constraints: up to '{' or ';'.
-    while not cur.at_end and cur.peek_text() not in ("{", ";"):
-        cur.advance()
-    decl_span = cur.char_span(start, cur.pos - 1)
-    declaration = cur.text(start, cur.pos - 1)
-    node = ClassNode(name=name, declaration=declaration, decl_span=decl_span,
-                     span=decl_span)
-    if cur.peek_text() == ";":
-        cur.advance()
-        node.span = cur.char_span(start, cur.pos - 1)
-        return node
-    if cur.peek_text() != "{":
-        diags.append(SyntaxDiagnostic("type body missing", cur.offset(), FATAL))
-        return node
-    cur.advance()
-    if kw == "enum":
-        depth = 1
-        while not cur.at_end and depth > 0:
-            t = cur.advance().text
-            if t == "{":
-                depth += 1
-            elif t == "}":
-                depth -= 1
-        node.span = cur.char_span(start, cur.pos - 1)
-        return node
-    _parse_members(cur, diags, node)
-    if cur.peek_text() == "}":
-        cur.advance()
-    else:
-        diags.append(SyntaxDiagnostic(f"type '{name}' not closed",
-                                      cur.offset(), FATAL))
-    node.span = cur.char_span(start, cur.pos - 1)
-    return node
+class _FocalParser(_Parser):
+    def __init__(self, source: str):
+        super().__init__(source)
+        self.usings: list[str] = []
+        self.namespaces: list[str] = []
 
-
-def _parse_members(cur: _Cursor, diags, node: ClassNode) -> None:
-    while not cur.at_end and cur.peek_text() != "}":
-        member_start = cur.pos
-        while (tok := cur.peek()) is not None and tok.kind is TokenKind.ATTRIBUTE:
-            cur.advance()
-        if _at_type_declaration(cur):
-            inner = _parse_type_declaration(cur, diags)
-            if inner is not None:
-                node.nested.append(inner)
-            continue
-        while cur.peek_text() in MODIFIER_WORDS and cur.peek_text() != "":
-            cur.advance()
-        terminator, term_pos = _find_member_terminator(cur)
-        if terminator == "(":
-            _parse_method_member(cur, diags, node, member_start, term_pos)
-        elif terminator in ("=", ";"):
-            name = _field_name(cur, term_pos)
-            _consume_to_semicolon(cur)
-            node.fields.append(FieldNode(name, cur.char_span(member_start, cur.pos - 1)))
-        elif terminator == "{":
-            while cur.pos <= term_pos:
+    def parse_container(self, classes: list[ClassNode], *, top_level: bool) -> None:
+        cur = self.cur
+        while not cur.at_end:
+            t = cur.peek()
+            text = t.text
+            if text == "}" and not top_level:
+                return
+            if t.kind is TokenKind.ATTRIBUTE:
                 cur.advance()
-            _consume_balanced_braces_from_open(cur, already_open=True)
-            if cur.peek_text() == "=":  # auto-property initializer
-                _consume_to_semicolon(cur)
-            node.others.append(cur.char_span(member_start, cur.pos - 1))
-        elif terminator == "=>":
-            _consume_to_semicolon(cur)
-            node.others.append(cur.char_span(member_start, cur.pos - 1))
+            elif text == "using":
+                start = cur.pos
+                _to_semicolon(cur)
+                self.usings.append(cur.text(start, cur.pos - 1))
+            elif text == "namespace":
+                cur.advance()
+                name_parts: list[str] = []
+                while (tok := cur.peek()) is not None and tok.kind is TokenKind.IDENTIFIER:
+                    name_parts.append(cur.advance().text)
+                    if cur.peek_text() == ".":
+                        name_parts.append(cur.advance().text)
+                self.namespaces.append("".join(name_parts))
+                if cur.peek_text() != "{":
+                    cur.accept(";")
+                elif self.too_deep():
+                    cur.scan(pairs=_BRACES, close="}")
+                else:
+                    cur.advance()
+                    self.depth += 1
+                    self.parse_container(classes, top_level=False)
+                    self.depth -= 1
+                    if not cur.accept("}"):
+                        self.fatal("namespace not closed")
+            elif _at_type_declaration(cur):
+                node = self.parse_type_declaration()
+                if node is not None:
+                    classes.append(node)
+            elif text == "{":  # unknown construct: skip its balanced block
+                cur.scan(pairs=_BRACES, close="}")
+            else:
+                cur.advance()
+
+    def parse_type_declaration(self) -> ClassNode | None:
+        cur = self.cur
+        start = cur.pos
+        while cur.peek_text() in MODIFIER_WORDS:
+            cur.advance()
+        kw = cur.advance().text  # class | struct | interface | enum | record
+        if kw == "record" and cur.peek_text() in ("class", "struct"):
+            cur.advance()
+        name_tok = cur.peek()
+        if name_tok is None or name_tok.kind is not TokenKind.IDENTIFIER:
+            self.fatal("type declaration missing name")
+            return None
+        name = cur.advance().text
+        # Generic parameters, base list, constraints: up to '{' or ';'.
+        body = cur.scan(_TYPE_BODY, pairs=_FLAT)
+        decl_span = cur.char_span(start, cur.pos - 1)
+        node = ClassNode(name=name, declaration=cur.text(start, cur.pos - 1),
+                         decl_span=decl_span, span=decl_span)
+        if not body:
+            self.fatal("type body missing")
+            return node
+        if body == ";":
+            cur.advance()
+        elif kw == "enum" or self.too_deep():
+            cur.scan(pairs=_BRACES, close="}")
         else:
-            if cur.pos == member_start and not cur.at_end:
-                cur.advance()
-            if cur.pos > member_start:
-                node.others.append(cur.char_span(member_start, cur.pos - 1))
-            if terminator is None and cur.at_end:
-                return
-
-
-def _find_member_terminator(cur: _Cursor) -> tuple[str | None, int]:
-    """First of ``(``, ``=``, ``;``, ``{``, ``=>`` at depth zero, looking
-    ahead without consuming. Returns (terminator, sig position)."""
-    depth = 0
-    k = cur.pos
-    while k < len(cur.sig):
-        t = cur.tokens[cur.sig[k]].text
-        if depth == 0 and t in ("(", "=", ";", "{", "=>"):
-            return t, k
-        if t == "}" and depth == 0:
-            return None, k
-        if t in _OPENERS:
-            depth += 1
-        elif t in _CLOSERS:
-            depth -= 1
-        k += 1
-    return None, k
-
-
-def _parse_method_member(cur: _Cursor, diags, node: ClassNode,
-                         member_start: int, paren_pos: int) -> None:
-    name = ""
-    j = paren_pos - 1
-    if j >= 0 and cur.tokens[cur.sig[j]].text in (">", ">>"):
-        depth = 2 if cur.tokens[cur.sig[j]].text == ">>" else 1
-        j -= 1
-        while j >= 0 and depth > 0:
-            t = cur.tokens[cur.sig[j]].text
-            if t in (">", ">>"):
-                depth += 2 if t == ">>" else 1
-            elif t in ("<", "<<"):
-                depth -= 2 if t == "<<" else 1
-            j -= 1
-    while j >= 0:
-        tok = cur.tokens[cur.sig[j]]
-        if tok.kind is TokenKind.IDENTIFIER:
-            name = tok.text
-            break
-        if tok.text == "~":
-            j -= 1
-            continue
-        j -= 1
-
-    while cur.pos <= paren_pos:
-        cur.advance()
-    # cur now sits just past '('; finish the parameter list.
-    depth = 1
-    while not cur.at_end and depth > 0:
-        t = cur.advance().text
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-    sig_end_pos = cur.pos - 1
-    sig_char_end = cur.char_span(sig_end_pos, sig_end_pos)[1]
-    member_char_start = cur.char_span(member_start, member_start)[0]
-    signature = cur.source[member_char_start:sig_char_end] + ";"
-
-    # Constraints or nothing until the body.
-    while not cur.at_end and cur.peek_text() not in ("{", ";", "=>"):
-        cur.advance()
-    body_span = (sig_char_end, sig_char_end)
-    if cur.peek_text() == "{":
-        body_start = cur.char_span(cur.pos, cur.pos)[0]
-        _consume_balanced_braces(cur)
-        body_span = (body_start, cur.char_span(cur.pos - 1, cur.pos - 1)[1])
-    elif cur.peek_text() == ";":
-        cur.advance()
-    elif cur.peek_text() == "=>":
-        body_start = cur.char_span(cur.pos, cur.pos)[0]
-        _consume_to_semicolon(cur)
-        body_span = (body_start, cur.char_span(cur.pos - 1, cur.pos - 1)[1])
-    span = cur.char_span(member_start, cur.pos - 1)
-    node.methods.append(MethodNode(name, signature, span, sig_char_end, body_span))
-
-
-def _field_name(cur: _Cursor, term_pos: int) -> str:
-    j = term_pos
-    if cur.tokens[cur.sig[j]].text in ("=", ";"):
-        j -= 1
-    while j >= cur.pos:
-        tok = cur.tokens[cur.sig[j]]
-        if tok.kind is TokenKind.IDENTIFIER:
-            return tok.text
-        j -= 1
-    return ""
-
-
-def _consume_to_semicolon(cur: _Cursor) -> None:
-    depth = 0
-    while not cur.at_end:
-        t = cur.peek_text()
-        if depth == 0 and t == ";":
             cur.advance()
-            return
-        if t in _OPENERS:
-            depth += 1
-        elif t in _CLOSERS:
-            if depth == 0:
-                return
-            depth -= 1
-        cur.advance()
+            self.depth += 1
+            self.parse_members(node)
+            self.depth -= 1
+            if not cur.accept("}"):
+                self.fatal(f"type '{name}' not closed")
+        node.span = cur.char_span(start, cur.pos - 1)
+        return node
 
+    def parse_members(self, node: ClassNode) -> None:
+        cur = self.cur
+        while not cur.at_end and cur.peek_text() != "}":
+            member_start = cur.pos
+            while (tok := cur.peek()) is not None and tok.kind is TokenKind.ATTRIBUTE:
+                cur.advance()
+            if _at_type_declaration(cur):
+                inner = self.parse_type_declaration()
+                if inner is not None:
+                    node.nested.append(inner)
+                continue
+            while cur.peek_text() in MODIFIER_WORDS:
+                cur.advance()
+            start = cur.pos
+            terminator = cur.scan(_MEMBER_END)
+            if terminator == "(":
+                self.parse_method_member(node, member_start)
+            elif terminator == "{":
+                cur.scan(pairs=_BRACES, close="}")
+                if cur.peek_text() == "=":  # auto-property initializer
+                    _to_semicolon(cur)
+                node.others.append(cur.char_span(member_start, cur.pos - 1))
+            else:
+                # Only looked ahead: fields and '=>' members are consumed
+                # again from their start.
+                end = cur.pos - 1
+                cur.pos = start
+                if terminator in ("=", ";", "=>"):
+                    _to_semicolon(cur)
+                if cur.pos == member_start and not cur.at_end:
+                    # Nothing consumed, as at an unmatched closer: keep one
+                    # token raw so the loop always makes progress.
+                    cur.advance()
+                    node.others.append(cur.char_span(member_start, member_start))
+                elif terminator in ("=", ";"):
+                    name = _last_identifier(cur.toks, start, end)
+                    node.fields.append(FieldNode(name, cur.char_span(member_start, cur.pos - 1)))
+                elif terminator == "=>" or cur.pos > member_start:
+                    node.others.append(cur.char_span(member_start, cur.pos - 1))
 
-def _consume_balanced_braces(cur: _Cursor) -> None:
-    if cur.peek_text() != "{":
-        return
-    cur.advance()
-    _consume_balanced_braces_from_open(cur, already_open=True)
+    def parse_method_member(self, node: ClassNode, member_start: int) -> None:
+        """The method whose parameter list opens at the cursor."""
+        cur = self.cur
+        j = cur.pos - 1
+        if j >= 0 and cur.toks[j].text in (">", ">>"):
+            j = _skip_generic(cur.toks, j, -1)
+        name = _last_identifier(cur.toks, 0, j)
+        cur.scan(pairs=_PARENS, close=")")
+        sig_char_end = cur.char_span(cur.pos - 1, cur.pos - 1)[1]
+        member_char_start = cur.char_span(member_start, member_start)[0]
+        signature = cur.source[member_char_start:sig_char_end] + ";"
 
-
-def _consume_balanced_braces_from_open(cur: _Cursor, *, already_open: bool) -> None:
-    depth = 1 if already_open else 0
-    while not cur.at_end and depth > 0:
-        t = cur.advance().text
-        if t == "{":
-            depth += 1
-        elif t == "}":
-            depth -= 1
+        # Constraints or nothing until the body.
+        body = cur.scan(_METHOD_BODY, pairs=_FLAT)
+        body_start = cur.pos
+        if body == "{":
+            cur.scan(pairs=_BRACES, close="}")
+        elif body == "=>":
+            _to_semicolon(cur)
+        else:
+            cur.accept(";")
+        body_span = (cur.char_span(body_start, cur.pos - 1) if body in ("{", "=>")
+                     else (sig_char_end, sig_char_end))
+        span = cur.char_span(member_start, cur.pos - 1)
+        node.methods.append(MethodNode(name, signature, span, sig_char_end, body_span))
 
 
 def _attach_comments(cur: _Cursor, classes: list[ClassNode]) -> None:

@@ -103,9 +103,6 @@ class PolicyTable:
     def log_probs(self, state: int) -> np.ndarray:
         return _log_softmax(self.logits[state])
 
-    def ref_probs(self, state: int) -> np.ndarray:
-        return _softmax(self.ref_logits[state])
-
     def kl_from_reference(self, state: int) -> float:
         """KL(reference row || current row).  Softmax rows are strictly
         positive, so no zero-mass handling is needed."""

@@ -233,6 +233,72 @@ def test_subsample_returns_requested_count(tmp_path, capsys):
     assert len(read_lines(capsys)) == 3
 
 
+# ── records with a bad test field ────────────────────────────────────
+
+BAD_TEST_ROWS = [{"focal_method": "Stop", "repo": "r"},
+                 {"focal_method": "Stop", "repo": "r", "test": 42}]
+
+
+@pytest.mark.parametrize("bad", BAD_TEST_ROWS, ids=["missing", "number"])
+@pytest.mark.parametrize("command", ["reward", "golden"])
+def test_bad_test_field_is_an_error_record(tmp_path, capsys, command, bad):
+    path = tmp_path / "c.jsonl"
+    good = {"focal_method": "Stop", "repo": "r", "test": GOLDEN_TEST}
+    path.write_text("\n".join(dump_line(row) for row in (good, bad, good)) + "\n")
+    argv = [command, str(path)] + (["--properties", "assertion"] if command == "reward" else [])
+    assert main(argv) == 1
+    rows = read_lines(capsys)
+    assert [r["schema"] for r in rows] == (
+        ["labeled.v1", "error.v1", "labeled.v1"] if command == "reward"
+        else ["corpus.v1", "error.v1", "corpus.v1"])
+    assert rows[1]["line"] == 2
+    assert "'test'" in rows[1]["error"]
+
+
+@pytest.mark.parametrize("bad", BAD_TEST_ROWS, ids=["missing", "number"])
+@pytest.mark.parametrize("command", ["split", "subsample", "resample"])
+def test_bad_test_field_in_whole_corpus_input_is_usage_error(tmp_path, capsys, command, bad):
+    path = tmp_path / "c.jsonl"
+    row = {"record": bad, "report": {}, "reward": 0} if command == "resample" else bad
+    path.write_text(dump_line(row) + "\n")
+    argv = {"split": ["--out-dir", str(tmp_path / "s")], "subsample": ["--n", "1"],
+            "resample": []}[command]
+    assert main([command, str(path)] + argv) == 2
+    assert "line 1: record needs a string 'test' field" in capsys.readouterr().err
+
+
+# ── nesting past the parser cap ──────────────────────────────────────
+
+
+def deep_test(depth: int) -> str:
+    return ("[TestMethod]\npublic void TestStopAtDepth()\n{\n" + "if (ready)\n{\n" * depth
+            + "c.Stop();\nAssert.IsTrue(c.IsStopped());\n" + "}\n" * depth + "}")
+
+
+def test_analyze_reports_deep_nesting(tmp_path, capsys):
+    path = write_corpus(tmp_path / "c.jsonl", [deep_test(d) for d in (400, 1000, 10_000)])
+    assert main(["analyze", str(path)]) == 0
+    reports = read_lines(capsys)
+    assert [r["schema"] for r in reports] == ["report.v1"] * 3
+    assert not any(r["correct_syntax"] for r in reports)
+    assert all(r["has_assertion"] and r["invokes_focal"] for r in reports)
+
+
+@pytest.mark.parametrize("opener", ["namespace N {\n", "class C {\n"])
+def test_prompt_on_deeply_nested_focal_files(tmp_path, capsys, opener):
+    rows = []
+    for depth in (400, 1000, 10_000):
+        focal = tmp_path / f"Deep{depth}.cs"
+        focal.write_text(opener * depth + "class S { public void Stop() { } }\n"
+                         + "}\n" * depth)
+        rows.append({"focal_path": str(focal), "focal_method": "Stop"})
+    path = tmp_path / "wanted.jsonl"
+    path.write_text("".join(dump_line(row) + "\n" for row in rows))
+    assert main(["prompt", str(path)]) == 1
+    # Within the cap the method is found; past it the body was skipped.
+    assert [r["schema"] for r in read_lines(capsys)] == ["prompt.v1", "error.v1", "error.v1"]
+
+
 # ── toy RL commands ──────────────────────────────────────────────────
 
 

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqual.nodes import Invocation
-from tqual.parser import attribute_names, check_syntax, parse_focal_file, parse_test_method
+from tqual.parser import (
+    MAX_NESTING,
+    attribute_names,
+    check_syntax,
+    parse_focal_file,
+    parse_test_method,
+)
 
 
 def invocations(source: str) -> list[Invocation]:
@@ -147,8 +154,14 @@ def test_lambda_argument_invocations_are_extracted():
 
 
 def test_generic_method_call():
-    invs = invocations("[TestMethod]\nvoid T()\n{\n    service.Create<Widget>(x);\n}")
-    assert any(i.chain == ("service", "Create") for i in invs)
+    for statement, chain in [
+        ("service.Create<Widget>(x);", ("service", "Create")),
+        # Generic argument lists closed by '>>'.
+        ("var r = s.Get<List<int>>(1);", ("s", "Get")),
+        ("Assert.AreEqual<Dictionary<string, List<int>>>(a, b);", ("Assert", "AreEqual")),
+    ]:
+        invs = invocations("[TestMethod]\nvoid T()\n{\n    " + statement + "\n}")
+        assert any(i.chain == chain for i in invs)
 
 
 def test_this_qualified_call():
@@ -203,20 +216,113 @@ def test_check_syntax_is_total(source):
     assert isinstance(verdict.correct, bool)
 
 
-@given(
+# C#-like token soups, unbalanced and mismatched brackets included, and
+# runs of one opener from shallow to twice the nesting cap.
+_SOUPS = st.one_of(
     st.lists(
         st.sampled_from(
-            ["{", "}", "(", ")", ";", "x", ".", "Run", "var", "=", "1",
-             "[TestMethod]\n", "public void T()", "\n", " ", '"s"', "if", "else"]
+            ["{", "}", "(", ")", "[", "]", ";", "<", ">>", "x", ".", "Run", "var",
+             "=", "1", "[TestMethod]\n", "public void T()", "\n", " ", '"s"',
+             "if", "else", "namespace N {", "class C {", "enum E {"]
         ),
-        max_size=30,
-    )
+        max_size=60,
+    ).map("".join),
+    st.builds(
+        lambda opener, depth, tail: opener * depth + tail,
+        st.sampled_from(["{", "(", "if (x) {", "namespace N {", "class C {"]),
+        st.integers(0, 2 * MAX_NESTING),
+        st.sampled_from(["", "x.Run();", "}}}"]),
+    ),
 )
-@settings(max_examples=150, deadline=None)
-def test_parse_test_method_is_total(fragments):
-    tree = parse_test_method("".join(fragments))
+
+
+@given(_SOUPS)
+@settings(max_examples=100, deadline=None)
+def test_parse_test_method_is_total(source):
+    tree = parse_test_method(source)
     assert isinstance(tree.has_fatal, bool)
     tree.statements()
+
+
+@given(_SOUPS)
+@settings(max_examples=100, deadline=None)
+def test_parse_focal_file_is_total(source):
+    tree = parse_focal_file(source)
+    assert all(isinstance(cls.name, str) for cls in tree.walk_classes())
+
+
+# ── recovery on broken or unusual input ──────────────────────────────
+#
+# These pin the exact trees and diagnostics the parser recovers, so the
+# shared scanning code cannot drift on the edge cases each construct meets.
+
+
+def outline(statements) -> list:
+    return [(s.kind, outline(s.children)) if s.children else s.kind for s in statements]
+
+
+def diagnostics(tree) -> list[tuple[str, int]]:
+    assert all(d.is_fatal for d in tree.diagnostics)
+    return [(d.message, d.offset) for d in tree.diagnostics]
+
+
+HEAD = "[TestMethod]\npublic void T()\n{\n"
+
+
+@pytest.mark.parametrize("body, shape, diags, calls", [
+    # An '(' left open runs to end of input; one closed by ']' too.
+    ("    if (a.Run( { x.Stop(); }\n}", ["if"],
+     [("unmatched '}'", 60), ("unclosed '('", 60), ("method body not closed", 60)],
+     [("a", "Run"), ("x", "Stop")]),
+    ("    if (a.Run(] { x.Stop(); }\n}", ["if"],
+     [("unmatched ']'", 45), ("unclosed '('", 61), ("method body not closed", 61)],
+     [("a", "Run"), ("x", "Stop")]),
+    # case labels holding parens, a when clause or a ternary.
+    ("    switch (k) { case (1): x.A(); break; case 2 when (y > 0): x.B(); break; }\n}",
+     [("switch", ["expression-statement", "unknown-statement",
+                  "expression-statement", "unknown-statement"])],
+     [], [("x", "A"), ("x", "B")]),
+    ("    switch (k) { case 1 ? 2 : 3: x.A(); break; default: x.C(); break; }\n}",
+     [("switch", ["expression-statement", "unknown-statement",
+                  "expression-statement", "unknown-statement"])],
+     [], [("x", "A"), ("x", "C")]),
+    # A case label never finds its ':' and swallows the rest.
+    ("    switch (k) { case 1 } x.A();\n}", ["switch"],
+     [("switch body not closed", 64), ("method body not closed", 64)], []),
+    ("    switch (k) x.A();\n}", ["switch", "expression-statement"],
+     [("switch body missing", 46)], [("x", "A")]),
+    ("    try { x.A(); } catch (E e) x.B();\n}",
+     [("try", [("block", ["expression-statement"])]), "expression-statement"],
+     [("catch block missing", 62)], [("x", "A"), ("x", "B")]),
+    # Statements outside the subset end at their block or at ';'.
+    ("    lock (x) { x.A(); }\n    goto done;\n    done: x.B();\n}",
+     ["unknown-statement", "unknown-statement", "expression-statement"],
+     [], [("x", "A"), ("x", "B")]),
+    ("    lock (x) { } ;\n    lock { ( ] ) ;\n}",
+     ["unknown-statement", "expression-statement", "unknown-statement"],
+     [("unmatched ']'", 63)], []),
+    # Generic argument lists closed by '>>'.
+    ("    List<List<int>> xs = Make();\n"
+     "    Dictionary<string, List<int>> d = new Dictionary<string, List<int>>();\n}",
+     ["local-declaration", "local-declaration"], [], [("Make",), ("Dictionary",)]),
+])
+def test_recovered_tree_is_pinned(body, shape, diags, calls):
+    source = HEAD + body
+    tree = parse_test_method(source)
+    assert outline(tree.statements()) == shape
+    assert diagnostics(tree) == diags
+    assert [i.chain for i in invocations(source)] == calls
+
+
+@pytest.mark.parametrize("source", [
+    "[TestMethod]\npublic void T<U, V<W>>()\n{\n    x.Run<V<W>>();\n}",
+    "[TestMethod]\npublic Task<List<int>> T()\n{\n    x.Run();\n}",
+])
+def test_generic_test_method_header(source):
+    tree = parse_test_method(source)
+    assert tree.method_name == "T"
+    assert not tree.has_fatal
+    assert invocations(source) == [Invocation(("x", "Run"))]
 
 
 # ── attribute name parsing ───────────────────────────────────────────
@@ -276,6 +382,116 @@ def test_signature_ends_at_parameter_list(inventory_source):
         assert inventory_source[method.sig_end - 1] == ")"
 
 
+@pytest.mark.parametrize("member", [") { get;", ") ( => x;"])
+def test_member_at_an_unmatched_closer_is_kept_raw(member):
+    # The member scan finds a terminator, but the unmatched ')' stops the
+    # skip to ';' before it consumes anything; parsing must still advance.
+    tree = parse_focal_file("class C { " + member)
+    (cls,) = tree.classes
+    assert cls.fields == []
+    assert cls.others[0] == (10, 11)
+
+
 def test_focal_file_parse_is_total_on_test_snippets():
     tree = parse_focal_file("not a c# file { at ( all")
     assert isinstance(tree.classes, list)
+
+
+def members(tree) -> list:
+    return [(c.name, c.declaration, c.span,
+             [(m.name, m.signature, m.span, m.body_span) for m in c.methods],
+             [(f.name, f.span) for f in c.fields], c.others)
+            for c in tree.walk_classes()]
+
+
+@pytest.mark.parametrize("source, classes, diags", [
+    ("namespace N {\n enum E { A, B = 2, C }\n public enum F : byte { X }\n"
+     " class C { int f; }\n}",
+     [("E", "enum E", (15, 37), [], [], []),
+      ("F", "public enum F : byte", (39, 65), [], [], []),
+      ("C", "class C", (67, 85), [], [("f", (77, 83))], [])], []),
+    # Property initializers after the accessor block.
+    ("class C {\n public int P { get; } = 5;\n"
+     " public List<int> Q { get; set; } = new List<int> { 1 };\n int f = 1;\n}",
+     [("C", "class C", (0, 108), [], [("f", (96, 106))], [(11, 37), (39, 94)])], []),
+    # Expression-bodied property and methods.
+    ("class C {\n public int P => _p + 1;\n public int M() => _p * 2;\n"
+     " public override string ToString() => $\"x\";\n}",
+     [("C", "class C", (0, 107),
+       [("M", "public int M();", (36, 61), (51, 61)),
+        ("ToString", "public override string ToString();", (63, 105), (97, 105))],
+       [], [(11, 34)])], []),
+    # Constraints between the parameter list and the body.
+    ("class C {\n public T Make<T>() where T : new() { return new T(); }\n"
+     " public void G<T>(T x) where T : class, IFoo;\n}",
+     [("C", "class C", (0, 113),
+       [("Make", "public T Make<T>();", (11, 65), (46, 65)),
+        ("G", "public void G<T>(T x);", (67, 111), (88, 88))], [], [])], []),
+    # Members without a terminator at end of file.
+    ("class C {\n int f;\n public void M() { }\n public int Tail",
+     [("C", "class C", (0, 55), [("M", "public void M();", (19, 38), (35, 38))],
+       [("f", (11, 17))], [(40, 46), (47, 50), (51, 55)])],
+     [("unclosed '{'", 8), ("type 'C' not closed", 51)]),
+    ("class C {\n public void M(int a",
+     [("C", "class C", (0, 30), [("M", "public void M(int a;", (11, 30), (30, 30))], [], [])],
+     [("unclosed '('", 24), ("type 'C' not closed", 29)]),
+])
+def test_focal_members_are_pinned(source, classes, diags):
+    tree = parse_focal_file(source)
+    assert members(tree) == classes
+    assert diagnostics(tree) == diags
+
+
+# ── nesting cap ──────────────────────────────────────────────────────
+
+
+def nested_test(depth: int, opener: str = "if (ready)\n{\n") -> str:
+    return ("[TestMethod]\npublic void TestDescendReachesDeepestLevel()\n{\n"
+            + opener * depth
+            + "var result = sut.Descend(1);\nAssert.AreEqual(1, result);\n"
+            + "}\n" * depth + "}")
+
+
+def test_depth_200_if_nest_parses_clean():
+    # Its innermost statements sit at statement level 401.
+    tree = parse_test_method(nested_test(200))
+    assert tree.diagnostics == []
+    level, stmts = 0, tree.body
+    while stmts:
+        level += 1
+        stmts = stmts[0].children
+    assert level == 401
+
+
+def test_nesting_cap_is_the_first_fatal_level():
+    inside = parse_test_method(nested_test(MAX_NESTING - 1, "{\n"))
+    assert not inside.has_fatal
+    past = parse_test_method(nested_test(MAX_NESTING, "{\n"))
+    assert [d.message for d in past.diagnostics] == ["nesting too deep"]
+
+
+@pytest.mark.parametrize("depth", [400, 1000, 10_000])
+def test_deep_test_method_is_fatal_not_a_crash(depth):
+    tree = parse_test_method(nested_test(depth))
+    assert [d.message for d in tree.diagnostics] == ["nesting too deep"]
+    # The construct past the cap is kept flat, calls included.
+    calls, stack = set(), list(tree.statements())
+    while stack:
+        stmt = stack.pop()
+        calls.update(i.chain for i in stmt.invocations)
+        stack.extend(stmt.children)
+    assert calls == {("sut", "Descend"), ("Assert", "AreEqual")}
+
+
+@pytest.mark.parametrize("depth", [400, 1000, 10_000])
+@pytest.mark.parametrize("opener", ["namespace N {\n", "class C {\n"])
+def test_deep_focal_file_is_fatal_not_a_crash(opener, depth):
+    tree = parse_focal_file(opener * depth + "class S { void Descend() { } }\n"
+                            + "}\n" * depth)
+    methods = [m.name for cls in tree.walk_classes() for m in cls.methods]
+    if depth < MAX_NESTING:
+        assert tree.diagnostics == []
+        assert methods == ["Descend"]
+    else:
+        assert [d.message for d in tree.diagnostics] == ["nesting too deep"]
+        assert methods == []
