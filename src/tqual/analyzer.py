@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .corpus import REQUIRED, decode, encode
 from .errors import EmptyCorpus
 from .lexer import TokenKind
 from .nodes import Invocation, Statement, TestSyntaxTree
@@ -81,32 +82,19 @@ class QualityReport:
     low_confidence: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "schema": _SCHEMA,
-            "correct_syntax": self.correct_syntax,
-            "has_assertion": self.has_assertion,
-            "invokes_focal": self.invokes_focal,
-            "has_comment": self.has_comment,
-            "descriptive_name": self.descriptive_name,
-            "duplicate_assertion": self.duplicate_assertion,
-            "conditional_or_exception": self.conditional_or_exception,
-            "focal_method_name": self.focal_method_name,
-            "low_confidence": self.low_confidence,
-        }
+        return encode(self, _SCHEMA)
 
     @classmethod
     def from_dict(cls, data: dict) -> "QualityReport":
-        return cls(
-            correct_syntax=bool(data["correct_syntax"]),
-            has_assertion=bool(data["has_assertion"]),
-            invokes_focal=bool(data["invokes_focal"]),
-            has_comment=bool(data["has_comment"]),
-            descriptive_name=bool(data["descriptive_name"]),
-            duplicate_assertion=bool(data["duplicate_assertion"]),
-            conditional_or_exception=bool(data["conditional_or_exception"]),
-            focal_method_name=str(data.get("focal_method_name", "")),
-            low_confidence=bool(data.get("low_confidence", False)),
-        )
+        return decode(cls, data, _REPORT_FIELDS)
+
+
+# The seven properties are required; the rest default.
+_REPORT_FIELDS = {
+    **{prop: (bool, REQUIRED) for prop in PROPERTY_FIELDS},
+    "focal_method_name": (str, ""),
+    "low_confidence": (bool, False),
+}
 
 
 # ── statement walking ────────────────────────────────────────────────────

@@ -3,9 +3,11 @@
 Each subcommand wraps one pipeline stage: quality analysis, frequency
 reporting, completion truncation, prompt construction, reward labeling,
 class-balanced resampling, golden filtering, repository-level splitting,
-subsampling, toy policy training and sampling.  Line-oriented stages stream
-their input and preserve order; malformed lines become ``error.v1`` records
-in the output and flip the exit code to 1.
+subsampling, toy policy training and sampling.  Records are decoded by the
+``from_dict`` of their type, or by ``decode`` with a field spec.  Per-line
+stages stream their input through ``_stream`` and preserve order; a bad line
+becomes an ``error.v1`` record and flips the exit code to 1.  Whole-input
+stages stop at the first bad line with a usage error naming it.
 
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
@@ -23,7 +25,7 @@ from . import __version__
 from .analyzer import PROPERTY_FIELDS, QualityReport, analyze, score_corpus
 from .completion import RawCompletion, prompt_hint_for, truncate_completion
 from .config import PipelineConfig
-from .corpus import CorpusRecord, dump_line, iter_jsonl
+from .corpus import REQUIRED, CorpusRecord, decode, dump_line, iter_jsonl
 from .curation import dedupe, is_golden, split_by_repository, split_manifest, subsample
 from .errors import DomainError, PipelineError
 from .parser import parse_focal_file
@@ -85,124 +87,97 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 # ── line-streaming commands ─────────────────────────────────────────
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def _stream(args: argparse.Namespace, handle: Callable[[dict], dict | None]) -> int:
+    """Run ``handle`` on each object of ``args.input`` and write the wire
+    form it returns, in input order; ``None`` drops the line.  A line that
+    is not a JSON object, or on which ``handle`` raises a PipelineError or
+    an OSError, becomes that line's ``error.v1`` record and makes the exit
+    code 1."""
     _require_file(args.input)
     had_error = False
     with _out_stream(args.out) as out:
         for line_no, obj, err in iter_jsonl(args.input):
+            if err is None:
+                try:
+                    row = handle(obj)
+                except (PipelineError, OSError) as exc:
+                    err = str(exc)
             if err is not None:
-                _emit(out, _error_record(line_no, err))
+                row = _error_record(line_no, err)
                 had_error = True
-                continue
-            test = obj.get("test")
-            focal = obj.get(args.focal_field)
-            if not isinstance(test, str) or not isinstance(focal, str) or not focal:
-                _emit(out, _error_record(
-                    line_no, f"need string 'test' and {args.focal_field!r} fields"))
-                had_error = True
-                continue
-            _emit(out, analyze(test, focal).to_dict())
+            if row is not None:
+                _emit(out, row)
     return 1 if had_error else 0
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    def handle(obj: dict) -> dict:
+        record = CorpusRecord.from_dict(obj)
+        return analyze(record.test, record.focal_method).to_dict()
+    return _stream(args, handle)
+
+
+_TRUNCATE_FIELDS = {
+    "prompt_hint": (str, None),
+    "focal_method": (str, None),
+    "completion": (str, REQUIRED),
+}
 
 
 def cmd_truncate(args: argparse.Namespace) -> int:
-    _require_file(args.input)
-    had_error = False
-    with _out_stream(args.out) as out:
-        for line_no, obj, err in iter_jsonl(args.input):
-            if err is not None:
-                _emit(out, _error_record(line_no, err))
-                had_error = True
-                continue
-            hint = obj.get("prompt_hint")
-            if hint is None and isinstance(obj.get("focal_method"), str):
-                hint = prompt_hint_for(obj["focal_method"])
-            completion = obj.get("completion")
-            if not isinstance(hint, str) or not isinstance(completion, str):
-                _emit(out, _error_record(
-                    line_no, "need 'prompt_hint' (or 'focal_method') and 'completion'"))
-                had_error = True
-                continue
-            test = truncate_completion(RawCompletion(hint, completion))
-            _emit(out, {"schema": "truncated.v1", "prompt_hint": hint, "test": test})
-    return 1 if had_error else 0
+    def handle(obj: dict) -> dict:
+        fields = decode(dict, obj, _TRUNCATE_FIELDS)
+        hint = fields["prompt_hint"]
+        if hint is None and fields["focal_method"] is not None:
+            hint = prompt_hint_for(fields["focal_method"])
+        if hint is None:
+            raise DomainError("record needs a string 'prompt_hint' or 'focal_method' field")
+        test = truncate_completion(RawCompletion(hint, fields["completion"]))
+        return {"schema": "truncated.v1", "prompt_hint": hint, "test": test}
+    return _stream(args, handle)
+
+
+_PROMPT_FIELDS = {"focal_path": (str, REQUIRED), "focal_method": (str, REQUIRED)}
 
 
 def cmd_prompt(args: argparse.Namespace) -> int:
-    _require_file(args.input)
     cfg = _pipeline_config(args).budget()
     trees: dict[str, Any] = {}
-    had_error = False
-    with _out_stream(args.out) as out:
-        for line_no, obj, err in iter_jsonl(args.input):
-            if err is not None:
-                _emit(out, _error_record(line_no, err))
-                had_error = True
-                continue
-            path = obj.get("focal_path")
-            focal = obj.get("focal_method")
-            if not isinstance(path, str) or not isinstance(focal, str) or not focal:
-                _emit(out, _error_record(line_no, "need 'focal_path' and 'focal_method'"))
-                had_error = True
-                continue
-            try:
-                if path not in trees:
-                    trees[path] = parse_focal_file(Path(path).read_text(encoding="utf-8"))
-                record = build_prompt(trees[path], focal, path, cfg)
-            except (OSError, PipelineError) as exc:
-                _emit(out, _error_record(line_no, str(exc)))
-                had_error = True
-                continue
-            _emit(out, record.to_dict())
-    return 1 if had_error else 0
 
-
-def _iter_records(path: str, from_dict: Callable[[dict], Any] = CorpusRecord.from_dict
-                  ) -> Iterator[tuple[int, Any, str | None]]:
-    """(line number, record, error) per input line; a line that is not JSON
-    or that ``from_dict`` rejects gets an error message instead of a record."""
-    for line_no, obj, err in iter_jsonl(path):
-        record = None
-        if err is None:
+    def handle(obj: dict) -> dict:
+        fields = decode(dict, obj, _PROMPT_FIELDS)
+        path = fields["focal_path"]
+        if path not in trees:
             try:
-                record = from_dict(obj)
-            except DomainError as exc:
-                err = f"line {line_no}: {exc}"
-        yield line_no, record, err
+                source = Path(path).read_text(encoding="utf-8")
+            except ValueError as exc:  # a NUL byte in the path, or a file that is not UTF-8
+                raise DomainError(f"cannot read focal file {path!r}: {exc}") from None
+            trees[path] = parse_focal_file(source)
+        return build_prompt(trees[path], fields["focal_method"], path, cfg).to_dict()
+    return _stream(args, handle)
 
 
 def cmd_reward(args: argparse.Namespace) -> int:
-    _require_file(args.input)
     scheme = _pipeline_config(args).reward_scheme(args.properties, args.strategy)
     if scheme is None:
         print("reward: no properties given (use --properties or reward.properties)",
               file=sys.stderr)
         return 2
-    had_error = False
-    with _out_stream(args.out) as out:
-        for line_no, record, err in _iter_records(args.input):
-            if err is not None:
-                _emit(out, _error_record(line_no, err))
-                had_error = True
-                continue
-            report = analyze(record.test, record.focal_method)
-            labeled = LabeledRecord(record, report, reward_for(report, scheme))
-            _emit(out, labeled.to_dict())
-    return 1 if had_error else 0
+
+    def handle(obj: dict) -> dict:
+        record = CorpusRecord.from_dict(obj)
+        report = analyze(record.test, record.focal_method)
+        return LabeledRecord(record, report, reward_for(report, scheme)).to_dict()
+    return _stream(args, handle)
 
 
 def cmd_golden(args: argparse.Namespace) -> int:
-    _require_file(args.input)
-    had_error = False
-    with _out_stream(args.out) as out:
-        for line_no, record, err in _iter_records(args.input):
-            if err is not None:
-                _emit(out, _error_record(line_no, err))
-                had_error = True
-                continue
-            if is_golden(analyze(record.test, record.focal_method)):
-                _emit(out, record.to_dict())
-    return 1 if had_error else 0
+    def handle(obj: dict) -> dict | None:
+        record = CorpusRecord.from_dict(obj)
+        if is_golden(analyze(record.test, record.focal_method)):
+            return record.to_dict()
+        return None
+    return _stream(args, handle)
 
 
 # ── whole-corpus commands ───────────────────────────────────────────
@@ -210,11 +185,15 @@ def cmd_golden(args: argparse.Namespace) -> int:
 def _read_records(path: str, from_dict: Callable[[dict], Any] = CorpusRecord.from_dict
                   ) -> list:
     """Every record of the input; the first bad line is a usage error."""
+    _require_file(path)
     records = []
-    for _, record, err in _iter_records(path, from_dict):
-        if err is not None:
-            raise DomainError(err)
-        records.append(record)
+    for line_no, obj, err in iter_jsonl(path):
+        try:
+            if err is not None:
+                raise DomainError(err)
+            records.append(from_dict(obj))
+        except DomainError as exc:
+            raise DomainError(f"line {line_no}: {exc}") from None
     return records
 
 
@@ -222,10 +201,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     _require_file(args.input)
     reports: list[QualityReport] = []
     for line_no, obj, err in iter_jsonl(args.input):
-        if err is not None:
-            print(f"report: skipping line {line_no}: {err}", file=sys.stderr)
-            continue
-        reports.append(QualityReport.from_dict(obj))
+        try:
+            if err is not None:
+                raise DomainError(err)
+            reports.append(QualityReport.from_dict(obj))
+        except DomainError as exc:
+            print(f"report: skipping line {line_no}: {exc}", file=sys.stderr)
     stats = score_corpus(reports, _pipeline_config(args).score_config())
 
     width = max(len(label) for label in _PROPERTY_LABELS.values()) + 2
@@ -245,7 +226,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_resample(args: argparse.Namespace) -> int:
-    _require_file(args.input)
     labeled = _read_records(args.input, LabeledRecord.from_dict)
     balanced = resample_balanced(labeled, args.seed)
     with _out_stream(args.out) as out:
@@ -255,7 +235,6 @@ def cmd_resample(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    _require_file(args.input)
     spec = _pipeline_config(args).split_spec(
         seed=args.seed, rl_three_way=True if args.rl else None
     )
@@ -286,7 +265,6 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_subsample(args: argparse.Namespace) -> int:
-    _require_file(args.input)
     records = _read_records(args.input)
     chosen = subsample(records, args.n, args.seed)
     with _out_stream(args.out) as out:
@@ -307,6 +285,14 @@ def _load_vocabulary(path: str | None) -> tuple[str, ...]:
     return vocab
 
 
+def _load_policy(path: str) -> PolicyTable:
+    _require_file(path)
+    return PolicyTable.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+_SEED_FIELDS = {"tokens": ([str], REQUIRED)}
+
+
 def cmd_train_toy(args: argparse.Namespace) -> int:
     pipeline = _pipeline_config(args)
     cfg = pipeline.train_config(
@@ -324,16 +310,10 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
     vocabulary = _load_vocabulary(args.vocab_file)
     if args.init_policy:
-        policy = PolicyTable.from_dict(
-            json.loads(Path(args.init_policy).read_text(encoding="utf-8"))
-        )
+        policy = _load_policy(args.init_policy)
     elif args.seed_corpus:
-        _require_file(args.seed_corpus)
-        token_lists = []
-        for line_no, obj, err in iter_jsonl(args.seed_corpus):
-            if err is not None:
-                raise DomainError(f"seed corpus line {line_no}: {err}")
-            token_lists.append(obj["tokens"])
+        token_lists = _read_records(
+            args.seed_corpus, lambda obj: decode(dict, obj, _SEED_FIELDS)["tokens"])
         policy = bigram_policy_from_corpus(token_lists, vocabulary)
     else:
         policy = PolicyTable.uniform(vocabulary)
@@ -360,10 +340,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    _require_file(args.policy)
-    policy = PolicyTable.from_dict(
-        json.loads(Path(args.policy).read_text(encoding="utf-8"))
-    )
+    policy = _load_policy(args.policy)
     cfg = _pipeline_config(args).train_config(seed=args.seed, max_tokens=args.max_tokens)
     completions = generate_completions(policy, cfg, seed=cfg.seed, count=args.count)
     with _out_stream(args.out) as out:
@@ -396,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="quality reports for corpus records")
     p.add_argument("input")
-    p.add_argument("--focal-field", default="focal_method")
     common(p, seed=False)
     p.set_defaults(func=cmd_analyze)
 

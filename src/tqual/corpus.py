@@ -1,15 +1,102 @@
-"""The record that flows through the pipeline, and JSONL helpers for it."""
+"""The record that flows through the pipeline, the wire format of every
+record type, and JSONL helpers for it."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DomainError
 
-__all__ = ["CorpusRecord", "iter_jsonl", "write_jsonl", "dump_line"]
+__all__ = ["REQUIRED", "CorpusRecord", "encode", "decode", "iter_jsonl", "write_jsonl",
+           "dump_line"]
+
+# The default of a field that a record must carry.
+REQUIRED = object()
+
+# What each scalar kind accepts and how messages name it.  Booleans are
+# JSON's own type: ``true`` is never an integer or a number.
+_SCALARS = {str: (str, "a string"), bool: (bool, "a boolean"),
+            int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+def encode(obj: Any, schema: str) -> dict:
+    """``{"schema": schema, **fields}`` for a dataclass record.  Nested
+    records and arrays take their own wire form; fields that are not
+    constructor arguments are left out."""
+    data: dict[str, Any] = {"schema": schema}
+    for f in dataclasses.fields(obj):
+        if f.init:
+            value = getattr(obj, f.name)
+            if hasattr(value, "to_dict"):
+                value = value.to_dict()
+            elif hasattr(value, "tolist"):
+                value = value.tolist()
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            data[f.name] = value
+    return data
+
+
+def decode(cls: Callable[..., Any], data: Any, spec: dict[str, tuple[Any, Any]],
+           schema: str | None = None) -> Any:
+    """``cls(**fields)`` from a parsed JSON object, checked against ``spec``.
+
+    ``spec`` maps each field to ``(kind, default)``.  A kind is ``str``,
+    ``bool``, ``int``, ``float`` (any number), a one-element list ``[kind]``
+    for a list of that kind, or a nested record's ``from_dict``, which gets
+    the field's object.  An absent field takes its default unless that is
+    ``REQUIRED``.  Nothing is coerced: a wrong type, a missing required
+    field or a string that cannot be encoded as UTF-8 raises a DomainError
+    naming the field.  With ``schema``, the object's ``schema`` tag must
+    equal it."""
+    if not isinstance(data, dict):
+        raise DomainError("expected a JSON object")
+    if schema is not None and data.get("schema") != schema:
+        raise DomainError(f"unsupported schema {data.get('schema')!r}, expected {schema!r}")
+    fields = {}
+    for name, (kind, default) in spec.items():
+        if name in data or default is REQUIRED:
+            fields[name] = _check(data.get(name), kind, name)
+        else:
+            fields[name] = default
+    return cls(**fields)
+
+
+def _check(value: Any, kind: Any, name: str) -> Any:
+    """``value`` if it is of ``kind``, with list items checked and a nested
+    record decoded; else a DomainError naming the field."""
+    if isinstance(kind, list):
+        types, what = list, "a list"
+    else:
+        types, what = _SCALARS.get(kind, (dict, "an object"))
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+        raise DomainError(f"record needs {what} {name!r} field")
+    if isinstance(kind, list):
+        return [_check(item, kind[0], f"{name}[{i}]") for i, item in enumerate(value)]
+    if types is dict:
+        return kind(value)
+    if kind is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DomainError(f"record field {name!r} cannot be encoded as UTF-8") from None
+    return value
+
+
+_CORPUS_FIELDS = {
+    "repo": (str, ""),
+    "focal_class": (str, ""),
+    "focal_method": (str, ""),
+    "prompt": (str, ""),
+    "test": (str, REQUIRED),
+    "source": (str, "generated"),
+}
 
 
 @dataclass(frozen=True)
@@ -24,29 +111,13 @@ class CorpusRecord:
     source: str = "generated"  # "generated" | "human"
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "corpus.v1",
-            "repo": self.repo,
-            "focal_class": self.focal_class,
-            "focal_method": self.focal_method,
-            "prompt": self.prompt,
-            "test": self.test,
-            "source": self.source,
-        }
+        return encode(self, "corpus.v1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusRecord":
-        """Raises DomainError unless ``test`` is a string."""
-        if not isinstance(data.get("test"), str):
-            raise DomainError("record needs a string 'test' field")
-        return cls(
-            repo=str(data.get("repo", "")),
-            focal_class=str(data.get("focal_class", "")),
-            focal_method=str(data.get("focal_method", "")),
-            prompt=str(data.get("prompt", "")),
-            test=data["test"],
-            source=str(data.get("source", "generated")),
-        )
+        """Raises DomainError unless ``test`` is a string and every other
+        field present is one."""
+        return decode(cls, data, _CORPUS_FIELDS)
 
 
 def dump_line(obj: dict) -> str:
@@ -58,8 +129,10 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict | None, str | None]
 
     Blank lines are skipped.  A line that fails to parse, or parses to
     something other than an object, yields (n, None, message) so callers
-    can keep their output aligned with the input."""
-    with open(path, encoding="utf-8") as handle:
+    can keep their output aligned with the input; the message does not
+    repeat the line number.  Bytes that are not UTF-8 are read as lone
+    surrogates, which ``decode`` rejects in any field it reads."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for n, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped:
@@ -67,10 +140,13 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict | None, str | None]
             try:
                 obj = json.loads(stripped)
             except json.JSONDecodeError as exc:
-                yield n, None, f"line {n}: invalid JSON ({exc.msg})"
+                yield n, None, f"invalid JSON ({exc.msg})"
+                continue
+            except RecursionError:
+                yield n, None, "invalid JSON (nested too deep)"
                 continue
             if not isinstance(obj, dict):
-                yield n, None, f"line {n}: expected a JSON object"
+                yield n, None, "expected a JSON object"
                 continue
             yield n, obj, None
 

@@ -19,6 +19,7 @@ import math
 import posixpath
 from dataclasses import dataclass
 
+from .corpus import encode
 from .errors import FocalNotFound, PromptTooLong
 from .nodes import ClassNode, FocalFileTree
 
@@ -60,15 +61,7 @@ class PromptRecord:
     estimated_tokens: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "prompt.v1",
-            "focal_path": self.focal_path,
-            "test_path": self.test_path,
-            "focal_method": self.focal_method,
-            "context_level": self.context_level,
-            "prompt_text": self.prompt_text,
-            "estimated_tokens": self.estimated_tokens,
-        }
+        return encode(self, "prompt.v1")
 
 
 def estimate_tokens(text: str, cfg: BudgetConfig | None = None) -> int:

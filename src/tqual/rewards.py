@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .analyzer import QualityReport, analyze
-from .corpus import CorpusRecord
+from .corpus import REQUIRED, CorpusRecord, decode, encode
 from .errors import InsufficientData
 
 __all__ = [
@@ -128,20 +128,15 @@ class LabeledRecord:
     reward: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "labeled.v1",
-            "record": self.record.to_dict(),
-            "report": self.report.to_dict(),
-            "reward": self.reward,
-        }
+        return encode(self, "labeled.v1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "LabeledRecord":
-        return cls(
-            record=CorpusRecord.from_dict(data["record"]),
-            report=QualityReport.from_dict(data["report"]),
-            reward=int(data["reward"]),
-        )
+        return decode(cls, data, {
+            "record": (CorpusRecord.from_dict, REQUIRED),
+            "report": (QualityReport.from_dict, REQUIRED),
+            "reward": (int, REQUIRED),
+        })
 
 
 def label_dataset(

@@ -18,6 +18,7 @@ from typing import Any
 
 import numpy as np
 
+from ..corpus import REQUIRED, decode, encode
 from ..errors import DomainError
 
 __all__ = ["PolicyTable", "SampledCompletion", "sample_completion"]
@@ -118,24 +119,16 @@ class PolicyTable:
     # ── serialization ───────────────────────────────────────────────
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": "policy.v1",
-            "vocabulary": list(self.vocabulary),
-            "stop_token": self.stop_token,
-            "logits": self.logits.tolist(),
-            "ref_logits": self.ref_logits.tolist(),
-        }
+        return encode(self, "policy.v1")
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "PolicyTable":
-        if payload.get("schema") != "policy.v1":
-            raise DomainError(f"unsupported policy schema: {payload.get('schema')!r}")
-        return cls(
-            vocabulary=tuple(payload["vocabulary"]),
-            logits=np.asarray(payload["logits"], dtype=float),
-            ref_logits=np.asarray(payload["ref_logits"], dtype=float),
-            stop_token=payload["stop_token"],
-        )
+        return decode(cls, payload, {
+            "vocabulary": ([str], REQUIRED),
+            "logits": ([[float]], REQUIRED),
+            "ref_logits": ([[float]], REQUIRED),
+            "stop_token": (str, REQUIRED),
+        }, schema="policy.v1")
 
 
 def _softmax(row: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..corpus import REQUIRED, decode, encode
 from ..errors import DomainError, InsufficientData
 from ..lexer import tokenize
 from .math import mse_grad, mse_loss
@@ -61,22 +62,15 @@ class LinearRewardModel:
         return float(self.featurize(text) @ self.weights + self.bias)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": "reward-model.v1",
-            "feature_tokens": list(self.feature_tokens),
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-        }
+        return encode(self, "reward-model.v1")
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "LinearRewardModel":
-        if payload.get("schema") != "reward-model.v1":
-            raise DomainError(f"unsupported model schema: {payload.get('schema')!r}")
-        return cls(
-            feature_tokens=tuple(payload["feature_tokens"]),
-            weights=np.asarray(payload["weights"], dtype=float),
-            bias=float(payload["bias"]),
-        )
+        return decode(cls, payload, {
+            "feature_tokens": ([str], REQUIRED),
+            "weights": ([float], REQUIRED),
+            "bias": (float, REQUIRED),
+        }, schema="reward-model.v1")
 
 
 def _select_features(texts: Sequence[str], max_features: int) -> tuple[str, ...]:

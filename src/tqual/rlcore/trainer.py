@@ -17,12 +17,14 @@ test methods and scores them with the static analyzer;
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..analyzer import QualityReport, ScoreConfig, analyze, score_corpus
+from ..corpus import encode
 from ..errors import DomainError
 from ..rewards import RewardScheme, reward_for
 from .math import TrajectoryStep, clipped_surrogate_grad, kl_penalized_reward
@@ -96,22 +98,7 @@ class TrainConfig:
             raise DomainError("baseline_decay must lie in [0, 1)")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "learning_rate": self.learning_rate,
-            "episodes": self.episodes,
-            "max_tokens": self.max_tokens,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "frequency_penalty": self.frequency_penalty,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "ppo_epochs": self.ppo_epochs,
-            "baseline_decay": self.baseline_decay,
-            "eval_interval": self.eval_interval,
-            "eval_samples": self.eval_samples,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -126,15 +113,7 @@ class MetricsEntry:
     frequencies: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": "metrics.v1",
-            "epoch": self.epoch,
-            "episode": self.episode,
-            "mean_reward": self.mean_reward,
-            "mean_kl": self.mean_kl,
-            "quality_score": self.quality_score,
-            "frequencies": dict(self.frequencies),
-        }
+        return encode(self, "metrics.v1")
 
 
 # ── reward plumbing ─────────────────────────────────────────────────

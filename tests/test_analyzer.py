@@ -13,7 +13,7 @@ from tqual.analyzer import (
     analyze,
     score_corpus,
 )
-from tqual.errors import EmptyCorpus
+from tqual.errors import DomainError, EmptyCorpus
 
 
 def make_report(**overrides) -> QualityReport:
@@ -51,6 +51,23 @@ def test_report_dict_round_trip():
     data = report.to_dict()
     assert data["schema"] == "report.v1"
     assert QualityReport.from_dict(data) == report
+
+
+@pytest.mark.parametrize("change", [
+    {"has_assertion": "false"}, {"correct_syntax": 1}, {"low_confidence": None},
+    {"focal_method_name": 7},
+], ids=["text-bool", "int-bool", "null-bool", "number-name"])
+def test_report_from_dict_coerces_nothing(change):
+    data = {**analyze("[TestMethod]\npublic void T()\n{\n}", "Stop").to_dict(), **change}
+    with pytest.raises(DomainError, match=repr(next(iter(change)))):
+        QualityReport.from_dict(data)
+
+
+def test_report_from_dict_needs_every_property():
+    data = analyze("[TestMethod]\npublic void T()\n{\n}", "Stop").to_dict()
+    del data["duplicate_assertion"]
+    with pytest.raises(DomainError, match="'duplicate_assertion'"):
+        QualityReport.from_dict(data)
 
 
 # ── targeted detector edges ──────────────────────────────────────────

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from tqual.config import PipelineConfig, load_config, parse_config_text
@@ -95,3 +97,13 @@ def test_reward_scheme_default_strategy_tracks_arity():
     assert (
         PipelineConfig.empty().reward_scheme("assertion, focal").strategy == "combined"
     )
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = PipelineConfig(parse_config_text(block))
+    assert config.budget().prompt_token_budget == 1536
+    assert config.split_spec().test_fraction == 0.05
+    assert config.reward_scheme().properties == ("has_assertion", "invokes_focal")
+    assert config.train_config().episodes == 2000

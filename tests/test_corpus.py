@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 
-from tqual.corpus import CorpusRecord, dump_line, iter_jsonl, write_jsonl
+import pytest
+
+from tqual.corpus import (REQUIRED, CorpusRecord, decode, dump_line, encode, iter_jsonl,
+                          write_jsonl)
+from tqual.errors import DomainError
 
 
 def make_record(i: int = 0) -> CorpusRecord:
@@ -29,6 +33,37 @@ def test_from_dict_defaults_optional_fields():
     assert record.test == "x"
     assert record.repo == ""
     assert record.source == "generated"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"test": None}, "record needs a string 'test' field"),
+    ({"repo": ["a"]}, "record needs a string 'repo' field"),
+    ({"focal_method": 42}, "record needs a string 'focal_method' field"),
+    ({"source": False}, "record needs a string 'source' field"),
+    ({"prompt": "\ud800"}, "record field 'prompt' cannot be encoded as UTF-8"),
+])
+def test_from_dict_coerces_nothing(change, message):
+    with pytest.raises(DomainError) as excinfo:
+        CorpusRecord.from_dict({**make_record().to_dict(), **change})
+    assert str(excinfo.value) == message
+
+
+def test_decode_checks_list_items_and_nested_records():
+    spec = {"names": ([str], REQUIRED), "inner": (CorpusRecord.from_dict, None)}
+    assert decode(dict, {"names": ["a"]}, spec) == {"names": ["a"], "inner": None}
+    with pytest.raises(DomainError, match=r"'names\[1\]'"):
+        decode(dict, {"names": ["a", 2]}, spec)
+    with pytest.raises(DomainError, match="record needs an object 'inner' field"):
+        decode(dict, {"names": [], "inner": [{"test": "x"}]}, spec)
+    with pytest.raises(DomainError, match="record needs a string 'test' field"):
+        decode(dict, {"names": [], "inner": {}}, spec)
+    with pytest.raises(DomainError, match="expected a JSON object"):
+        decode(dict, ["names"], spec)
+
+
+def test_encode_adds_the_schema_tag():
+    record = make_record()
+    assert encode(record, "corpus.v1") == {"schema": "corpus.v1", **vars(record)}
 
 
 def test_dump_line_is_deterministic():

@@ -87,6 +87,14 @@ def test_dict_round_trip():
         PolicyTable.from_dict({"schema": "policy.v2"})
 
 
+@pytest.mark.parametrize("key", ["vocabulary", "logits", "ref_logits", "stop_token"])
+def test_policy_from_dict_names_a_missing_key(key):
+    data = uniform().to_dict()
+    del data[key]
+    with pytest.raises(DomainError, match=f"'{key}' field"):
+        PolicyTable.from_dict(data)
+
+
 # ── sampling ─────────────────────────────────────────────────────────
 
 

@@ -64,6 +64,19 @@ def test_dict_round_trip():
         LinearRewardModel.from_dict({"schema": "other"})
 
 
+@pytest.mark.parametrize("key, value", [("bias", None), ("weights", [True]),
+                                        ("feature_tokens", "Assert")],
+                         ids=["missing-bias", "bool-weight", "text-features"])
+def test_model_from_dict_names_the_bad_key(key, value):
+    data = LinearRewardModel.zeros(("Assert",)).to_dict()
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(DomainError, match=f"'{key}"):
+        LinearRewardModel.from_dict(data)
+
+
 # ── training ─────────────────────────────────────────────────────────
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tqual.analyzer import PROPERTY_FIELDS, QualityReport
 from tqual.corpus import CorpusRecord
-from tqual.errors import InsufficientData
+from tqual.errors import DomainError, InsufficientData
 from tqual.rewards import (
     NEGATIVE_PROPERTIES,
     POSITIVE_PROPERTIES,
@@ -172,6 +172,18 @@ def test_labeled_record_dict_round_trip():
     data = labeled.to_dict()
     assert data["schema"] == "labeled.v1"
     assert LabeledRecord.from_dict(data) == labeled
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"reward": True}, "'reward'"),
+    ({"reward": 1.0}, "'reward'"),
+    ({"record": ["t0"]}, "'record'"),
+    ({"report": "report.v1"}, "'report'"),
+], ids=["bool-reward", "float-reward", "list-record", "text-report"])
+def test_labeled_record_from_dict_coerces_nothing(change, field):
+    data = {**make_labeled(1).to_dict(), **change}
+    with pytest.raises(DomainError, match=field):
+        LabeledRecord.from_dict(data)
 
 
 # ── balanced resampling ──────────────────────────────────────────────
