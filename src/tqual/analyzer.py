@@ -26,12 +26,11 @@ whatever statements were recovered and the report is marked
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .corpus import REQUIRED, decode, encode
 from .errors import EmptyCorpus
 from .lexer import TokenKind
-from .nodes import Invocation, Statement, TestSyntaxTree
+from .nodes import Invocation, TestSyntaxTree
 from .parser import parse_test_method
 
 __all__ = [
@@ -43,12 +42,6 @@ __all__ = [
     "CorpusStats",
     "analyze",
     "score_corpus",
-    "detect_assertion",
-    "detect_focal_call",
-    "detect_comment",
-    "detect_descriptive_name",
-    "detect_duplicate_assertion",
-    "detect_conditional_or_exception",
 ]
 
 ASSERTION_CLASSES = frozenset({"Assert", "StringAssert", "CollectionAssert"})
@@ -97,18 +90,7 @@ _REPORT_FIELDS = {
 }
 
 
-# ── statement walking ────────────────────────────────────────────────────
-
-
-def _walk(statements: Iterable[Statement]) -> Iterator[Statement]:
-    for stmt in statements:
-        yield stmt
-        yield from _walk(stmt.children)
-
-
-def _all_invocations(tree: TestSyntaxTree) -> Iterator[Invocation]:
-    for stmt in _walk(tree.statements()):
-        yield from stmt.invocations
+# ── detectors ────────────────────────────────────────────────────────────
 
 
 def _is_assertion_invocation(inv: Invocation) -> bool:
@@ -123,29 +105,37 @@ def _is_assertion_invocation(inv: Invocation) -> bool:
     )
 
 
-def _is_assertion_statement(stmt: Statement) -> bool:
-    return stmt.kind == "expression-statement" and any(
-        _is_assertion_invocation(inv) for inv in stmt.invocations
-    )
+def _statement_properties(tree: TestSyntaxTree, focal_name: str) -> tuple[bool, bool, bool, bool]:
+    """Assertion, focal call, duplicate assertion and conditional/exception,
+    from one pass over every statement list of the tree."""
+    assertion = focal = duplicate = conditional = False
+    source = tree.source
+    pending = [tree.statements()]
+    while pending:
+        previous = None  # normalized text of the preceding assertion statement
+        for stmt in pending.pop():
+            if stmt.children:
+                pending.append(stmt.children)
+            if stmt.kind in CONDITIONAL_KINDS or stmt.has_ternary:
+                conditional = True
+            asserts = False
+            for inv in stmt.invocations:
+                if _is_assertion_invocation(inv):
+                    asserts = True
+                if focal_name and inv.callee == focal_name and not inv.is_constructor:
+                    focal = True
+            assertion = assertion or asserts
+            if asserts and stmt.kind == "expression-statement":
+                a, b = stmt.span
+                text = " ".join(source[a:b].split())
+                duplicate = duplicate or text == previous
+                previous = text
+            else:
+                previous = None
+    return assertion, focal, duplicate, conditional
 
 
-# ── detectors ────────────────────────────────────────────────────────────
-
-
-def detect_assertion(tree: TestSyntaxTree) -> bool:
-    return any(_is_assertion_invocation(inv) for inv in _all_invocations(tree))
-
-
-def detect_focal_call(tree: TestSyntaxTree, focal_name: str) -> bool:
-    if not focal_name:
-        return False
-    return any(
-        inv.callee == focal_name and not inv.is_constructor
-        for inv in _all_invocations(tree)
-    )
-
-
-def detect_comment(tree: TestSyntaxTree) -> bool:
+def _has_comment(tree: TestSyntaxTree) -> bool:
     # Preprocessor lines share the comment-line kind; the prefix check
     # keeps them from counting as documentation.
     return any(
@@ -155,36 +145,14 @@ def detect_comment(tree: TestSyntaxTree) -> bool:
     )
 
 
-def detect_descriptive_name(tree: TestSyntaxTree, focal_name: str) -> bool:
-    name = tree.method_name
+def _is_descriptive(method_name: str, focal_name: str) -> bool:
+    name = method_name
     if name.startswith("Test"):
         name = name[len("Test"):]
     if focal_name:
         name = name.replace(focal_name, "", 1)
     remainder = "".join(ch for ch in name if ch.isalnum())
     return len(remainder) >= 3
-
-
-def detect_duplicate_assertion(tree: TestSyntaxTree) -> bool:
-    def lists(statements: list[Statement]) -> Iterator[list[Statement]]:
-        yield statements
-        for stmt in statements:
-            yield from lists(stmt.children)
-
-    for stmts in lists(tree.statements()):
-        for first, second in zip(stmts, stmts[1:]):
-            if not (_is_assertion_statement(first) and _is_assertion_statement(second)):
-                continue
-            if " ".join(first.text.split()) == " ".join(second.text.split()):
-                return True
-    return False
-
-
-def detect_conditional_or_exception(tree: TestSyntaxTree) -> bool:
-    for stmt in _walk(tree.statements()):
-        if stmt.kind in CONDITIONAL_KINDS or stmt.has_ternary:
-            return True
-    return False
 
 
 # ── entry points ─────────────────────────────────────────────────────────
@@ -194,14 +162,15 @@ def analyze(raw_test: str, focal_name: str) -> QualityReport:
     """Parse one test method and evaluate all seven quality properties."""
     tree = parse_test_method(raw_test)
     correct = not tree.has_fatal
+    assertion, focal, duplicate, conditional = _statement_properties(tree, focal_name)
     return QualityReport(
         correct_syntax=correct,
-        has_assertion=detect_assertion(tree),
-        invokes_focal=detect_focal_call(tree, focal_name),
-        has_comment=detect_comment(tree),
-        descriptive_name=detect_descriptive_name(tree, focal_name),
-        duplicate_assertion=detect_duplicate_assertion(tree),
-        conditional_or_exception=detect_conditional_or_exception(tree),
+        has_assertion=assertion,
+        invokes_focal=focal,
+        has_comment=_has_comment(tree),
+        descriptive_name=_is_descriptive(tree.method_name, focal_name),
+        duplicate_assertion=duplicate,
+        conditional_or_exception=conditional,
         focal_method_name=focal_name,
         low_confidence=not correct,
     )

@@ -340,6 +340,8 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     policy = _load_policy(args.policy)
     cfg = _pipeline_config(args).train_config(seed=args.seed, max_tokens=args.max_tokens)
     completions = generate_completions(policy, cfg, seed=cfg.seed, count=args.count)

@@ -209,23 +209,29 @@ def _scan_number(source: str, i: int) -> int:
     return j
 
 
-def _scan_attribute(source: str, i: int) -> int | None:
-    """``i`` points at ``[``. Returns the index past the matching ``]``.
+_ATTRIBUTE_CLOSERS = {")": "(", "]": "[", "}": "{"}
 
-    Bracket matching skips literals and comments so text like
-    ``[DataRow("]")]`` stays one token."""
+
+def _scan_attribute(source: str, i: int) -> int | None:
+    """``i`` points at ``[``. Returns the index past the matching ``]``, or
+    None when the run is not one balanced attribute list.
+
+    (), [] and {} are matched with a stack, skipping literals and comments,
+    so ``[DataRow("]")]`` stays one token while ``[TestMethod(]`` is left
+    to the punctuation rules and its unbalanced delimiter stays visible."""
     j = i + 1
     n = len(source)
-    depth = 1
+    stack = ["["]
     while j < n:
         ch = source[j]
-        if ch == "[":
-            depth += 1
+        if ch in "([{":
+            stack.append(ch)
             j += 1
-        elif ch == "]":
-            depth -= 1
+        elif ch in _ATTRIBUTE_CLOSERS:
+            if stack.pop() != _ATTRIBUTE_CLOSERS[ch]:
+                return None
             j += 1
-            if depth == 0:
+            if not stack:
                 return j
         elif ch == '"':
             end = _scan_regular_string(source, j)

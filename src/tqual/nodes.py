@@ -38,10 +38,13 @@ class Invocation:
         return self.chain[-1]
 
 
+Span = tuple[int, int]  # [start, end) character offsets into the source
+
+
 @dataclass
 class Statement:
     kind: str
-    text: str
+    span: Span
     children: list["Statement"] = field(default_factory=list)
     invocations: list[Invocation] = field(default_factory=list)
     has_ternary: bool = False
@@ -51,16 +54,15 @@ class Statement:
 class TestSyntaxTree:
     """Parse result for a single attribute-decorated test method.
 
-    ``body`` is populated only when parsing produced no fatal diagnostic;
-    ``partial_body`` always holds whatever statements were recovered so the
-    analyzer can still run best-effort on broken input.
+    ``partial_body`` holds every statement recovered, even from broken
+    input, so the analyzer can still run best-effort; ``body`` is the same
+    list when parsing produced no fatal diagnostic, else None.  Statement
+    spans index into ``source``.
     """
 
-    attributes: list[str]
     method_name: str
-    parameters: list[str]
-    body: list[Statement] | None
     diagnostics: list[SyntaxDiagnostic]
+    source: str = field(repr=False)
     tokens: list[Token] = field(default_factory=list, repr=False)
     partial_body: list[Statement] = field(default_factory=list, repr=False)
 
@@ -68,17 +70,18 @@ class TestSyntaxTree:
     def has_fatal(self) -> bool:
         return any(d.is_fatal for d in self.diagnostics)
 
+    @property
+    def body(self) -> list[Statement] | None:
+        return None if self.has_fatal else self.partial_body
+
     def statements(self) -> list[Statement]:
-        return self.body if self.body is not None else self.partial_body
+        return self.partial_body
 
 
 @dataclass(frozen=True)
 class SyntaxVerdict:
     correct: bool
     diagnostics: tuple[SyntaxDiagnostic, ...]
-
-
-Span = tuple[int, int]  # [start, end) character offsets into the source
 
 
 @dataclass

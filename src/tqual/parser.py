@@ -38,7 +38,6 @@ __all__ = [
     "parse_test_method",
     "parse_focal_file",
     "check_syntax",
-    "attribute_names",
 ]
 
 MODIFIER_WORDS = frozenset(
@@ -94,7 +93,7 @@ class _Cursor:
     """Walks the significant tokens of a lexed stream.
 
     Raw indices and cumulative character offsets are kept so statement and
-    member texts can be sliced straight out of the source."""
+    member spans index straight into the source."""
 
     def __init__(self, source: str, tokens: list[Token]):
         self.source = source
@@ -141,15 +140,19 @@ class _Cursor:
 
     def char_span(self, start_pos: int, end_pos: int) -> tuple[int, int]:
         """[start, end) character span covering significant tokens
-        ``start_pos`` .. ``end_pos`` inclusive."""
+        ``start_pos`` .. ``end_pos`` inclusive.  When ``end_pos`` is before
+        ``start_pos`` the span is empty, where ``start_pos`` begins or at
+        end of input."""
+        if start_pos >= len(self.sig):
+            return self.char_start[-1], self.char_start[-1]
         a = self.char_start[self.sig[start_pos]]
+        if end_pos < start_pos:
+            return a, a
         last = self.sig[end_pos]
         b = self.char_start[last] + len(self.tokens[last].text)
         return a, b
 
     def text(self, start_pos: int, end_pos: int) -> str:
-        if end_pos < start_pos:
-            return ""
         a, b = self.char_span(start_pos, end_pos)
         return self.source[a:b]
 
@@ -285,42 +288,6 @@ def _balance_diagnostics(tokens: list[Token]) -> list[SyntaxDiagnostic]:
     return diags
 
 
-def _split_commas(tokens: list[Token]) -> list[list[Token]]:
-    """Split at depth-zero commas, dropping the commas."""
-    parts: list[list[Token]] = [[]]
-    depth = 0
-    for tok in tokens:
-        if tok.text == "," and depth == 0:
-            parts.append([])
-        else:
-            depth += _ALL.get(tok.text, 0)
-            parts[-1].append(tok)
-    return parts
-
-
-def attribute_names(attr_text: str) -> list[str]:
-    """Names declared by one ``[...]`` attribute list."""
-    names: list[str] = []
-    for part in _split_commas(tokenize(attr_text[1:-1])):
-        segment = [t for t in part if not t.is_trivia]
-        idents = [t for t in segment if t.kind is TokenKind.IDENTIFIER]
-        if not idents:
-            continue
-        # Skip a leading target specifier such as "method:".
-        if (len(segment) > 1 and segment[0].kind is TokenKind.IDENTIFIER
-                and segment[1].text == ":" and len(idents) > 1):
-            names.append(idents[1].text)
-        else:
-            names.append(idents[0].text)
-    return names
-
-
-def _split_parameters(inner: str) -> list[str]:
-    parts = ("".join(t.text for t in part).strip()
-             for part in _split_commas(tokenize(inner)))
-    return [part for part in parts if part]
-
-
 # ── expression-level extraction ──────────────────────────────────────────
 
 
@@ -416,7 +383,7 @@ class _StatementParser(_Parser):
                 invs, tern = _extract_invocations(cur.toks[a:b + 1])
                 invocations.extend(invs)
                 has_ternary = has_ternary or tern
-        return Statement(kind, cur.text(start, cur.pos - 1), children or [],
+        return Statement(kind, cur.char_span(start, cur.pos - 1), children or [],
                          invocations, has_ternary)
 
     def parse_block(self, closing: str | None, *, labels: bool = False) -> list[Statement]:
@@ -596,14 +563,12 @@ def parse_test_method(source: str) -> TestSyntaxTree:
     sp = _StatementParser(source)
     cur = sp.cur
 
-    attributes: list[str] = []
     while (tok := cur.peek()) is not None and tok.kind is TokenKind.ATTRIBUTE:
-        attributes.extend(attribute_names(cur.advance().text))
+        cur.advance()
     while cur.peek_text() in MODIFIER_WORDS:
         cur.advance()
 
     method_name = ""
-    parameters: list[str] = []
     statements: list[Statement] = []
     problem = ""
 
@@ -625,8 +590,7 @@ def parse_test_method(source: str) -> TestSyntaxTree:
         if cur.peek_text() == "<":  # generic test methods: consume and ignore
             cur.pos = _skip_generic(cur.toks, cur.pos)
         if cur.peek_text() == "(":
-            a, b = sp._consume_parens()
-            parameters = _split_parameters(cur.text(a + 1, b - 1))
+            sp._consume_parens()
         else:
             problem = "method header missing parameter list"
 
@@ -649,16 +613,7 @@ def parse_test_method(source: str) -> TestSyntaxTree:
         # Keep parsing so detectors can still see the trailing statements.
         statements = statements + sp.parse_block(None)
 
-    fatal = any(d.is_fatal for d in sp.diags)
-    return TestSyntaxTree(
-        attributes=attributes,
-        method_name=method_name,
-        parameters=parameters,
-        body=None if fatal else statements,
-        diagnostics=sp.diags,
-        tokens=cur.tokens,
-        partial_body=statements,
-    )
+    return TestSyntaxTree(method_name, sp.diags, source, cur.tokens, statements)
 
 
 def check_syntax(source: str) -> SyntaxVerdict:
@@ -794,23 +749,26 @@ class _FocalParser(_Parser):
                 if cur.peek_text() == "=":  # auto-property initializer
                     _to_semicolon(cur)
                 node.others.append(cur.char_span(member_start, cur.pos - 1))
+            elif terminator in ("}", ""):
+                # No member terminator before the type's end or end of input:
+                # the whole run is one raw member.
+                node.others.append(cur.char_span(member_start, cur.pos - 1))
             else:
                 # Only looked ahead: fields and '=>' members are consumed
                 # again from their start.
                 end = cur.pos - 1
                 cur.pos = start
-                if terminator in ("=", ";", "=>"):
-                    _to_semicolon(cur)
-                if cur.pos == member_start and not cur.at_end:
+                _to_semicolon(cur)
+                if cur.pos == member_start:
                     # Nothing consumed, as at an unmatched closer: keep one
                     # token raw so the loop always makes progress.
                     cur.advance()
                     node.others.append(cur.char_span(member_start, member_start))
-                elif terminator in ("=", ";"):
+                elif terminator == "=>":
+                    node.others.append(cur.char_span(member_start, cur.pos - 1))
+                else:
                     name = _last_identifier(cur.toks, start, end)
                     node.fields.append(FieldNode(name, cur.char_span(member_start, cur.pos - 1)))
-                elif terminator == "=>" or cur.pos > member_start:
-                    node.others.append(cur.char_span(member_start, cur.pos - 1))
 
     def parse_method_member(self, node: ClassNode, member_start: int) -> None:
         """The method whose parameter list opens at the cursor."""

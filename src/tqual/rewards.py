@@ -24,8 +24,6 @@ __all__ = [
     "LabeledRecord",
     "canonical_property",
     "property_score",
-    "individual_reward",
-    "combined_reward",
     "reward_for",
     "label_dataset",
     "resample_balanced",
@@ -103,22 +101,12 @@ def property_score(report: QualityReport, prop: str) -> int:
     return int(value) if prop in POSITIVE_PROPERTIES else int(not value)
 
 
-def individual_reward(report: QualityReport, scheme: RewardScheme) -> int:
-    if not report.correct_syntax:
-        return -1
-    return property_score(report, scheme.properties[0])
-
-
-def combined_reward(report: QualityReport, scheme: RewardScheme) -> int:
+def reward_for(report: QualityReport, scheme: RewardScheme) -> int:
+    """-1 for broken syntax, else how many of the scheme's properties are in
+    their desirable state."""
     if not report.correct_syntax:
         return -1
     return sum(property_score(report, p) for p in scheme.properties)
-
-
-def reward_for(report: QualityReport, scheme: RewardScheme) -> int:
-    if scheme.strategy == "individual":
-        return individual_reward(report, scheme)
-    return combined_reward(report, scheme)
 
 
 @dataclass(frozen=True)

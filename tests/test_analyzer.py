@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import tqual.analyzer
+import tqual.nodes
+import tqual.parser
 from labeled_corpus import LABELED_TESTS, PROPERTIES
 from tqual.analyzer import (
     PROPERTY_FIELDS,
@@ -14,6 +17,7 @@ from tqual.analyzer import (
     score_corpus,
 )
 from tqual.errors import DomainError, EmptyCorpus
+from tqual.nodes import Invocation, Statement
 
 
 def make_report(**overrides) -> QualityReport:
@@ -158,6 +162,36 @@ def test_detectors_run_on_partial_parse():
     assert not report.correct_syntax
     assert report.has_assertion
     assert report.invokes_focal
+
+
+def test_analyze_lexes_its_input_once(monkeypatch):
+    real = tqual.parser.tokenize
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return real(source)
+
+    monkeypatch.setattr(tqual.parser, "tokenize", counting)
+    source = ("[TestMethod]\n[DataRow(2, \"b\"), Timeout(100)]\n"
+              "public void TestAdd(int a, string b)\n{\n    Assert.AreEqual(a, b.Add());\n}")
+    report = analyze(source, "Add")
+    assert report.correct_syntax and report.has_assertion and report.invokes_focal
+    assert calls == [source]
+
+
+def test_detectors_walk_any_depth_without_recursion(monkeypatch):
+    source = "Assert.IsTrue(sut.Stop());"
+    call = [Invocation(("Assert", "IsTrue")), Invocation(("sut", "Stop"))]
+    leaf = Statement("expression-statement", (0, len(source)), invocations=call)
+    stmt = Statement("block", (0, len(source)), children=[leaf, leaf])
+    for _ in range(5000):
+        stmt = Statement("block", (0, len(source)), children=[stmt])
+    tree = tqual.nodes.TestSyntaxTree("TestStopsDeep", [], source, partial_body=[stmt])
+    monkeypatch.setattr(tqual.analyzer, "parse_test_method", lambda _: tree)
+    report = analyze(source, "Stop")
+    assert report.has_assertion and report.invokes_focal and report.duplicate_assertion
+    assert not report.conditional_or_exception
 
 
 # ── corpus scoring ───────────────────────────────────────────────────

@@ -346,6 +346,17 @@ def test_train_toy_and_sample_round_trip(tmp_path, capsys):
     assert all("[TestMethod]" in r["test"] for r in rows)
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sample_count_below_one_is_usage_error(tmp_path, capsys, count):
+    policy_path = tmp_path / "policy.json"
+    assert main(["train-toy", "--episodes", "10", "--out", str(policy_path)]) == 0
+    capsys.readouterr()
+    assert main(["sample", "--policy", str(policy_path), "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--count must be at least 1" in captured.err
+
+
 def test_train_toy_vocab_must_include_stop_token(tmp_path):
     vocab_path = tmp_path / "vocab.txt"
     vocab_path.write_text("Assert\n(\n)\n")

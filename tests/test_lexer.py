@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqual.lexer import RESERVED_KEYWORDS, Token, TokenKind, tokenize
+from tqual.parser import check_syntax
 
 
 def roundtrip(source: str) -> str:
@@ -214,6 +216,18 @@ def test_attribute_with_tricky_string_argument():
     assert len(toks) == 1
     assert toks[0].kind is TokenKind.ATTRIBUTE
     assert toks[0].text == source
+
+
+@pytest.mark.parametrize("header", ["[TestMethod(]", "[TestMethod)]", "[DataRow({1)]"])
+def test_attribute_with_mismatched_delimiter_is_not_one_token(header):
+    # The delimiters reach the parser's balance check instead of hiding
+    # inside an attribute token.
+    source = header + "\npublic void TestRun()\n{\n}"
+    assert TokenKind.ATTRIBUTE not in kinds(source)
+    assert not check_syntax(source).correct
+    # Nested pairs and a closer inside a literal still make one token.
+    nested = '[DataRow(new[] { "]" }, \')\')]'
+    assert [(t.kind, t.text) for t in tokenize(nested)] == [(TokenKind.ATTRIBUTE, nested)]
 
 
 def test_attribute_list_with_arguments():

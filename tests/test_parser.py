@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqual.analyzer import analyze
 from tqual.nodes import Invocation
 from tqual.parser import (
     MAX_NESTING,
-    attribute_names,
     check_syntax,
     parse_focal_file,
     parse_test_method,
@@ -36,19 +38,9 @@ def test_simple_method_header():
     tree = parse_test_method(
         "[TestMethod]\npublic void TestStop()\n{\n    var x = 1;\n}"
     )
-    assert tree.attributes == ["TestMethod"]
     assert tree.method_name == "TestStop"
-    assert tree.parameters == []
     assert not tree.has_fatal
     assert [s.kind for s in tree.body] == ["local-declaration"]
-
-
-def test_parameters_are_split():
-    tree = parse_test_method(
-        "[DataRow(2, 3)]\n[TestMethod]\npublic void TestAdd(int x, string s)\n{\n}"
-    )
-    assert tree.attributes == ["DataRow", "TestMethod"]
-    assert len(tree.parameters) == 2
 
 
 def test_statement_kinds():
@@ -110,6 +102,18 @@ def test_ternary_sets_flag():
         "[TestMethod]\npublic void T()\n{\n    var x = flag ? 1 : 0;\n}"
     )
     assert tree.body[0].has_ternary
+
+
+def test_statement_spans_index_the_source():
+    source = "[TestMethod]\npublic void T()\n{\n    if (x) { a.Run(); }\n    b.Stop();\n}"
+    tree = parse_test_method(source)
+    assert tree.source == source
+    if_stmt, stop = tree.body
+    assert source[slice(*if_stmt.span)] == "if (x) { a.Run(); }"
+    (block,) = if_stmt.children
+    assert source[slice(*block.span)] == "{ a.Run(); }"
+    assert source[slice(*block.children[0].span)] == "a.Run();"
+    assert source[slice(*stop.span)] == "b.Stop();"
 
 
 def test_partial_body_survives_fatal_parse():
@@ -325,18 +329,6 @@ def test_generic_test_method_header(source):
     assert invocations(source) == [Invocation(("x", "Run"))]
 
 
-# ── attribute name parsing ───────────────────────────────────────────
-
-
-def test_attribute_names_plain_and_arguments():
-    assert attribute_names("[TestMethod]") == ["TestMethod"]
-    assert attribute_names("[DataRow(2, 3)]") == ["DataRow"]
-
-
-def test_attribute_names_list_form():
-    assert attribute_names("[TestMethod, Timeout(100)]") == ["TestMethod", "Timeout"]
-
-
 # ── focal file parsing ───────────────────────────────────────────────
 
 
@@ -392,6 +384,17 @@ def test_member_at_an_unmatched_closer_is_kept_raw(member):
     assert cls.others[0] == (10, 11)
 
 
+@pytest.mark.parametrize("run", ["a b c ", "a " * 4000], ids=["3", "4000"])
+def test_member_run_without_terminator_is_one_raw_span(run):
+    # A run of tokens with no member terminator before the type's '}' is
+    # scanned once and kept as one raw member.
+    source = "class C { int f; " + run + "}"
+    (cls,) = parse_focal_file(source).classes
+    assert [f.name for f in cls.fields] == ["f"]
+    assert cls.others == [(17, len(source) - 2)]
+    assert cls.span == (0, len(source))
+
+
 def test_focal_file_parse_is_total_on_test_snippets():
     tree = parse_focal_file("not a c# file { at ( all")
     assert isinstance(tree.classes, list)
@@ -430,7 +433,7 @@ def members(tree) -> list:
     # Members without a terminator at end of file.
     ("class C {\n int f;\n public void M() { }\n public int Tail",
      [("C", "class C", (0, 55), [("M", "public void M();", (19, 38), (35, 38))],
-       [("f", (11, 17))], [(40, 46), (47, 50), (51, 55)])],
+       [("f", (11, 17))], [(40, 55)])],
      [("unclosed '{'", 8), ("type 'C' not closed", 51)]),
     ("class C {\n public void M(int a",
      [("C", "class C", (0, 30), [("M", "public void M(int a;", (11, 30), (30, 30))], [], [])],
@@ -481,6 +484,20 @@ def test_deep_test_method_is_fatal_not_a_crash(depth):
         calls.update(i.chain for i in stmt.invocations)
         stack.extend(stmt.children)
     assert calls == {("sut", "Descend"), ("Assert", "AreEqual")}
+
+
+def test_deep_nest_analysis_memory_is_bounded():
+    # Statements hold spans into the one source string, not copies of their
+    # text, so memory grows with the input, not with depth times length:
+    # about 22 MB here, where a copy per nesting level takes about 84 MB.
+    source = nested_test(10_000)
+    tracemalloc.start()
+    try:
+        analyze(source, "Descend")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000_000
 
 
 @pytest.mark.parametrize("depth", [400, 1000, 10_000])

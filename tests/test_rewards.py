@@ -15,8 +15,6 @@ from tqual.rewards import (
     LabeledRecord,
     RewardScheme,
     canonical_property,
-    combined_reward,
-    individual_reward,
     label_dataset,
     property_score,
     resample_balanced,
@@ -107,18 +105,18 @@ def test_property_score_polarity():
 
 def test_individual_reward_values():
     scheme = RewardScheme.individual("assertion")
-    assert individual_reward(make_report(has_assertion=True), scheme) == 1
-    assert individual_reward(make_report(), scheme) == 0
-    assert individual_reward(make_report(correct_syntax=False, has_assertion=True), scheme) == -1
+    assert reward_for(make_report(has_assertion=True), scheme) == 1
+    assert reward_for(make_report(), scheme) == 0
+    assert reward_for(make_report(correct_syntax=False, has_assertion=True), scheme) == -1
 
 
 def test_combined_reward_sums_desirable_states():
     scheme = RewardScheme.combined(["assertion", "focal", "conditional"])
     report = make_report(has_assertion=True, invokes_focal=True)
     # Assertion present, focal present, conditional absent: all desirable.
-    assert combined_reward(report, scheme) == 3
+    assert reward_for(report, scheme) == 3
     worst = make_report(conditional_or_exception=True)
-    assert combined_reward(worst, scheme) == 0
+    assert reward_for(worst, scheme) == 0
 
 
 def test_broken_syntax_dominates_any_strategy():
