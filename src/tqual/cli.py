@@ -457,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, DomainError, FileNotFoundError) as exc:
+    except (ValueError, DomainError, OSError) as exc:
         print(f"tqual: {exc}", file=sys.stderr)
         return 2
     except PipelineError as exc:

@@ -37,7 +37,7 @@ def prompt_hint_for(focal_method: str) -> str:
     return f"[TestMethod]\npublic void Test{focal_method}"
 
 
-def _annotation_offsets(tokens: list[Token], char_starts: list[int]) -> list[int]:
+def _annotation_offsets(tokens: list[Token]) -> list[int]:
     """Character offsets where a [TestMethod] annotation begins.
 
     Handles both lexings: a single attribute-bracket token, and a plain
@@ -50,7 +50,7 @@ def _annotation_offsets(tokens: list[Token], char_starts: list[int]) -> list[int
             inner = tok.text[1:-1].strip()
             first = inner.split("(")[0].split(",")[0].strip()
             if first == _TEST_ANNOTATION:
-                offsets.append(char_starts[i])
+                offsets.append(tok.offset)
             continue
         if tok.kind is TokenKind.PUNCTUATION and tok.text == "[":
             j = i + 1
@@ -62,7 +62,7 @@ def _annotation_offsets(tokens: list[Token], char_starts: list[int]) -> list[int
                 while k < n and tokens[k].kind is TokenKind.WHITESPACE:
                     k += 1
                 if k < n and tokens[k].text == "]":
-                    offsets.append(char_starts[i])
+                    offsets.append(tok.offset)
     return offsets
 
 
@@ -71,24 +71,18 @@ def truncate_completion(raw: RawCompletion) -> str:
     search_from = len(raw.prompt_hint)
 
     tokens = tokenize(full)
-    char_starts: list[int] = []
-    pos = 0
-    for tok in tokens:
-        char_starts.append(pos)
-        pos += len(tok.text)
-
     brace_offset: int | None = None
-    for i, tok in enumerate(tokens):
+    for tok in tokens:
         if tok.kind is not TokenKind.PUNCTUATION or tok.text != "}":
             continue
-        off = char_starts[i]
+        off = tok.offset
         if off < search_from:
             continue
         if off == 0 or full[off - 1] == "\n":
             brace_offset = off
             break
 
-    annotations = _annotation_offsets(tokens, char_starts)
+    annotations = _annotation_offsets(tokens)
     second_annotation: int | None = None
     if len(annotations) >= 2 and annotations[1] >= search_from:
         second_annotation = annotations[1]

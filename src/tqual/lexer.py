@@ -1,19 +1,28 @@
 """Lossless tokenizer for a practical subset of C#.
 
 Concatenating the ``text`` of every token reproduces the input exactly,
-byte for byte.  String and char literals keep their delimiters; verbatim
+and each token's ``offset`` is the character offset of its text in the
+input.  String and char literals keep their delimiters; verbatim
 (``@"..."``) and interpolated (``$"..."``) strings are single tokens, with
 interpolation holes scanned but not parsed.  An unterminated literal or
 block comment yields a single ``error`` token covering the remainder of
 the input.  Preprocessor directives are consumed as line tokens sharing
 the ``comment-line`` kind; downstream consumers that care distinguish them
 by text prefix.
+
+One compiled pattern classifies the token at each position.  Hand code
+runs only where context decides: an interpolated string's holes, a ``#``
+that opens a line, a ``[`` that may open an attribute list, and an
+unterminated literal or comment.  It also turns away a word that the
+regex word class admits but C# does not, one starting with a digit or
+numeral that is not a letter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = ["Token", "TokenKind", "tokenize", "RESERVED_KEYWORDS"]
 
@@ -47,169 +56,102 @@ RESERVED_KEYWORDS = frozenset(
     """.split()
 )
 
-# Longest-first so ?? beats ?, => beats =, and so on.
-_MULTI_CHAR_OPERATORS = (
-    "??=", "<<=", ">>=",
-    "=>", "==", "!=", "<=", ">=", "&&", "||", "??", "?.", "++", "--",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->", "::", "<<", ">>",
-)
-
-_WS_CHARS = " \t\r\n\f\v"
-_NUMBER_SUFFIX = "fFdDmMuUlL"
 _TRIVIA_KINDS = frozenset(
     {TokenKind.WHITESPACE, TokenKind.COMMENT_LINE, TokenKind.COMMENT_BLOCK}
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
-    byte_offset: int
+    offset: int  # character offset of ``text`` in the source
 
     @property
     def is_trivia(self) -> bool:
         return self.kind in _TRIVIA_KINDS
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+# Groups named after a TokenKind member yield that kind as matched; the
+# rest go to hand code in ``_resolve``.  Earlier alternatives win, so
+# comments beat ``/``, literals beat their unterminated openers and
+# ``??=`` beats ``??`` beats ``?``.  Numbers take Unicode decimal digits
+# (``\d``); a digit that is not decimal, such as ``²``, is an error unless
+# it continues a word.
+_TOKEN = re.compile(
+    r"""
+    (?P<WHITESPACE>[ \t\r\n\f\v]+)
+  | (?P<COMMENT_LINE>//[^\n]*)
+  | (?P<COMMENT_BLOCK>/\*.*?\*/)
+  | (?P<STRING>"(?:\\.|[^"\\\n])*"
+              | @"(?:[^"]|"")*"(?!"))  # (?!") stops backtracking into a "" escape
+  | (?P<CHAR>'(?:\\.[^'\n]*|[^'\n\\])?')
+  | (?P<INTERPOLATED>\$@?"|@\$")
+  | (?P<UNTERMINATED>/\*|@?"|')
+  | (?P<NUMBER>(?:0[xXbB][0-9a-fA-F_]*
+               | \d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDmMuUlL]*)
+  | (?P<WORD>@?[^\W\d]\w*)
+  | (?P<HASH>\#)
+  | (?P<BRACKET>\[)
+  | (?P<PUNCTUATION>\?\?= | <<= | >>=
+                   | => | [=!<>+\-*/%&|^]= | && | \|\| | \?\? | \?\. | \+\+ | -- | -> | :: | << | >>
+                   | [(){}\]<>.,;:?!+\-*/%=&|^~@$])
+  | (?P<ERROR>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_KIND_OF_GROUP = {
+    name: TokenKind[name] for name in _TOKEN.groupindex if name in TokenKind.__members__
+}
+_LITERAL_GROUPS = frozenset({"STRING", "CHAR", "COMMENT_LINE", "COMMENT_BLOCK"})
 
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-def _scan_regular_string(source: str, i: int) -> int | None:
-    """Return the index just past the closing quote, or None if unterminated."""
-    j = i + 1
-    n = len(source)
-    while j < n:
-        ch = source[j]
-        if ch == "\\" and j + 1 < n:
-            j += 2
-            continue
-        if ch == '"':
-            return j + 1
-        if ch == "\n":
-            return None
-        j += 1
-    return None
-
-
-def _scan_verbatim_string(source: str, i: int) -> int | None:
-    """``i`` points at the opening quote. ``""`` escapes a quote."""
-    j = i + 1
-    n = len(source)
-    while j < n:
-        if source[j] == '"':
-            if j + 1 < n and source[j + 1] == '"':
-                j += 2
-                continue
-            return j + 1
-        j += 1
-    return None
-
-
-def _scan_char(source: str, i: int) -> int | None:
-    j = i + 1
-    n = len(source)
-    if j < n and source[j] == "\\":
-        j += 2
-        # \uXXXX and friends: swallow up to the closing quote on this line.
-        while j < n and source[j] not in "'\n":
-            j += 1
-    elif j < n and source[j] not in "'\n":
-        j += 1
-    if j < n and source[j] == "'":
-        return j + 1
-    return None
-
-
-def _scan_interpolated(source: str, i: int, verbatim: bool) -> int | None:
-    """``i`` points at the opening quote. Holes are brace-matched, and
-    literals inside holes are skipped so their quotes cannot end the token."""
-    j = i + 1
-    n = len(source)
-    depth = 0
-    while j < n:
-        ch = source[j]
-        if depth == 0:
-            if ch == "{":
-                if j + 1 < n and source[j + 1] == "{":
-                    j += 2
-                    continue
-                depth = 1
-                j += 1
-                continue
-            if ch == "}":
-                if j + 1 < n and source[j + 1] == "}":
-                    j += 2
-                    continue
-                j += 1
-                continue
-            if verbatim and ch == '"':
-                if j + 1 < n and source[j + 1] == '"':
-                    j += 2
-                    continue
-                return j + 1
-            if not verbatim:
-                if ch == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if ch == '"':
-                    return j + 1
-                if ch == "\n":
-                    return None
-            j += 1
-        else:
-            if ch == "{":
-                depth += 1
-                j += 1
-            elif ch == "}":
-                depth -= 1
-                j += 1
-            elif ch == '"':
-                end = _scan_regular_string(source, j)
-                if end is None:
-                    return None
-                j = end
-            elif ch == "'":
-                end = _scan_char(source, j)
-                j = end if end is not None else j + 1
-            else:
-                j += 1
-    return None
-
-
-def _scan_number(source: str, i: int) -> int:
-    j = i
-    n = len(source)
-    if source.startswith(("0x", "0X", "0b", "0B"), j):
-        j += 2
-        while j < n and (source[j] in "0123456789abcdefABCDEF_"):
-            j += 1
-    else:
-        while j < n and (source[j].isdigit() or source[j] == "_"):
-            j += 1
-        if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-            j += 1
-            while j < n and (source[j].isdigit() or source[j] == "_"):
-                j += 1
-        if j < n and source[j] in "eE":
-            k = j + 1
-            if k < n and source[k] in "+-":
-                k += 1
-            if k < n and source[k].isdigit():
-                j = k
-                while j < n and source[j].isdigit():
-                    j += 1
-    while j < n and source[j] in _NUMBER_SUFFIX:
-        j += 1
-    return j
-
-
+# Runs of text the hand scanners step over in one match.
+_INTERPOLATED_TEXT = {
+    False: re.compile(r'(?:\\.|\{\{|[^"\\\n{])*', re.DOTALL),
+    True: re.compile(r'(?:""|\{\{|[^"{])*'),
+}
+_HOLE_TEXT = re.compile(r"[^{}\"']*")
+_ATTRIBUTE_TEXT = re.compile(r"[^()\[\]{}\"'/]*")
+_ATTRIBUTE_NAME = re.compile(r"[ \t\r\n]*(.?)", re.DOTALL)
 _ATTRIBUTE_CLOSERS = {")": "(", "]": "[", "}": "{"}
+
+
+def _skip_literal(source: str, j: int) -> int | None:
+    """``j`` points at a quote or slash inside a hole or an attribute.
+    Returns the index past the string, char or comment starting there, one
+    past a stray ``'`` or ``/``, or None for an unterminated string or
+    block comment."""
+    m = _TOKEN.match(source, j)
+    if m.lastgroup in _LITERAL_GROUPS:
+        return m.end()
+    if m.lastgroup == "UNTERMINATED" and source[j] != "'":
+        return None
+    return j + 1
+
+
+def _scan_interpolated(source: str, j: int, verbatim: bool) -> int | None:
+    """``j`` is just past the opening quote.  Holes are brace-matched, and
+    literals inside holes are skipped so their quotes cannot end the token.
+    Returns the index past the closing quote, or None if unterminated."""
+    depth = 0
+    while j < len(source):
+        if depth == 0:
+            j = _INTERPOLATED_TEXT[verbatim].match(source, j).end()
+            stop = source[j : j + 1]
+            if stop != "{":
+                return j + 1 if stop == '"' else None
+            depth, j = 1, j + 1
+            continue
+        j = _HOLE_TEXT.match(source, j).end()
+        stop = source[j : j + 1]
+        if stop in ("{", "}"):
+            depth += 1 if stop == "{" else -1
+            j += 1
+        elif stop:
+            end = _skip_literal(source, j)
+            if end is None:
+                return None
+            j = end
+    return None
 
 
 def _scan_attribute(source: str, i: int) -> int | None:
@@ -220,11 +162,11 @@ def _scan_attribute(source: str, i: int) -> int | None:
     so ``[DataRow("]")]`` stays one token while ``[TestMethod(]`` is left
     to the punctuation rules and its unbalanced delimiter stays visible."""
     j = i + 1
-    n = len(source)
     stack = ["["]
-    while j < n:
-        ch = source[j]
-        if ch in "([{":
+    while j < len(source):
+        j = _ATTRIBUTE_TEXT.match(source, j).end()
+        ch = source[j : j + 1]
+        if ch in ("(", "[", "{"):
             stack.append(ch)
             j += 1
         elif ch in _ATTRIBUTE_CLOSERS:
@@ -233,171 +175,73 @@ def _scan_attribute(source: str, i: int) -> int | None:
             j += 1
             if not stack:
                 return j
-        elif ch == '"':
-            end = _scan_regular_string(source, j)
+        elif ch:
+            end = _skip_literal(source, j)
             if end is None:
                 return None
             j = end
-        elif ch == "'":
-            end = _scan_char(source, j)
-            j = end if end is not None else j + 1
-        elif source.startswith("//", j):
-            while j < n and source[j] != "\n":
-                j += 1
-        elif source.startswith("/*", j):
-            close = source.find("*/", j + 2)
-            if close < 0:
-                return None
-            j = close + 2
-        else:
-            j += 1
     return None
 
 
-def _attribute_position(prev: Token | None) -> bool:
+def _opens_attribute(source: str, i: int, tokens: list[Token]) -> bool:
     # An attribute list can only open a file, follow another attribute, or
     # follow a statement/member boundary; everywhere else [ is indexing.
-    if prev is None:
-        return True
-    if prev.kind is TokenKind.ATTRIBUTE:
-        return True
-    return prev.kind is TokenKind.PUNCTUATION and prev.text in ("{", "}", ";")
+    # Its first name must start with a letter, ``_`` or ``@``.
+    for prev in reversed(tokens):
+        if not prev.is_trivia:
+            if prev.kind is not TokenKind.ATTRIBUTE and (
+                prev.kind is not TokenKind.PUNCTUATION or prev.text not in ("{", "}", ";")
+            ):
+                return False
+            break
+    first = _ATTRIBUTE_NAME.match(source, i + 1).group(1)
+    return first.isalpha() or first in ("_", "@")
+
+
+def _opens_line(source: str, i: int) -> bool:
+    """True when only spaces and tabs sit between the previous newline (or
+    the start of the input) and ``i``."""
+    k = i - 1
+    while k >= 0 and source[k] in " \t":
+        k -= 1
+    return k < 0 or source[k] == "\n"
+
+
+def _resolve(source: str, m: re.Match, tokens: list[Token]) -> tuple[TokenKind, int]:
+    """Kind and end of a token whose kind depends on context."""
+    group, pos, end = m.lastgroup, m.start(), m.end()
+    if group == "WORD":
+        at = source[pos] == "@"
+        if source[pos + at].isalpha() or source[pos + at] == "_":
+            word = source[pos:end]
+            return (TokenKind.KEYWORD if word in RESERVED_KEYWORDS else TokenKind.IDENTIFIER), end
+        # \w also admits digits and numerals that are not letters.
+        return (TokenKind.PUNCTUATION if at else TokenKind.ERROR), pos + 1
+    if group == "HASH":
+        if not _opens_line(source, pos):
+            return TokenKind.PUNCTUATION, end
+        end = source.find("\n", pos)
+        return TokenKind.COMMENT_LINE, (len(source) if end < 0 else end)
+    if group == "BRACKET":
+        attribute_end = _opens_attribute(source, pos, tokens) and _scan_attribute(source, pos)
+        return (TokenKind.ATTRIBUTE, attribute_end) if attribute_end else (TokenKind.PUNCTUATION, end)
+    if group == "INTERPOLATED":
+        end = _scan_interpolated(source, end, verbatim="@" in m.group())
+    if group == "UNTERMINATED" or end is None:
+        return TokenKind.ERROR, len(source)
+    return TokenKind.STRING, end
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    byte_pos = 0
-    n = len(source)
-    prev_significant: Token | None = None
-    at_line_start = True
-
-    def emit(kind: TokenKind, end: int) -> None:
-        nonlocal i, byte_pos, prev_significant, at_line_start
-        text = source[i:end]
-        tok = Token(kind, text, byte_pos)
-        tokens.append(tok)
-        byte_pos += len(text.encode("utf-8"))
-        i = end
-        if tok.kind not in _TRIVIA_KINDS:
-            prev_significant = tok
-        last_nl = text.rfind("\n")
-        if last_nl >= 0:
-            at_line_start = text[last_nl + 1 :].strip(" \t") == ""
-        else:
-            at_line_start = at_line_start and text.strip(" \t") == "" and text != ""
-
-    while i < n:
-        ch = source[i]
-
-        if ch in _WS_CHARS:
-            j = i
-            while j < n and source[j] in _WS_CHARS:
-                j += 1
-            emit(TokenKind.WHITESPACE, j)
-            continue
-
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            emit(TokenKind.COMMENT_LINE, n if j < 0 else j)
-            continue
-
-        if source.startswith("/*", i):
-            close = source.find("*/", i + 2)
-            if close < 0:
-                emit(TokenKind.ERROR, n)
-                continue
-            emit(TokenKind.COMMENT_BLOCK, close + 2)
-            continue
-
-        if ch == "#" and at_line_start:
-            j = source.find("\n", i)
-            emit(TokenKind.COMMENT_LINE, n if j < 0 else j)
-            continue
-
-        if ch == '"':
-            end = _scan_regular_string(source, i)
-            emit(TokenKind.STRING if end is not None else TokenKind.ERROR,
-                 end if end is not None else n)
-            continue
-
-        if ch == "'":
-            end = _scan_char(source, i)
-            emit(TokenKind.CHAR if end is not None else TokenKind.ERROR,
-                 end if end is not None else n)
-            continue
-
-        if ch == "@":
-            if source.startswith('@"', i):
-                end = _scan_verbatim_string(source, i + 1)
-                emit(TokenKind.STRING if end is not None else TokenKind.ERROR,
-                     end if end is not None else n)
-                continue
-            if source.startswith('@$"', i):
-                end = _scan_interpolated(source, i + 2, verbatim=True)
-                emit(TokenKind.STRING if end is not None else TokenKind.ERROR,
-                     end if end is not None else n)
-                continue
-            if i + 1 < n and _is_ident_start(source[i + 1]):
-                j = i + 2
-                while j < n and _is_ident_part(source[j]):
-                    j += 1
-                emit(TokenKind.IDENTIFIER, j)
-                continue
-            emit(TokenKind.PUNCTUATION, i + 1)
-            continue
-
-        if ch == "$":
-            if source.startswith('$"', i):
-                end = _scan_interpolated(source, i + 1, verbatim=False)
-                emit(TokenKind.STRING if end is not None else TokenKind.ERROR,
-                     end if end is not None else n)
-                continue
-            if source.startswith('$@"', i):
-                end = _scan_interpolated(source, i + 2, verbatim=True)
-                emit(TokenKind.STRING if end is not None else TokenKind.ERROR,
-                     end if end is not None else n)
-                continue
-            emit(TokenKind.PUNCTUATION, i + 1)
-            continue
-
-        if ch.isdigit():
-            emit(TokenKind.NUMBER, _scan_number(source, i))
-            continue
-
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_part(source[j]):
-                j += 1
-            word = source[i:j]
-            kind = TokenKind.KEYWORD if word in RESERVED_KEYWORDS else TokenKind.IDENTIFIER
-            emit(kind, j)
-            continue
-
-        if ch == "[" and _attribute_position(prev_significant):
-            k = i + 1
-            while k < n and source[k] in " \t\r\n":
-                k += 1
-            if k < n and (_is_ident_start(source[k]) or source[k] == "@"):
-                end = _scan_attribute(source, i)
-                if end is not None:
-                    emit(TokenKind.ATTRIBUTE, end)
-                    continue
-
-        matched = False
-        for op in _MULTI_CHAR_OPERATORS:
-            if source.startswith(op, i):
-                emit(TokenKind.PUNCTUATION, i + len(op))
-                matched = True
-                break
-        if matched:
-            continue
-
-        if ch in "(){}[]<>.,;:?!+-*/%=&|^~#":
-            emit(TokenKind.PUNCTUATION, i + 1)
-            continue
-
-        # Anything else is outside the supported subset.
-        emit(TokenKind.ERROR, i + 1)
-
+    match, kind_of_group = _TOKEN.match, _KIND_OF_GROUP.get
+    pos, n = 0, len(source)
+    while pos < n:
+        m = match(source, pos)
+        kind = kind_of_group(m.lastgroup)
+        end = m.end()
+        if kind is None:
+            kind, end = _resolve(source, m, tokens)
+        tokens.append(Token(kind, source[pos:end], pos))
+        pos = end
     return tokens

@@ -12,7 +12,7 @@ FATAL = "fatal"
 @dataclass(frozen=True)
 class SyntaxDiagnostic:
     message: str
-    offset: int
+    offset: int  # character offset into the source
     severity: str  # FATAL, the only severity the parsers emit
 
     @property

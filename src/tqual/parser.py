@@ -92,20 +92,13 @@ _UNKNOWN_STATEMENTS = frozenset(
 class _Cursor:
     """Walks the significant tokens of a lexed stream.
 
-    Raw indices and cumulative character offsets are kept so statement and
-    member spans index straight into the source."""
+    Token offsets are character offsets, so statement and member spans
+    index straight into the source."""
 
     def __init__(self, source: str, tokens: list[Token]):
         self.source = source
         self.tokens = tokens
-        self.char_start: list[int] = []
-        pos = 0
-        for tok in tokens:
-            self.char_start.append(pos)
-            pos += len(tok.text)
-        self.char_start.append(pos)
-        self.sig = [i for i, t in enumerate(tokens) if not t.is_trivia]
-        self.toks = [tokens[i] for i in self.sig]
+        self.toks = [t for t in tokens if not t.is_trivia]
         self.pos = 0
 
     @property
@@ -133,24 +126,23 @@ class _Cursor:
         return False
 
     def offset(self) -> int:
-        """Byte offset of the current significant token."""
+        """Character offset of the current significant token."""
         if self.at_end:
-            return self.tokens[-1].byte_offset if self.tokens else 0
-        return self.toks[self.pos].byte_offset
+            return self.tokens[-1].offset if self.tokens else 0
+        return self.toks[self.pos].offset
 
     def char_span(self, start_pos: int, end_pos: int) -> tuple[int, int]:
         """[start, end) character span covering significant tokens
         ``start_pos`` .. ``end_pos`` inclusive.  When ``end_pos`` is before
         ``start_pos`` the span is empty, where ``start_pos`` begins or at
         end of input."""
-        if start_pos >= len(self.sig):
-            return self.char_start[-1], self.char_start[-1]
-        a = self.char_start[self.sig[start_pos]]
+        if start_pos >= len(self.toks):
+            return len(self.source), len(self.source)
+        a = self.toks[start_pos].offset
         if end_pos < start_pos:
             return a, a
-        last = self.sig[end_pos]
-        b = self.char_start[last] + len(self.tokens[last].text)
-        return a, b
+        last = self.toks[end_pos]
+        return a, last.offset + len(last.text)
 
     def text(self, start_pos: int, end_pos: int) -> str:
         a, b = self.char_span(start_pos, end_pos)
@@ -258,7 +250,7 @@ def _to_semicolon(cur: _Cursor) -> None:
 def _lex_diagnostics(tokens: list[Token]) -> list[SyntaxDiagnostic]:
     return [
         SyntaxDiagnostic("unterminated literal, comment, or unsupported character",
-                         t.byte_offset, FATAL)
+                         t.offset, FATAL)
         for t in tokens
         if t.kind is TokenKind.ERROR
     ]
@@ -275,11 +267,11 @@ def _balance_diagnostics(tokens: list[Token]) -> list[SyntaxDiagnostic]:
         if tok.is_trivia or tok.kind is not TokenKind.PUNCTUATION:
             continue
         if tok.text in _OPENERS:
-            stack.append((tok.text, tok.byte_offset))
+            stack.append((tok.text, tok.offset))
         elif tok.text in _CLOSERS:
             if not stack or stack[-1][0] != _CLOSERS[tok.text]:
                 diags.append(SyntaxDiagnostic(
-                    f"unmatched '{tok.text}'", tok.byte_offset, FATAL))
+                    f"unmatched '{tok.text}'", tok.offset, FATAL))
                 return diags
             stack.pop()
     if stack:
@@ -799,10 +791,9 @@ class _FocalParser(_Parser):
 
 def _attach_comments(cur: _Cursor, classes: list[ClassNode]) -> None:
     comment_spans: list[tuple[int, int]] = []
-    for i, tok in enumerate(cur.tokens):
+    for tok in cur.tokens:
         if tok.kind in (TokenKind.COMMENT_LINE, TokenKind.COMMENT_BLOCK):
-            start = cur.char_start[i]
-            comment_spans.append((start, start + len(tok.text)))
+            comment_spans.append((tok.offset, tok.offset + len(tok.text)))
     all_classes: list[ClassNode] = []
     for cls in classes:
         all_classes.extend(cls.walk())

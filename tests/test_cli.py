@@ -227,6 +227,29 @@ def test_split_too_few_repos_is_data_error(tmp_path, capsys):
     assert main(["split", str(path), "--out-dir", str(tmp_path / "s")]) == 1
 
 
+# ── unwritable outputs ───────────────────────────────────────────────
+
+
+def test_analyze_out_to_a_directory_is_usage_error(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "c.jsonl", [GOLDEN_TEST])
+    assert main(["analyze", str(corpus), "--out", str(tmp_path)]) == 2
+    assert "tqual:" in capsys.readouterr().err
+
+
+def test_report_out_to_a_directory_is_usage_error(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "c.jsonl", [GOLDEN_TEST])
+    reports_path = tmp_path / "reports.jsonl"
+    assert main(["analyze", str(corpus), "--out", str(reports_path)]) == 0
+    assert main(["report", str(reports_path), "--out", str(tmp_path)]) == 2
+    assert "tqual:" in capsys.readouterr().err
+
+
+def test_split_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    path = write_corpus(tmp_path / "c.jsonl", [GOLDEN_TEST] * 3, repo=["a", "b", "c"])
+    assert main(["split", str(path), "--out-dir", str(path)]) == 2
+    assert "tqual:" in capsys.readouterr().err
+
+
 def test_subsample_returns_requested_count(tmp_path, capsys):
     path = write_corpus(tmp_path / "c.jsonl", [GOLDEN_TEST] * 10)
     assert main(["subsample", str(path), "--n", "3", "--seed", "2"]) == 0

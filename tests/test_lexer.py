@@ -46,19 +46,15 @@ def test_roundtrip_arbitrary_text(source):
     assert roundtrip(source) == source
 
 
-@given(
-    st.lists(
-        st.sampled_from(
-            [
-                "Assert", ".", "IsTrue", "(", ")", ";", "{", "}", "var",
-                "x", "=", "1", " ", "\n", '"str"', "'c'", "// note\n",
-                "/* block */", "[TestMethod]", "=>", "??", "0x1F", "$\"v {x}\"",
-                "@\"raw\"", "#if DEBUG\n", "3.14f", "new", "Foo", "<", ">",
-            ]
-        ),
-        max_size=40,
-    )
-)
+CODE_FRAGMENTS = [
+    "Assert", ".", "IsTrue", "(", ")", ";", "{", "}", "var",
+    "x", "=", "1", " ", "\n", '"str"', "'c'", "// note\n",
+    "/* block */", "[TestMethod]", "=>", "??", "0x1F", "$\"v {x}\"",
+    "@\"raw\"", "#if DEBUG\n", "3.14f", "new", "Foo", "<", ">",
+]
+
+
+@given(st.lists(st.sampled_from(CODE_FRAGMENTS), max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_roundtrip_code_shaped_text(fragments):
     source = "".join(fragments)
@@ -124,6 +120,14 @@ def test_unterminated_block_comment_is_error_token():
     assert toks[-1].text == "/* never closed"
 
 
+@pytest.mark.parametrize("source", [
+    '@"\\""',  # the "" escape swallows the closing quote
+    "'\\'",    # the backslash escapes the closing quote
+])
+def test_literal_ending_in_an_escaped_quote_is_unterminated(source):
+    assert [(t.kind, t.text) for t in tokenize(source)] == [(TokenKind.ERROR, source)]
+
+
 # ── comments and preprocessor ────────────────────────────────────────
 
 
@@ -182,6 +186,31 @@ def test_at_prefixed_identifier():
 def test_number_shapes():
     for literal in ("42", "0x1F", "0b1010", "1_000", "3.14", "3.14f", "1e-5", "42L", "2.5m"):
         assert kinds(literal) == [TokenKind.NUMBER], literal
+
+
+def test_digits_that_are_not_decimal_are_errors():
+    # C# numbers take decimal digits; a superscript or circled digit is
+    # outside the subset wherever it cannot continue an identifier.
+    assert [(t.kind, t.text) for t in tokenize("1²")] == [
+        (TokenKind.NUMBER, "1"), (TokenKind.ERROR, "²")]
+    assert [(t.kind, t.text) for t in tokenize("²")] == [(TokenKind.ERROR, "²")]
+    assert not check_syntax("[TestMethod]\npublic void TestRun()\n{\n    x = 1²;\n}").correct
+    assert kinds("x²") == [TokenKind.IDENTIFIER]
+    assert kinds("١٢") == [TokenKind.NUMBER]
+
+
+def test_lone_surrogate_is_an_error_token():
+    # Tokens keep character offsets, so nothing encodes the text.
+    assert [(t.kind, t.text) for t in tokenize("x\ud800")] == [
+        (TokenKind.IDENTIFIER, "x"), (TokenKind.ERROR, "\ud800")]
+
+
+def test_word_start_must_be_a_letter():
+    assert [(t.kind, t.text) for t in tokenize("@²")][0] == (TokenKind.PUNCTUATION, "@")
+    assert [(t.kind, t.text) for t in tokenize("@½x")][:2] == [
+        (TokenKind.PUNCTUATION, "@"), (TokenKind.ERROR, "½")]
+    assert TokenKind.ATTRIBUTE not in kinds("[²x]")
+    assert texts("[²x]")[0] == "["
 
 
 def test_dot_between_numbers_only_with_digit():
@@ -247,12 +276,24 @@ def test_multichar_operators_are_single_tokens():
     assert texts("a == b != c") == ["a", "==", "b", "!=", "c"]
 
 
-def test_byte_offsets_count_multibyte_characters():
-    toks = tokenize('"π" x')
-    assert toks[0].byte_offset == 0
-    # Quote + two-byte pi + quote = 4 bytes.
-    assert toks[1].byte_offset == 4
-    assert toks[2].byte_offset == 5
+def test_offsets_count_characters_not_bytes():
+    toks = tokenize('"é" x')
+    assert toks[0].offset == 0
+    # Quote + e-acute + quote = 3 characters (4 bytes in UTF-8).
+    assert toks[1].offset == 3
+    assert toks[2].offset == 4
+
+
+@given(st.one_of(st.text(max_size=300),
+                 st.lists(st.sampled_from(CODE_FRAGMENTS), max_size=40).map("".join)))
+@settings(max_examples=200, deadline=None)
+def test_offsets_index_the_source(source):
+    pos = 0
+    for tok in tokenize(source):
+        assert tok.offset == pos
+        assert source[tok.offset:tok.offset + len(tok.text)] == tok.text
+        pos += len(tok.text)
+    assert pos == len(source)
 
 
 def test_trivia_flag():
