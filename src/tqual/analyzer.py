@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .corpus import REQUIRED, decode, encode
 from .errors import EmptyCorpus
-from .lexer import TokenKind
 from .nodes import Invocation, TestSyntaxTree
 from .parser import parse_test_method
 
@@ -138,11 +137,7 @@ def _statement_properties(tree: TestSyntaxTree, focal_name: str) -> tuple[bool, 
 def _has_comment(tree: TestSyntaxTree) -> bool:
     # Preprocessor lines share the comment-line kind; the prefix check
     # keeps them from counting as documentation.
-    return any(
-        tok.kind in (TokenKind.COMMENT_LINE, TokenKind.COMMENT_BLOCK)
-        and tok.text.startswith(("//", "/*"))
-        for tok in tree.tokens
-    )
+    return any(tok.text.startswith(("//", "/*")) for tok in tree.tokens)
 
 
 def _is_descriptive(method_name: str, focal_name: str) -> bool:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import CorpusRecord
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, TokenKind
+from .lexer import scan as tokenize  # the lexer call, by the name tracers patch
 
 __all__ = ["RawCompletion", "truncate_completion", "assemble_record", "prompt_hint_for"]
 
@@ -37,32 +38,23 @@ def prompt_hint_for(focal_method: str) -> str:
     return f"[TestMethod]\npublic void Test{focal_method}"
 
 
-def _annotation_offsets(tokens: list[Token]) -> list[int]:
+def _annotation_offsets(source: str, significant: list[Token]) -> list[int]:
     """Character offsets where a [TestMethod] annotation begins.
 
     Handles both lexings: a single attribute-bracket token, and a plain
     ``[`` ``TestMethod`` ``]`` punctuation run (whitespace allowed) for
     positions the attribute heuristic does not cover."""
     offsets: list[int] = []
-    n = len(tokens)
-    for i, tok in enumerate(tokens):
+    for i, tok in enumerate(significant):
         if tok.kind is TokenKind.ATTRIBUTE:
-            inner = tok.text[1:-1].strip()
-            first = inner.split("(")[0].split(",")[0].strip()
-            if first == _TEST_ANNOTATION:
-                offsets.append(tok.offset)
+            inner = tok.text[1:-1]
+        elif tok.text == "[" and i + 2 < len(significant) and significant[i + 2].text == "]":
+            # One token inside; a comment around it keeps the name from matching.
+            inner = source[tok.offset + 1:significant[i + 2].offset]
+        else:
             continue
-        if tok.kind is TokenKind.PUNCTUATION and tok.text == "[":
-            j = i + 1
-            while j < n and tokens[j].kind is TokenKind.WHITESPACE:
-                j += 1
-            if j < n and tokens[j].kind is TokenKind.IDENTIFIER \
-                    and tokens[j].text == _TEST_ANNOTATION:
-                k = j + 1
-                while k < n and tokens[k].kind is TokenKind.WHITESPACE:
-                    k += 1
-                if k < n and tokens[k].text == "]":
-                    offsets.append(tok.offset)
+        if inner.split("(")[0].split(",")[0].strip() == _TEST_ANNOTATION:
+            offsets.append(tok.offset)
     return offsets
 
 
@@ -70,9 +62,9 @@ def truncate_completion(raw: RawCompletion) -> str:
     full = raw.prompt_hint + raw.completion_text
     search_from = len(raw.prompt_hint)
 
-    tokens = tokenize(full)
+    significant, _ = tokenize(full)
     brace_offset: int | None = None
-    for tok in tokens:
+    for tok in significant:
         if tok.kind is not TokenKind.PUNCTUATION or tok.text != "}":
             continue
         off = tok.offset
@@ -82,7 +74,7 @@ def truncate_completion(raw: RawCompletion) -> str:
             brace_offset = off
             break
 
-    annotations = _annotation_offsets(tokens)
+    annotations = _annotation_offsets(full, significant)
     second_annotation: int | None = None
     if len(annotations) >= 2 and annotations[1] >= search_from:
         second_annotation = annotations[1]

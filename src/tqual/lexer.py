@@ -1,14 +1,16 @@
-"""Lossless tokenizer for a practical subset of C#.
+"""Tokenizer for a practical subset of C#.
 
-Concatenating the ``text`` of every token reproduces the input exactly,
-and each token's ``offset`` is the character offset of its text in the
-input.  String and char literals keep their delimiters; verbatim
-(``@"..."``) and interpolated (``$"..."``) strings are single tokens, with
-interpolation holes scanned but not parsed.  An unterminated literal or
-block comment yields a single ``error`` token covering the remainder of
-the input.  Preprocessor directives are consumed as line tokens sharing
-the ``comment-line`` kind; downstream consumers that care distinguish them
-by text prefix.
+``scan`` is the one pass over the source: it returns the significant tokens
+and the comment tokens, and whitespace lies between them.  ``tokenize`` is
+its lossless view, with a ``whitespace`` token in each gap, so concatenating
+the ``text`` of every token reproduces the input exactly.  Each token's
+``offset`` is the character offset of its text in the input.  String and
+char literals keep their delimiters; verbatim (``@"..."``) and interpolated
+(``$"..."``) strings are single tokens, with interpolation holes scanned
+but not parsed.  An unterminated literal or block comment yields a single
+``error`` token covering the remainder of the input.  Preprocessor
+directives are consumed as line tokens sharing the ``comment-line`` kind;
+downstream consumers that care distinguish them by text prefix.
 
 One compiled pattern classifies the token at each position.  Hand code
 runs only where context decides: an interpolated string's holes, a ``#``
@@ -22,9 +24,10 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
-__all__ = ["Token", "TokenKind", "tokenize", "RESERVED_KEYWORDS"]
+__all__ = ["Token", "TokenKind", "scan", "tokenize", "RESERVED_KEYWORDS"]
 
 
 class TokenKind(str, Enum):
@@ -56,19 +59,13 @@ RESERVED_KEYWORDS = frozenset(
     """.split()
 )
 
-_TRIVIA_KINDS = frozenset(
-    {TokenKind.WHITESPACE, TokenKind.COMMENT_LINE, TokenKind.COMMENT_BLOCK}
-)
+_COMMENT_KINDS = frozenset({TokenKind.COMMENT_LINE, TokenKind.COMMENT_BLOCK})
 
 
 class Token(NamedTuple):
     kind: TokenKind
     text: str
     offset: int  # character offset of ``text`` in the source
-
-    @property
-    def is_trivia(self) -> bool:
-        return self.kind in _TRIVIA_KINDS
 
 
 # Groups named after a TokenKind member yield that kind as matched; the
@@ -154,46 +151,52 @@ def _scan_interpolated(source: str, j: int, verbatim: bool) -> int | None:
     return None
 
 
-def _scan_attribute(source: str, i: int) -> int | None:
+def _scan_attribute(source: str, i: int, decided: dict[int, int | None]) -> int | None:
     """``i`` points at ``[``. Returns the index past the matching ``]``, or
     None when the run is not one balanced attribute list.
 
     (), [] and {} are matched with a stack, skipping literals and comments,
     so ``[DataRow("]")]`` stays one token while ``[TestMethod(]`` is left
-    to the punctuation rules and its unbalanced delimiter stays visible."""
+    to the punctuation rules and its unbalanced delimiter stays visible.
+
+    ``decided`` maps each opener that a scan in this pass pushed to where a
+    scan from it ends, so no run of unclosed ``[`` is rescanned per ``[``."""
+    if i in decided:
+        return decided[i]
     j = i + 1
-    stack = ["["]
+    stack = [i]  # positions of the open delimiters
     while j < len(source):
         j = _ATTRIBUTE_TEXT.match(source, j).end()
         ch = source[j : j + 1]
         if ch in ("(", "[", "{"):
-            stack.append(ch)
+            stack.append(j)
             j += 1
         elif ch in _ATTRIBUTE_CLOSERS:
-            if stack.pop() != _ATTRIBUTE_CLOSERS[ch]:
-                return None
+            if source[stack[-1]] != _ATTRIBUTE_CLOSERS[ch]:
+                break
             j += 1
+            decided[stack.pop()] = j  # a scan from there closes here too
             if not stack:
                 return j
         elif ch:
             end = _skip_literal(source, j)
             if end is None:
-                return None
+                break
             j = end
+    decided.update(dict.fromkeys(stack))  # still open at a failure: none can close
     return None
 
 
-def _opens_attribute(source: str, i: int, tokens: list[Token]) -> bool:
+def _opens_attribute(source: str, i: int, significant: list[Token]) -> bool:
     # An attribute list can only open a file, follow another attribute, or
     # follow a statement/member boundary; everywhere else [ is indexing.
     # Its first name must start with a letter, ``_`` or ``@``.
-    for prev in reversed(tokens):
-        if not prev.is_trivia:
-            if prev.kind is not TokenKind.ATTRIBUTE and (
-                prev.kind is not TokenKind.PUNCTUATION or prev.text not in ("{", "}", ";")
-            ):
-                return False
-            break
+    if significant:
+        prev = significant[-1]
+        if prev.kind is not TokenKind.ATTRIBUTE and (
+            prev.kind is not TokenKind.PUNCTUATION or prev.text not in ("{", "}", ";")
+        ):
+            return False
     first = _ATTRIBUTE_NAME.match(source, i + 1).group(1)
     return first.isalpha() or first in ("_", "@")
 
@@ -207,7 +210,8 @@ def _opens_line(source: str, i: int) -> bool:
     return k < 0 or source[k] == "\n"
 
 
-def _resolve(source: str, m: re.Match, tokens: list[Token]) -> tuple[TokenKind, int]:
+def _resolve(source: str, m: re.Match, significant: list[Token],
+             decided: dict[int, int | None]) -> tuple[TokenKind, int]:
     """Kind and end of a token whose kind depends on context."""
     group, pos, end = m.lastgroup, m.start(), m.end()
     if group == "WORD":
@@ -223,7 +227,8 @@ def _resolve(source: str, m: re.Match, tokens: list[Token]) -> tuple[TokenKind, 
         end = source.find("\n", pos)
         return TokenKind.COMMENT_LINE, (len(source) if end < 0 else end)
     if group == "BRACKET":
-        attribute_end = _opens_attribute(source, pos, tokens) and _scan_attribute(source, pos)
+        attribute_end = (_opens_attribute(source, pos, significant)
+                         and _scan_attribute(source, pos, decided))
         return (TokenKind.ATTRIBUTE, attribute_end) if attribute_end else (TokenKind.PUNCTUATION, end)
     if group == "INTERPOLATED":
         end = _scan_interpolated(source, end, verbatim="@" in m.group())
@@ -232,8 +237,12 @@ def _resolve(source: str, m: re.Match, tokens: list[Token]) -> tuple[TokenKind, 
     return TokenKind.STRING, end
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
+def scan(source: str) -> tuple[list[Token], list[Token]]:
+    """The significant tokens and the comment tokens of ``source``, each in
+    source order; whitespace is the only text that neither list covers."""
+    significant: list[Token] = []
+    comments: list[Token] = []
+    decided: dict[int, int | None] = {}
     match, kind_of_group = _TOKEN.match, _KIND_OF_GROUP.get
     pos, n = 0, len(source)
     while pos < n:
@@ -241,7 +250,24 @@ def tokenize(source: str) -> list[Token]:
         kind = kind_of_group(m.lastgroup)
         end = m.end()
         if kind is None:
-            kind, end = _resolve(source, m, tokens)
-        tokens.append(Token(kind, source[pos:end], pos))
+            kind, end = _resolve(source, m, significant, decided)
+        if kind is not TokenKind.WHITESPACE:
+            token = Token(kind, source[pos:end], pos)
+            (comments if kind in _COMMENT_KINDS else significant).append(token)
         pos = end
+    return significant, comments
+
+
+def tokenize(source: str) -> list[Token]:
+    """Every token of ``source`` in order, whitespace too: ``scan``, lossless."""
+    significant, comments = scan(source)
+    tokens: list[Token] = []
+    pos = 0
+    for token in sorted(significant + comments, key=itemgetter(2)):
+        if token.offset > pos:
+            tokens.append(Token(TokenKind.WHITESPACE, source[pos:token.offset], pos))
+        tokens.append(token)
+        pos = token.offset + len(token.text)
+    if pos < len(source):
+        tokens.append(Token(TokenKind.WHITESPACE, source[pos:], pos))
     return tokens

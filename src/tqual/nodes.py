@@ -57,7 +57,8 @@ class TestSyntaxTree:
     ``partial_body`` holds every statement recovered, even from broken
     input, so the analyzer can still run best-effort; ``body`` is the same
     list when parsing produced no fatal diagnostic, else None.  Statement
-    spans index into ``source``.
+    spans index into ``source``.  ``tokens`` holds the comment tokens only:
+    ``//`` and ``/* */`` comments and preprocessor lines, in source order.
     """
 
     method_name: str

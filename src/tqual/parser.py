@@ -20,7 +20,8 @@ diagnostic, so no input exhausts the Python stack.
 
 from __future__ import annotations
 
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, TokenKind
+from .lexer import scan as tokenize  # the lexer call, by the name tracers patch
 from .nodes import (
     FATAL,
     ClassNode,
@@ -95,10 +96,10 @@ class _Cursor:
     Token offsets are character offsets, so statement and member spans
     index straight into the source."""
 
-    def __init__(self, source: str, tokens: list[Token]):
+    def __init__(self, source: str, significant: list[Token], comments: list[Token]):
         self.source = source
-        self.tokens = tokens
-        self.toks = [t for t in tokens if not t.is_trivia]
+        self.toks = significant
+        self.comments = comments
         self.pos = 0
 
     @property
@@ -126,10 +127,13 @@ class _Cursor:
         return False
 
     def offset(self) -> int:
-        """Character offset of the current significant token."""
-        if self.at_end:
-            return self.tokens[-1].offset if self.tokens else 0
-        return self.toks[self.pos].offset
+        """Character offset of the current significant token; at end of input,
+        that of the trailing whitespace, else that of the last token."""
+        if not self.at_end:
+            return self.toks[self.pos].offset
+        spans = [(t.offset, t.offset + len(t.text)) for t in self.toks[-1:] + self.comments[-1:]]
+        start, end = max(spans, default=(0, 0))
+        return end if end < len(self.source) else start
 
     def char_span(self, start_pos: int, end_pos: int) -> tuple[int, int]:
         """[start, end) character span covering significant tokens
@@ -247,24 +251,24 @@ def _to_semicolon(cur: _Cursor) -> None:
 # ── shared checks ────────────────────────────────────────────────────────
 
 
-def _lex_diagnostics(tokens: list[Token]) -> list[SyntaxDiagnostic]:
+def _lex_diagnostics(significant: list[Token]) -> list[SyntaxDiagnostic]:
     return [
         SyntaxDiagnostic("unterminated literal, comment, or unsupported character",
                          t.offset, FATAL)
-        for t in tokens
+        for t in significant
         if t.kind is TokenKind.ERROR
     ]
 
 
-def _balance_diagnostics(tokens: list[Token]) -> list[SyntaxDiagnostic]:
-    """Stack-match (), [], {} over significant tokens.
+def _balance_diagnostics(significant: list[Token]) -> list[SyntaxDiagnostic]:
+    """Stack-match (), [], {} over the significant tokens.
 
     Attribute tokens are internally balanced and skipped.  Any mismatch is
     fatal: this is the soundness floor under check_syntax."""
     stack: list[tuple[str, int]] = []
     diags: list[SyntaxDiagnostic] = []
-    for tok in tokens:
-        if tok.is_trivia or tok.kind is not TokenKind.PUNCTUATION:
+    for tok in significant:
+        if tok.kind is not TokenKind.PUNCTUATION:
             continue
         if tok.text in _OPENERS:
             stack.append((tok.text, tok.offset))
@@ -341,9 +345,9 @@ class _Parser:
     nesting level shared by both parsers."""
 
     def __init__(self, source: str):
-        tokens = tokenize(source)
-        self.cur = _Cursor(source, tokens)
-        self.diags = _lex_diagnostics(tokens) + _balance_diagnostics(tokens)
+        significant, comments = tokenize(source)
+        self.cur = _Cursor(source, significant, comments)
+        self.diags = _lex_diagnostics(significant) + _balance_diagnostics(significant)
         self.depth = 0
         self.capped = False
 
@@ -605,7 +609,7 @@ def parse_test_method(source: str) -> TestSyntaxTree:
         # Keep parsing so detectors can still see the trailing statements.
         statements = statements + sp.parse_block(None)
 
-    return TestSyntaxTree(method_name, sp.diags, source, cur.tokens, statements)
+    return TestSyntaxTree(method_name, sp.diags, source, cur.comments, statements)
 
 
 def check_syntax(source: str) -> SyntaxVerdict:
@@ -790,10 +794,7 @@ class _FocalParser(_Parser):
 
 
 def _attach_comments(cur: _Cursor, classes: list[ClassNode]) -> None:
-    comment_spans: list[tuple[int, int]] = []
-    for tok in cur.tokens:
-        if tok.kind in (TokenKind.COMMENT_LINE, TokenKind.COMMENT_BLOCK):
-            comment_spans.append((tok.offset, tok.offset + len(tok.text)))
+    comment_spans = [(tok.offset, tok.offset + len(tok.text)) for tok in cur.comments]
     all_classes: list[ClassNode] = []
     for cls in classes:
         all_classes.extend(cls.walk())

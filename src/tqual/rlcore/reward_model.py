@@ -20,7 +20,7 @@ import numpy as np
 
 from ..corpus import REQUIRED, decode, encode
 from ..errors import DomainError, InsufficientData
-from ..lexer import tokenize
+from ..lexer import scan
 from .math import mse_grad, mse_loss
 
 __all__ = ["LinearRewardModel", "train_reward_model"]
@@ -53,8 +53,8 @@ class LinearRewardModel:
 
     def featurize(self, text: str) -> np.ndarray:
         counts = dict.fromkeys(self.feature_tokens, 0)
-        for token in tokenize(text):
-            if not token.is_trivia and token.text in counts:
+        for token in scan(text)[0]:
+            if token.text in counts:
                 counts[token.text] += 1
         return np.array([counts[t] for t in self.feature_tokens], dtype=float)
 
@@ -77,9 +77,8 @@ def _select_features(texts: Sequence[str], max_features: int) -> tuple[str, ...]
     """Most frequent significant tokens, stored in sorted order."""
     frequency: dict[str, int] = {}
     for text in texts:
-        for token in tokenize(text):
-            if not token.is_trivia:
-                frequency[token.text] = frequency.get(token.text, 0) + 1
+        for token in scan(text)[0]:
+            frequency[token.text] = frequency.get(token.text, 0) + 1
     ranked = sorted(frequency, key=lambda t: (-frequency[t], t))
     return tuple(sorted(ranked[:max_features]))
 

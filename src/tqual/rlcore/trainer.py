@@ -301,11 +301,12 @@ def train_toy_policy(
                 TrajectoryStep(
                     state=state,
                     action=action,
-                    logprob_new=float(work.log_probs(state)[action]),
-                    logprob_old=float(work.log_probs(state)[action]),
+                    logprob_new=logprob,
+                    logprob_old=logprob,
                     advantage=advantage,
                 )
                 for state, action in zip(completion.states, completion.actions)
+                for logprob in [float(work.log_probs(state)[action])]
             ]
             episodes.append(_Episode(steps=steps, reward=total))
         episodes_done += batch_size

@@ -17,6 +17,7 @@ from tqual.analyzer import (
     score_corpus,
 )
 from tqual.errors import DomainError, EmptyCorpus
+from tqual.lexer import TokenKind
 from tqual.nodes import Invocation, Statement
 
 
@@ -167,17 +168,24 @@ def test_detectors_run_on_partial_parse():
 def test_analyze_lexes_its_input_once(monkeypatch):
     real = tqual.parser.tokenize
     calls = []
+    kinds = set()
 
     def counting(source):
         calls.append(source)
-        return real(source)
+        lexed = real(source)
+        kinds.update(t.kind for tokens in lexed for t in tokens)
+        return lexed
 
     monkeypatch.setattr(tqual.parser, "tokenize", counting)
     source = ("[TestMethod]\n[DataRow(2, \"b\"), Timeout(100)]\n"
-              "public void TestAdd(int a, string b)\n{\n    Assert.AreEqual(a, b.Add());\n}")
+              "public void TestAdd(int a, string b)\n{\n    // adds\n"
+              "    Assert.AreEqual(a, b.Add());\n}")
     report = analyze(source, "Add")
     assert report.correct_syntax and report.has_assertion and report.invokes_focal
+    assert report.has_comment
     assert calls == [source]
+    # The analysis path never builds a token for whitespace.
+    assert TokenKind.COMMENT_LINE in kinds and TokenKind.WHITESPACE not in kinds
 
 
 def test_detectors_walk_any_depth_without_recursion(monkeypatch):

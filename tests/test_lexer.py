@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +16,15 @@ def roundtrip(source: str) -> str:
     return "".join(tok.text for tok in tokenize(source))
 
 
+TRIVIA = frozenset({TokenKind.WHITESPACE, TokenKind.COMMENT_LINE, TokenKind.COMMENT_BLOCK})
+
+
 def kinds(source: str) -> list[TokenKind]:
-    return [tok.kind for tok in tokenize(source) if not tok.is_trivia]
+    return [tok.kind for tok in tokenize(source) if tok.kind not in TRIVIA]
 
 
 def texts(source: str) -> list[str]:
-    return [tok.text for tok in tokenize(source) if not tok.is_trivia]
+    return [tok.text for tok in tokenize(source) if tok.kind not in TRIVIA]
 
 
 # ── losslessness ─────────────────────────────────────────────────────
@@ -259,6 +264,17 @@ def test_attribute_with_mismatched_delimiter_is_not_one_token(header):
     assert [(t.kind, t.text) for t in tokenize(nested)] == [(TokenKind.ATTRIBUTE, nested)]
 
 
+def test_unclosed_attribute_runs_lex_in_linear_time():
+    # Each ";[" may open an attribute list that never closes; a scan from
+    # one such "[" must not walk to the end of input again for every later one.
+    source = ";[a" * 8000
+    start = time.perf_counter()
+    toks = tokenize(source)
+    assert time.perf_counter() - start < 2.0
+    assert [t.text for t in toks[:4]] == [";", "[", "a", ";"]
+    assert TokenKind.ATTRIBUTE not in {t.kind for t in toks}
+
+
 def test_attribute_list_with_arguments():
     source = "[DataRow(2, 3)]\n[TestMethod]\nvoid F() { }"
     attr = [t.text for t in tokenize(source) if t.kind is TokenKind.ATTRIBUTE]
@@ -294,13 +310,6 @@ def test_offsets_index_the_source(source):
         assert source[tok.offset:tok.offset + len(tok.text)] == tok.text
         pos += len(tok.text)
     assert pos == len(source)
-
-
-def test_trivia_flag():
-    ws, ident = tokenize(" x")
-    assert ws.is_trivia and not ident.is_trivia
-    comment = tokenize("// c")[0]
-    assert comment.is_trivia
 
 
 def test_token_is_frozen():

@@ -489,8 +489,8 @@ def test_deep_test_method_is_fatal_not_a_crash(depth):
 def test_deep_nest_analysis_memory_is_bounded():
     # Statements hold spans into the one source string, not copies of their
     # text, so memory grows with the input, not with depth times length:
-    # about 13 MB here, most of it the 100 000 tokens, where a copy per
-    # nesting level takes about 84 MB.
+    # about 8 MB here, most of it the 60 000 significant tokens, where a
+    # copy per nesting level takes about 84 MB.
     source = nested_test(10_000)
     tracemalloc.start()
     try:

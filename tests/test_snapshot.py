@@ -6,7 +6,7 @@ and each output family is hashed into one sha256 digest.  A refactor that
 keeps behaviour keeps every digest; an intended behaviour change updates the
 digest it moves and says why.
 
-Run ``python tests/test_snapshot.py`` to print the current digests.
+Run ``PYTHONPATH=src python tests/test_snapshot.py`` to print the current digests.
 """
 
 from __future__ import annotations
