@@ -1,0 +1,67 @@
+"""Snapshot parity for the toy PPO loop: pinned digests of its outputs.
+
+Short fixed-seed runs of the assertion setup write ``metrics.v1`` rows and
+the chosen ``policy.v1`` checkpoint exactly as ``tqual train-toy`` does, and
+each is hashed into one sha256 digest.  A change that keeps the sampled
+streams, rewards, KL terms and gradient steps bit-identical keeps every
+digest; an intended behaviour change updates the digest it moves and says
+why.
+
+Run ``PYTHONPATH=src python tests/test_trainer_snapshot.py`` to print the
+current digests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from toy_setup import TOY_FOCAL, assert_seeded_policy, toy_config
+from tqual.corpus import dump_line
+from tqual.rewards import RewardScheme
+from tqual.rlcore.trainer import make_analyzer_reward, train_toy_policy
+
+RUNS = {
+    "assert": dict(episodes=300, eval_interval=100, eval_samples=30, seed=7),
+    "assert_top_p": dict(episodes=300, eval_interval=100, eval_samples=30, seed=11,
+                         top_p=0.8),
+}
+
+
+def _run(overrides: dict) -> dict[str, str]:
+    reward_fn, report_fn = make_analyzer_reward(
+        RewardScheme.individual("has_assertion"), TOY_FOCAL
+    )
+    trained, metrics = train_toy_policy(
+        assert_seeded_policy(), reward_fn, toy_config(**overrides), report_fn
+    )
+    rows = "".join(dump_line(entry.to_dict()) + "\n" for entry in metrics)
+    policy = json.dumps(trained.to_dict(), sort_keys=True) + "\n"
+    return {
+        "metrics": hashlib.sha256(rows.encode("utf-8")).hexdigest(),
+        "policy": hashlib.sha256(policy.encode("utf-8")).hexdigest(),
+    }
+
+
+PINNED = {
+    "assert": {
+        "metrics": "87bd8586e88d0354201483bcb1a242f9897418ba2557e0326cc67e53e0e386b0",
+        "policy": "360ef751d452809a1314008d0dead4c4d499b638f46c48f2eef770e95efcfbc6",
+    },
+    "assert_top_p": {
+        "metrics": "bad2cda3e0338fc9be0612e9f67f24090c443106b8fed00837716d9c8c9c9745",
+        "policy": "9fe844afa731569b6d2291f437b6e4aef61e463a63bcfc46bfe0f2af4c0252d0",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_trainer_snapshot_digest(run):
+    assert _run(RUNS[run]) == PINNED[run]
+
+
+if __name__ == "__main__":
+    for name in sorted(RUNS):
+        print(f'    "{name}": {_run(RUNS[name])},')
