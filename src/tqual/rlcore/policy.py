@@ -13,6 +13,7 @@ softmax of the logits; the decoding knobs shape exploration only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -132,12 +133,12 @@ class PolicyTable:
 
 
 def _softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - np.max(row)
+    shifted = row - row.max()
     exp = np.exp(shifted)
     return exp / exp.sum()
 
 def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - np.max(row)
+    shifted = row - row.max()
     return shifted - np.log(np.exp(shifted).sum())
 
 
@@ -170,12 +171,14 @@ def sample_completion(
 ) -> SampledCompletion:
     if max_tokens < 1:
         raise DomainError(f"max_tokens must be positive, got {max_tokens}")
-    if temperature < 0:
-        raise DomainError(f"temperature cannot be negative, got {temperature}")
+    if not (0 <= temperature < math.inf):
+        raise DomainError(f"temperature must be finite and non-negative, got {temperature}")
     if not (0 < top_p <= 1):
         raise DomainError(f"top_p must lie in (0, 1], got {top_p}")
-    if frequency_penalty < 0:
-        raise DomainError(f"frequency_penalty cannot be negative, got {frequency_penalty}")
+    if not (0 <= frequency_penalty < math.inf):
+        raise DomainError(
+            f"frequency_penalty must be finite and non-negative, got {frequency_penalty}"
+        )
 
     counts = np.zeros(policy.size)
     state = policy.stop_index
@@ -211,11 +214,19 @@ def sample_completion(
 
 
 def _nucleus_draw(probs: np.ndarray, top_p: float, rng: np.random.Generator) -> int:
-    """Sample from the smallest probability-sorted prefix with mass >= top_p."""
-    order = np.argsort(-probs, kind="stable")
-    cumulative = np.cumsum(probs[order])
-    cut = int(np.searchsorted(cumulative, top_p, side="left")) + 1
-    keep = order[: min(cut, len(order))]
+    """Sample from the smallest probability-sorted prefix with mass >= top_p.
+
+    The draw is the inverse-cdf step that ``rng.choice(len(keep), p=kept)``
+    performs, without its argument checks: it takes the same single uniform
+    from ``rng`` and returns the same index.
+    """
+    order = (-probs).argsort(kind="stable")
+    cumulative = probs[order].cumsum()
+    cut = int(cumulative.searchsorted(top_p, side="left")) + 1
+    keep = order[:cut]
     kept = probs[keep]
-    kept = kept / kept.sum()
-    return int(keep[rng.choice(len(keep), p=kept)])
+    cdf = (kept / kept.sum()).cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise DomainError("next-token distribution is not finite; the logits overflowed")
+    cdf /= cdf[-1]
+    return int(keep[cdf.searchsorted(rng.random(), side="right")])

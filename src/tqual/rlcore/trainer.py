@@ -13,11 +13,20 @@ it with the corpus scorer, and keeps the weights from the best evaluation.
 Rewards are pluggable.  ``make_analyzer_reward`` renders token sequences as
 test methods and scores them with the static analyzer;
 ``make_model_reward`` does the same through a trained reward model.
+
+Each piece of work is done once.  ``analyze`` is pure, so the analyzer
+reward memoises reports per run in a bounded dict keyed by the rendered
+text, and its reward and report functions share it: sampled texts repeat
+often, and evaluation's quality pass only reads back what its reward pass
+stored.  The policy is frozen while a batch is collected and while an
+evaluation runs, so each visited row's reference KL (and, in a batch, its
+log-probabilities) is computed once and reused by every episode in it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -45,6 +54,10 @@ __all__ = [
 
 RewardFn = Callable[[Sequence[str]], float]
 ReportFn = Callable[[Sequence[str]], QualityReport]
+
+# Most reports one analyzer reward keeps.  A 2000-episode toy run renders a
+# few hundred distinct texts; past the bound the oldest report is dropped.
+REPORT_CACHE_SIZE = 4096
 
 # Offset added to the training seed for validation sampling, so evaluation
 # draws never share a stream with collection.
@@ -78,6 +91,10 @@ class TrainConfig:
     eval_samples: int = 100
 
     def __post_init__(self) -> None:
+        # One-sided range checks such as ``beta < 0`` let NaN and inf through.
+        for name in ("beta", "learning_rate", "temperature", "frequency_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta < 0:
             raise DomainError(f"beta must be non-negative, got {self.beta}")
         if not (0 < self.epsilon < 1):
@@ -128,14 +145,29 @@ def make_analyzer_reward(
     scheme: RewardScheme, focal_name: str
 ) -> tuple[RewardFn, ReportFn]:
     """Reward straight from the static analyzer, plus the matching report
-    function for metrics and checkpoint scoring."""
+    function for metrics and checkpoint scoring.
+
+    Both read one dict of reports keyed by the rendered text, so a text is
+    analyzed once while it stays among the last ``REPORT_CACHE_SIZE``
+    stored.  ``report_fn.reports`` is that dict.
+    """
+    reports: dict[str, QualityReport] = {}
+    bound = REPORT_CACHE_SIZE
 
     def report_fn(tokens: Sequence[str]) -> QualityReport:
-        return analyze(render_toy_test(tokens, focal_name), focal_name)
+        text = render_toy_test(tokens, focal_name)
+        report = reports.get(text)
+        if report is None:
+            report = analyze(text, focal_name)
+            if len(reports) >= bound:
+                del reports[next(iter(reports))]
+            reports[text] = report
+        return report
 
     def reward_fn(tokens: Sequence[str]) -> float:
         return reward_for(report_fn(tokens), scheme)
 
+    report_fn.reports = reports  # type: ignore[attr-defined]
     return reward_fn, report_fn
 
 
@@ -201,8 +233,28 @@ def generate_completions(
     ]
 
 
-def _episode_kl(policy: PolicyTable, states: Sequence[int]) -> float:
-    return float(np.mean([policy.kl_from_reference(s) for s in states]))
+class _FrozenRows:
+    """Per-row values of a policy that does not change while they are read:
+    each visited row's reference KL and log-probabilities, computed once by
+    the policy's own per-row code and reused."""
+
+    def __init__(self, policy: PolicyTable) -> None:
+        self.policy = policy
+        self._kl: dict[int, float] = {}
+        self._log_probs: dict[int, np.ndarray] = {}
+
+    def episode_kl(self, states: Sequence[int]) -> float:
+        kl = self._kl
+        for state in states:
+            if state not in kl:
+                kl[state] = self.policy.kl_from_reference(state)
+        return float(np.mean([kl[s] for s in states]))
+
+    def log_prob(self, state: int, action: int) -> float:
+        row = self._log_probs.get(state)
+        if row is None:
+            row = self._log_probs[state] = self.policy.log_probs(state)
+        return float(row[action])
 
 
 def _evaluate(
@@ -219,8 +271,9 @@ def _evaluate(
     completions = generate_completions(
         policy, cfg, seed=cfg.seed + _VAL_SEED_OFFSET, count=cfg.eval_samples
     )
+    rows = _FrozenRows(policy)
     rewards = [reward_fn(c.tokens) for c in completions]
-    kls = [_episode_kl(policy, c.states) for c in completions]
+    kls = [rows.episode_kl(c.states) for c in completions]
     mean_reward = float(np.mean(rewards))
     mean_kl = float(np.mean(kls))
 
@@ -284,6 +337,7 @@ def train_toy_policy(
     while episodes_done < cfg.episodes:
         batch_size = min(cfg.batch_size, cfg.episodes - episodes_done)
         episodes: list[_Episode] = []
+        rows = _FrozenRows(work)
         for _ in range(batch_size):
             completion = sample_completion(
                 work,
@@ -294,7 +348,7 @@ def train_toy_policy(
                 frequency_penalty=cfg.frequency_penalty,
             )
             raw = float(reward_fn(completion.tokens))
-            kl = _episode_kl(work, completion.states)
+            kl = rows.episode_kl(completion.states)
             total = kl_penalized_reward(raw, kl, cfg.beta)
             advantage = total - baseline
             steps = [
@@ -306,7 +360,7 @@ def train_toy_policy(
                     advantage=advantage,
                 )
                 for state, action in zip(completion.states, completion.actions)
-                for logprob in [float(work.log_probs(state)[action])]
+                for logprob in [rows.log_prob(state, action)]
             ]
             episodes.append(_Episode(steps=steps, reward=total))
         episodes_done += batch_size

@@ -380,6 +380,19 @@ def test_sample_count_below_one_is_usage_error(tmp_path, capsys, count):
     assert "--count must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("line", ["train.temperature = nan", "train.frequency_penalty = inf"])
+def test_sample_with_non_finite_config_is_usage_error(tmp_path, capsys, line):
+    policy_path = tmp_path / "policy.json"
+    assert main(["train-toy", "--episodes", "10", "--out", str(policy_path)]) == 0
+    capsys.readouterr()
+    cfg_path = tmp_path / "pipeline.cfg"
+    cfg_path.write_text(line + "\n")
+    assert main(["sample", "--policy", str(policy_path), "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_train_toy_vocab_must_include_stop_token(tmp_path):
     vocab_path = tmp_path / "vocab.txt"
     vocab_path.write_text("Assert\n(\n)\n")

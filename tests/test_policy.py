@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from tqual.errors import DomainError
-from tqual.rlcore.policy import PolicyTable, SampledCompletion, sample_completion
+from tqual.rlcore.policy import (
+    PolicyTable,
+    SampledCompletion,
+    _nucleus_draw,
+    sample_completion,
+)
 
 VOCAB = ("</s>", "Assert", "(", ")", ";", "x")
 
@@ -204,6 +209,68 @@ def test_sampling_parameter_validation():
     with pytest.raises(DomainError):
         sample_completion(policy, rng, max_tokens=1, temperature=1.0, top_p=1.0,
                           frequency_penalty=-0.5)
+
+
+@pytest.mark.parametrize("knob", ["temperature", "frequency_penalty"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_sampling_rejects_non_finite_knobs(knob, value):
+    with pytest.raises(DomainError, match=f"{knob} must be finite"):
+        draw(uniform(), **{knob: value})
+
+
+def test_overflowing_logits_are_a_domain_error():
+    policy = uniform()
+    policy.logits[0, 1] = 1e305
+    # Dividing by the temperature overflows the row to inf, so the softmax
+    # turns to NaN; the draw must refuse it rather than return an index.
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
+        draw(policy, temperature=1e-7)
+    with pytest.raises(DomainError, match="not finite"):
+        _nucleus_draw(np.full(4, np.nan), 1.0, np.random.default_rng(0))
+
+
+# ── the nucleus draw against rng.choice ──────────────────────────────
+
+
+def _choice_draw(probs: np.ndarray, top_p: float, rng: np.random.Generator) -> int:
+    """The nucleus draw as ``rng.choice`` makes it, with the same top-p cut."""
+    order = np.argsort(-probs, kind="stable")
+    cumulative = np.cumsum(probs[order])
+    cut = int(np.searchsorted(cumulative, top_p, side="left")) + 1
+    keep = order[: min(cut, len(order))]
+    kept = probs[keep]
+    return int(keep[rng.choice(len(keep), p=kept / kept.sum())])
+
+
+def _rows(source: np.random.Generator):
+    """Seeded distributions 1 to 50 wide: spread, rounded (tied), uniform
+    and one-hot-like rows, each with a full and a cut nucleus."""
+    for width in range(1, 51):
+        for trial in range(40):
+            logits = source.normal(0.0, 3.0, width)
+            if trial % 4 == 1:
+                logits = np.round(logits)
+            elif trial % 4 == 2:
+                logits = np.zeros(width)
+            elif trial % 4 == 3:
+                logits[int(source.integers(width))] += 30.0
+            exp = np.exp(logits - logits.max())
+            probs = exp / exp.sum()
+            top_p = 1.0 if trial % 2 else float(source.uniform(0.0, 1.0)) or 0.5
+            yield probs, top_p
+        # Cuts that land exactly on a tie boundary of a uniform row.
+        yield np.full(width, 1.0 / width), 0.5
+
+
+def test_nucleus_draw_matches_rng_choice_and_its_stream():
+    ours = np.random.default_rng(20231004)
+    reference = np.random.default_rng(20231004)
+    draws = 0
+    for probs, top_p in _rows(np.random.default_rng(7)):
+        assert _nucleus_draw(probs, top_p, ours) == _choice_draw(probs, top_p, reference)
+        assert ours.bit_generator.state == reference.bit_generator.state
+        draws += 1
+    assert draws == 50 * 41
 
 
 def test_completion_text_joins_tokens():

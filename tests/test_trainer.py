@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from tqual.analyzer import PROPERTY_FIELDS
 from tqual.errors import DomainError
 from tqual.rewards import RewardScheme
 from tqual.rlcore.policy import PolicyTable
+from tqual.rlcore import trainer
 from tqual.rlcore.reward_model import LinearRewardModel
 from tqual.rlcore.trainer import (
     DEFAULT_VOCAB,
@@ -60,6 +63,16 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(DomainError):
         TrainConfig(baseline_decay=1.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["beta", "learning_rate", "temperature", "frequency_penalty"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_values(name, value):
+    # ``nan < 0`` is False, so a sign check alone lets NaN through.
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
 
 
 def test_config_to_dict_round_trips_through_constructor():
@@ -235,3 +248,105 @@ def test_metrics_entry_serialization():
         "quality_score": 0.4,
         "frequencies": {"has_assertion": 0.5},
     }
+
+
+def test_overflowing_logits_stop_the_run():
+    init = assert_seeded_policy()
+    reward_fn, report_fn = make_analyzer_reward(
+        RewardScheme.individual("has_assertion"), TOY_FOCAL
+    )
+    cfg = toy_config(episodes=100, eval_interval=50, eval_samples=10,
+                     learning_rate=1e308)
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
+        train_toy_policy(init, reward_fn, cfg, report_fn)
+
+
+# ── each piece of work once ──────────────────────────────────────────
+
+
+def _counted_run(monkeypatch, cfg):
+    """Train with counters on ``analyze``, ``kl_from_reference`` and
+    ``log_probs``.
+
+    Returns the analyzed texts, the per-row calls keyed by (method, phase,
+    weights, row), the sizes of the report dict seen at each analysis, the
+    dict itself and the metrics.
+    """
+    texts: list[str] = []
+    row_calls: list[tuple] = []
+    sizes: list[int] = []
+    phase = ["collect"]
+
+    real_analyze = trainer.analyze
+    real_kl = PolicyTable.kl_from_reference
+    real_log_probs = PolicyTable.log_probs
+    real_evaluate = trainer._evaluate
+    real_ascend = trainer._ascend
+
+    def counting_analyze(source, focal):
+        texts.append(source)
+        sizes.append(len(report_fn.reports))
+        return real_analyze(source, focal)
+
+    def counting_kl(self, state):
+        row_calls.append(("kl", phase[0], self.logits.tobytes(), state))
+        return real_kl(self, state)
+
+    def counting_log_probs(self, state):
+        row_calls.append(("log_probs", phase[0], self.logits.tobytes(), state))
+        return real_log_probs(self, state)
+
+    def marked(name, fn):
+        def wrapper(*args, **kwargs):
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = "collect"
+        return wrapper
+
+    monkeypatch.setattr(trainer, "analyze", counting_analyze)
+    monkeypatch.setattr(PolicyTable, "kl_from_reference", counting_kl)
+    monkeypatch.setattr(PolicyTable, "log_probs", counting_log_probs)
+    monkeypatch.setattr(trainer, "_evaluate", marked("eval", real_evaluate))
+    monkeypatch.setattr(trainer, "_ascend", marked("ascend", real_ascend))
+    reward_fn, report_fn = make_analyzer_reward(
+        RewardScheme.individual("has_assertion"), TOY_FOCAL
+    )
+    _, metrics = train_toy_policy(assert_seeded_policy(), reward_fn, cfg, report_fn)
+    return texts, row_calls, sizes, report_fn.reports, metrics
+
+
+def test_each_text_is_analyzed_and_each_row_computed_once(monkeypatch):
+    cfg = toy_config(episodes=300, eval_interval=100, eval_samples=30)
+    texts, row_calls, sizes, reports, _ = _counted_run(monkeypatch, cfg)
+
+    # Once per distinct rendered text per run: evaluation's report pass and
+    # repeated samples are all served from the dict.
+    assert texts and max(Counter(texts).values()) == 1
+    assert len(reports) == len(texts)
+    assert max(sizes) < trainer.REPORT_CACHE_SIZE
+
+    # The weights are frozen within a batch, an evaluation and an ascent
+    # pass, so a (method, phase, weights, row) key seen twice is a
+    # recomputation.
+    assert max(Counter(row_calls).values()) == 1
+    batches = cfg.episodes // cfg.batch_size
+    evaluations = 1 + cfg.episodes // cfg.eval_interval
+    kl_calls = [call for call in row_calls if call[0] == "kl"]
+    assert 0 < len(kl_calls) <= (batches + evaluations) * len(VOCAB_ASSERT)
+    collected = [call for call in row_calls if call[:2] == ("log_probs", "collect")]
+    assert 0 < len(collected) <= batches * len(VOCAB_ASSERT)
+
+
+def test_report_dict_stays_within_its_bound(monkeypatch):
+    cfg = toy_config(episodes=200, eval_interval=100, eval_samples=30)
+    _, _, _, _, unbounded = _counted_run(monkeypatch, cfg)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(trainer, "REPORT_CACHE_SIZE", 8)
+    texts, _, sizes, reports, bounded = _counted_run(monkeypatch, cfg)
+    assert max(sizes) <= 8 and len(reports) == 8
+    # Evicted texts are analyzed again, and the run's output is unchanged.
+    assert len(texts) > len(set(texts))
+    assert [m.to_dict() for m in bounded] == [m.to_dict() for m in unbounded]
