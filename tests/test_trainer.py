@@ -17,8 +17,8 @@ from toy_setup import (
 from tqual.analyzer import PROPERTY_FIELDS
 from tqual.errors import DomainError
 from tqual.rewards import RewardScheme
-from tqual.rlcore.policy import PolicyTable
 from tqual.rlcore import trainer
+from tqual.rlcore.policy import PolicyTable
 from tqual.rlcore.reward_model import LinearRewardModel
 from tqual.rlcore.trainer import (
     DEFAULT_VOCAB,
