@@ -12,12 +12,16 @@ but not parsed.  An unterminated literal or block comment yields a single
 directives are consumed as line tokens sharing the ``comment-line`` kind;
 downstream consumers that care distinguish them by text prefix.
 
-One compiled pattern classifies the token at each position.  Hand code
-runs only where context decides: an interpolated string's holes, a ``#``
-that opens a line, a ``[`` that may open an attribute list, and an
-unterminated literal or comment.  It also turns away a word that the
-regex word class admits but C# does not, one starting with a digit or
-numeral that is not a letter.
+One compiled pattern matches each token together with the whitespace
+before it, so the scan makes one match per token and builds no token for
+whitespace.  Words are classified in the loop: a reserved word is a
+keyword, any other word that starts with a letter or ``_`` an
+identifier.  Hand code runs only where context decides: an interpolated
+string's holes, a ``#`` that opens a line, a ``[`` that may open an
+attribute list, and an unterminated literal or comment.  It also turns
+away a word that the regex word class admits but C# does not, one
+starting with a digit or numeral that is not a letter, and resolves an
+``@`` word.
 """
 
 from __future__ import annotations
@@ -68,37 +72,44 @@ class Token(NamedTuple):
     offset: int  # character offset of ``text`` in the source
 
 
-# Groups named after a TokenKind member yield that kind as matched; the
-# rest go to hand code in ``_resolve``.  Earlier alternatives win, so
-# comments beat ``/``, literals beat their unterminated openers and
-# ``??=`` beats ``??`` beats ``?``.  Numbers take Unicode decimal digits
-# (``\d``); a digit that is not decimal, such as ``²``, is an error unless
-# it continues a word.
+# Each match is the whitespace before a token, then the token.  Groups
+# named after a TokenKind member yield that kind as matched; ``END`` ends
+# the scan, and the rest go to the loop's word lookup or to hand code in
+# ``_resolve``.  Earlier alternatives win, so comments beat ``/``,
+# literals beat their unterminated openers and ``??=`` beats ``??`` beats
+# ``?``.  ``ERROR`` or ``END`` matches wherever the others fail, so the
+# engine never backtracks into the whitespace prefix.  Numbers take
+# Unicode decimal digits (``\d``); a digit that is not decimal, such as
+# ``²``, is an error unless it continues a word.
 _TOKEN = re.compile(
     r"""
-    (?P<WHITESPACE>[ \t\r\n\f\v]+)
-  | (?P<COMMENT_LINE>//[^\n]*)
-  | (?P<COMMENT_BLOCK>/\*.*?\*/)
-  | (?P<STRING>"(?:\\.|[^"\\\n])*"
-              | @"(?:[^"]|"")*"(?!"))  # (?!") stops backtracking into a "" escape
-  | (?P<CHAR>'(?:\\.[^'\n]*|[^'\n\\])?')
-  | (?P<INTERPOLATED>\$@?"|@\$")
-  | (?P<UNTERMINATED>/\*|@?"|')
-  | (?P<NUMBER>(?:0[xXbB][0-9a-fA-F_]*
-               | \d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDmMuUlL]*)
-  | (?P<WORD>@?[^\W\d]\w*)
-  | (?P<HASH>\#)
-  | (?P<BRACKET>\[)
-  | (?P<PUNCTUATION>\?\?= | <<= | >>=
-                   | => | [=!<>+\-*/%&|^]= | && | \|\| | \?\? | \?\. | \+\+ | -- | -> | :: | << | >>
-                   | [(){}\]<>.,;:?!+\-*/%=&|^~@$])
-  | (?P<ERROR>.)
+    [ \t\r\n\f\v]*
+    (?:
+      (?P<COMMENT_LINE>//[^\n]*)
+    | (?P<COMMENT_BLOCK>/\*.*?\*/)
+    | (?P<STRING>"(?:\\.|[^"\\\n])*"
+                | @"(?:[^"]|"")*"(?!"))  # (?!") stops backtracking into a "" escape
+    | (?P<CHAR>'(?:\\.[^'\n]*|[^'\n\\])?')
+    | (?P<INTERPOLATED>\$@?"|@\$")
+    | (?P<UNTERMINATED>/\*|@?"|')
+    | (?P<NUMBER>(?:0[xXbB][0-9a-fA-F_]*
+                 | \d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDmMuUlL]*)
+    | (?P<WORD>@?[^\W\d]\w*)
+    | (?P<HASH>\#)
+    | (?P<BRACKET>\[)
+    | (?P<PUNCTUATION>\?\?= | <<= | >>=
+                     | => | [=!<>+\-*/%&|^]= | && | \|\| | \?\? | \?\. | \+\+ | -- | -> | :: | << | >>
+                     | [(){}\]<>.,;:?!+\-*/%=&|^~@$])
+    | (?P<ERROR>.)
+    | (?P<END>\Z)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
 _KIND_OF_GROUP = {
     name: TokenKind[name] for name in _TOKEN.groupindex if name in TokenKind.__members__
 }
+_KIND_OF_WORD = dict.fromkeys(RESERVED_KEYWORDS, TokenKind.KEYWORD)
 _LITERAL_GROUPS = frozenset({"STRING", "CHAR", "COMMENT_LINE", "COMMENT_BLOCK"})
 
 # Runs of text the hand scanners step over in one match.
@@ -210,28 +221,27 @@ def _opens_line(source: str, i: int) -> bool:
     return k < 0 or source[k] == "\n"
 
 
-def _resolve(source: str, m: re.Match, significant: list[Token],
+def _resolve(source: str, group: str, start: int, end: int, significant: list[Token],
              decided: dict[int, int | None]) -> tuple[TokenKind, int]:
-    """Kind and end of a token whose kind depends on context."""
-    group, pos, end = m.lastgroup, m.start(), m.end()
+    """Kind and end of the token that ``group`` matched at ``start:end``,
+    where context decides."""
     if group == "WORD":
-        at = source[pos] == "@"
-        if source[pos + at].isalpha() or source[pos + at] == "_":
-            word = source[pos:end]
-            return (TokenKind.KEYWORD if word in RESERVED_KEYWORDS else TokenKind.IDENTIFIER), end
+        at = source[start] == "@"
+        if source[start + at].isalpha() or source[start + at] == "_":
+            return _KIND_OF_WORD.get(source[start:end], TokenKind.IDENTIFIER), end
         # \w also admits digits and numerals that are not letters.
-        return (TokenKind.PUNCTUATION if at else TokenKind.ERROR), pos + 1
+        return (TokenKind.PUNCTUATION if at else TokenKind.ERROR), start + 1
     if group == "HASH":
-        if not _opens_line(source, pos):
+        if not _opens_line(source, start):
             return TokenKind.PUNCTUATION, end
-        end = source.find("\n", pos)
+        end = source.find("\n", start)
         return TokenKind.COMMENT_LINE, (len(source) if end < 0 else end)
     if group == "BRACKET":
-        attribute_end = (_opens_attribute(source, pos, significant)
-                         and _scan_attribute(source, pos, decided))
+        attribute_end = (_opens_attribute(source, start, significant)
+                         and _scan_attribute(source, start, decided))
         return (TokenKind.ATTRIBUTE, attribute_end) if attribute_end else (TokenKind.PUNCTUATION, end)
     if group == "INTERPOLATED":
-        end = _scan_interpolated(source, end, verbatim="@" in m.group())
+        end = _scan_interpolated(source, end, verbatim="@" in source[start:end])
     if group == "UNTERMINATED" or end is None:
         return TokenKind.ERROR, len(source)
     return TokenKind.STRING, end
@@ -243,19 +253,25 @@ def scan(source: str) -> tuple[list[Token], list[Token]]:
     significant: list[Token] = []
     comments: list[Token] = []
     decided: dict[int, int | None] = {}
-    match, kind_of_group = _TOKEN.match, _KIND_OF_GROUP.get
-    pos, n = 0, len(source)
-    while pos < n:
+    match, kind_of_group, kind_of_word = _TOKEN.match, _KIND_OF_GROUP.get, _KIND_OF_WORD.get
+    # tuple.__new__ builds the same Token without the NamedTuple's Python __new__ frame.
+    new, identifier, comment_kinds = tuple.__new__, TokenKind.IDENTIFIER, _COMMENT_KINDS
+    pos = 0
+    while True:
         m = match(source, pos)
-        kind = kind_of_group(m.lastgroup)
-        end = m.end()
+        group = m.lastgroup
+        start, pos = m.span(group)
+        kind = kind_of_group(group)
         if kind is None:
-            kind, end = _resolve(source, m, significant, decided)
-        if kind is not TokenKind.WHITESPACE:
-            token = Token(kind, source[pos:end], pos)
-            (comments if kind in _COMMENT_KINDS else significant).append(token)
-        pos = end
-    return significant, comments
+            if group == "WORD" and (source[start].isalpha() or source[start] == "_"):
+                text = source[start:pos]
+                significant.append(new(Token, (kind_of_word(text, identifier), text, start)))
+                continue
+            if group == "END":
+                return significant, comments
+            kind, pos = _resolve(source, group, start, pos, significant, decided)
+        token = new(Token, (kind, source[start:pos], start))
+        (comments if kind in comment_kinds else significant).append(token)
 
 
 def tokenize(source: str) -> list[Token]:

@@ -250,37 +250,40 @@ def _to_semicolon(cur: _Cursor) -> None:
 
 # ── shared checks ────────────────────────────────────────────────────────
 
-
-def _lex_diagnostics(significant: list[Token]) -> list[SyntaxDiagnostic]:
-    return [
-        SyntaxDiagnostic("unterminated literal, comment, or unsupported character",
-                         t.offset, FATAL)
-        for t in significant
-        if t.kind is TokenKind.ERROR
-    ]
+_ERROR_TOKEN_MESSAGE = "unterminated literal, comment, or unsupported character"
 
 
-def _balance_diagnostics(significant: list[Token]) -> list[SyntaxDiagnostic]:
-    """Stack-match (), [], {} over the significant tokens.
+def _token_diagnostics(significant: list[Token]) -> list[SyntaxDiagnostic]:
+    """A diagnostic for each ``error`` token, in source order, then one for
+    the first delimiter fault, if any.
 
-    Attribute tokens are internally balanced and skipped.  Any mismatch is
+    (), [] and {} are stack-matched over the punctuation; attribute tokens
+    are internally balanced and skipped.  The first unmatched closer, or
+    else the innermost opener left unclosed, is the fault.  Any fault is
     fatal: this is the soundness floor under check_syntax."""
-    stack: list[tuple[str, int]] = []
     diags: list[SyntaxDiagnostic] = []
-    for tok in significant:
-        if tok.kind is not TokenKind.PUNCTUATION:
-            continue
-        if tok.text in _OPENERS:
-            stack.append((tok.text, tok.offset))
-        elif tok.text in _CLOSERS:
-            if not stack or stack[-1][0] != _CLOSERS[tok.text]:
-                diags.append(SyntaxDiagnostic(
-                    f"unmatched '{tok.text}'", tok.offset, FATAL))
-                return diags
-            stack.pop()
-    if stack:
-        opener, offset = stack[-1]
-        diags.append(SyntaxDiagnostic(f"unclosed '{opener}'", offset, FATAL))
+    stack: list[Token] = []
+    fault = None
+    error, punctuation = TokenKind.ERROR, TokenKind.PUNCTUATION
+    tokens = iter(significant)
+    for tok in tokens:
+        kind, text, offset = tok
+        if kind is error:
+            diags.append(SyntaxDiagnostic(_ERROR_TOKEN_MESSAGE, offset, FATAL))
+        elif kind is punctuation:
+            if text in _OPENERS:
+                stack.append(tok)
+            elif text in _CLOSERS:
+                if not stack or stack[-1].text != _CLOSERS[text]:
+                    fault = SyntaxDiagnostic(f"unmatched '{text}'", offset, FATAL)
+                    break
+                stack.pop()
+    if fault is None and stack:
+        fault = SyntaxDiagnostic(f"unclosed '{stack[-1].text}'", stack[-1].offset, FATAL)
+    if fault is not None:
+        diags.extend(SyntaxDiagnostic(_ERROR_TOKEN_MESSAGE, t.offset, FATAL)
+                     for t in tokens if t.kind is error)
+        diags.append(fault)
     return diags
 
 
@@ -347,7 +350,7 @@ class _Parser:
     def __init__(self, source: str):
         significant, comments = tokenize(source)
         self.cur = _Cursor(source, significant, comments)
-        self.diags = _lex_diagnostics(significant) + _balance_diagnostics(significant)
+        self.diags = _token_diagnostics(significant)
         self.depth = 0
         self.capped = False
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqual.lexer import RESERVED_KEYWORDS, Token, TokenKind, tokenize
+from tqual import lexer
+from tqual.lexer import RESERVED_KEYWORDS, Token, TokenKind, scan, tokenize
 from tqual.parser import check_syntax
 
 
@@ -319,3 +321,99 @@ def test_token_is_frozen():
     except AttributeError:
         return
     raise AssertionError("Token should be immutable")
+
+
+# ── the whitespace prefix ────────────────────────────────────────────
+
+
+def test_whitespace_alone_makes_no_token():
+    assert scan("") == ([], [])
+    assert scan(" \t\r\n\f\v ") == ([], [])
+    assert scan("x \n\t") == ([Token(TokenKind.IDENTIFIER, "x", 0)], [])
+
+
+def test_no_break_space_is_still_an_error():
+    # Only ASCII whitespace separates tokens; U+00A0 is outside the subset.
+    assert scan("x\xa0 y") == ([Token(TokenKind.IDENTIFIER, "x", 0),
+                                 Token(TokenKind.ERROR, "\xa0", 1),
+                                 Token(TokenKind.IDENTIFIER, "y", 3)], [])
+
+
+def test_directive_after_leading_tabs_is_a_line_token():
+    significant, comments = scan("x;\n\t\t#if DEBUG\n\t\ty;")
+    assert comments == [Token(TokenKind.COMMENT_LINE, "#if DEBUG", 5)]
+    assert [t.text for t in significant] == ["x", ";", "y", ";"]
+    # A form feed before the '#' is whitespace but does not open a line.
+    assert scan("\f#if")[0][0] == Token(TokenKind.PUNCTUATION, "#", 1)
+
+
+# ── scan against the loop it replaced ────────────────────────────────
+#
+# The reference makes one match per position, whitespace runs included,
+# builds each token through the NamedTuple constructor and sends every
+# word through ``_resolve``.  ``scan`` must give the same tokens.
+
+_REFERENCE_TOKEN = re.compile(
+    r"""
+    (?P<WHITESPACE>[ \t\r\n\f\v]+)
+  | (?P<COMMENT_LINE>//[^\n]*)
+  | (?P<COMMENT_BLOCK>/\*.*?\*/)
+  | (?P<STRING>"(?:\\.|[^"\\\n])*"
+              | @"(?:[^"]|"")*"(?!"))
+  | (?P<CHAR>'(?:\\.[^'\n]*|[^'\n\\])?')
+  | (?P<INTERPOLATED>\$@?"|@\$")
+  | (?P<UNTERMINATED>/\*|@?"|')
+  | (?P<NUMBER>(?:0[xXbB][0-9a-fA-F_]*
+               | \d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDmMuUlL]*)
+  | (?P<WORD>@?[^\W\d]\w*)
+  | (?P<HASH>\#)
+  | (?P<BRACKET>\[)
+  | (?P<PUNCTUATION>\?\?= | <<= | >>=
+                   | => | [=!<>+\-*/%&|^]= | && | \|\| | \?\? | \?\. | \+\+ | -- | -> | :: | << | >>
+                   | [(){}\]<>.,;:?!+\-*/%=&|^~@$])
+  | (?P<ERROR>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_REFERENCE_KINDS = {
+    name: TokenKind[name] for name in _REFERENCE_TOKEN.groupindex if name in TokenKind.__members__
+}
+
+
+def reference_scan(source: str) -> tuple[list[Token], list[Token]]:
+    significant: list[Token] = []
+    comments: list[Token] = []
+    decided: dict[int, int | None] = {}
+    pos = 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN.match(source, pos)
+        kind = _REFERENCE_KINDS.get(m.lastgroup)
+        end = m.end()
+        if kind is None:
+            kind, end = lexer._resolve(source, m.lastgroup, pos, end, significant, decided)
+        if kind is not TokenKind.WHITESPACE:
+            token = Token(kind, source[pos:end], pos)
+            comments_kind = kind in (TokenKind.COMMENT_LINE, TokenKind.COMMENT_BLOCK)
+            (comments if comments_kind else significant).append(token)
+        pos = end
+    return significant, comments
+
+
+SALT = [
+    "\f", "\v", "\xa0", "\u2028", "²", "Ⅷ", "x²", "@class", "@x", "@²", "@Ⅷx",
+    "\n  #if DEBUG\n", "\n\t#region R\n", " # ", '$"{', '$@"{x}"', '@$"', "[A(", "[",
+    "'", '"', "/*", "é", "_x", "1e²", "١٢", "@", "$",
+]
+_SALTED_SOUPS = st.builds(
+    lambda fragments, tail: "".join(fragments) + tail,
+    st.lists(st.sampled_from(CODE_FRAGMENTS + SALT), max_size=40),
+    st.sampled_from(["", " ", "\n", " \t\r\n", "\f", "\v"]),
+)
+
+
+@given(st.one_of(st.text(max_size=300), _SALTED_SOUPS))
+@settings(max_examples=300, deadline=None)
+def test_scan_matches_the_reference_loop(source):
+    got = scan(source)
+    assert got == reference_scan(source)
+    assert all(type(tok) is Token for tokens in got for tok in tokens)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqual import parser
 from tqual.analyzer import analyze
-from tqual.nodes import Invocation
+from tqual.lexer import TokenKind, scan
+from tqual.nodes import FATAL, Invocation, SyntaxDiagnostic
 from tqual.parser import (
     MAX_NESTING,
     check_syntax,
@@ -316,6 +318,67 @@ def test_recovered_tree_is_pinned(body, shape, diags, calls):
     assert outline(tree.statements()) == shape
     assert diagnostics(tree) == diags
     assert [i.chain for i in invocations(source)] == calls
+
+
+@pytest.mark.parametrize("body, diags", [
+    # At end of input the offset is where trailing whitespace starts, or
+    # else the start of the last token, comments included.
+    ("    x.Run()", [("input ends mid-statement", 41), ("method body not closed", 41)]),
+    ("    x.Run()  \n\t", [("input ends mid-statement", 42), ("method body not closed", 42)]),
+    ("    x.Run();", [("method body not closed", 42)]),
+    ("    x.Run();\n  ", [("method body not closed", 43)]),
+    ("    x.Run(); // end", [("method body not closed", 44)]),
+    ("    x.Run(); // end\n ", [("method body not closed", 50)]),
+])
+def test_end_of_input_diagnostic_offsets_are_pinned(body, diags):
+    tree = parse_test_method(HEAD + body)
+    assert diagnostics(tree) == [("unclosed '{'", 29)] + diags
+
+
+# ── token diagnostics against the two passes they merged ─────────────
+
+_OPENERS = {"(": ")", "[": "]", "{": "}"}
+_CLOSERS = {v: k for k, v in _OPENERS.items()}
+
+
+def reference_lex_diagnostics(significant):
+    return [SyntaxDiagnostic("unterminated literal, comment, or unsupported character",
+                             t.offset, FATAL)
+            for t in significant if t.kind is TokenKind.ERROR]
+
+
+def reference_balance_diagnostics(significant):
+    stack = []
+    for tok in significant:
+        if tok.kind is not TokenKind.PUNCTUATION:
+            continue
+        if tok.text in _OPENERS:
+            stack.append((tok.text, tok.offset))
+        elif tok.text in _CLOSERS:
+            if not stack or stack[-1][0] != _CLOSERS[tok.text]:
+                return [SyntaxDiagnostic(f"unmatched '{tok.text}'", tok.offset, FATAL)]
+            stack.pop()
+    if stack:
+        opener, offset = stack[-1]
+        return [SyntaxDiagnostic(f"unclosed '{opener}'", offset, FATAL)]
+    return []
+
+
+def test_token_diagnostics_list_errors_then_the_first_fault():
+    significant, _ = scan("² ( ] \xa0 { ²")
+    error = "unterminated literal, comment, or unsupported character"
+    assert [(d.message, d.offset) for d in parser._token_diagnostics(significant)] == [
+        (error, 0), (error, 6), (error, 10), ("unmatched ']'", 4)]
+
+
+@given(st.lists(st.sampled_from(
+    ["(", ")", "[", "]", "{", "}", "[A(", "[A]", "x", ";", " ", "\n", "²", "\xa0", "#",
+     "'c'", '"s"', "'", '"open', "/* c */", "// c\n", "if", "Run"]), max_size=40).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_token_diagnostics_match_the_two_reference_passes(source):
+    significant, _ = scan(source)
+    assert parser._token_diagnostics(significant) == (
+        reference_lex_diagnostics(significant) + reference_balance_diagnostics(significant))
 
 
 @pytest.mark.parametrize("source", [
