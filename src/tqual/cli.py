@@ -319,7 +319,8 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         policy = PolicyTable.uniform(vocabulary)
 
     reward_fn, report_fn = make_analyzer_reward(scheme, args.focal)
-    trained, metrics = train_toy_policy(policy, reward_fn, cfg, report_fn)
+    trained, metrics = train_toy_policy(policy, reward_fn, cfg, report_fn,
+                                        pipeline.score_config())
 
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as handle:
@@ -370,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output path (default stdout)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+        if seed:  # no default: a --seed left out leaves the config's seed in force
+            p.add_argument("--seed", type=int)
 
     p = sub.add_parser("analyze", help="quality reports for corpus records")
     p.add_argument("input")
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resample", help="class-balance labeled records")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=cmd_resample)
+    p.set_defaults(func=cmd_resample, seed=0)
 
     p = sub.add_parser("golden", help="keep only golden-quality records")
     p.add_argument("input")
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--n", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_subsample)
+    p.set_defaults(func=cmd_subsample, seed=0)
 
     p = sub.add_parser("train-toy", help="PPO on a tabular bigram policy")
     p.add_argument("--properties", default="has_assertion")

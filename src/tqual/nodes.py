@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .lexer import Token
@@ -57,14 +58,15 @@ class TestSyntaxTree:
     ``partial_body`` holds every statement recovered, even from broken
     input, so the analyzer can still run best-effort; ``body`` is the same
     list when parsing produced no fatal diagnostic, else None.  Statement
-    spans index into ``source``.  ``tokens`` holds the comment tokens only:
-    ``//`` and ``/* */`` comments and preprocessor lines, in source order.
+    spans index into ``source``.  ``comments`` holds the lexer's comment
+    tokens: ``//`` and ``/* */`` comments and preprocessor lines, in source
+    order.
     """
 
     method_name: str
     diagnostics: list[SyntaxDiagnostic]
     source: str = field(repr=False)
-    tokens: list[Token] = field(default_factory=list, repr=False)
+    comments: list[Token] = field(default_factory=list, repr=False)
     partial_body: list[Statement] = field(default_factory=list, repr=False)
 
     @property
@@ -94,7 +96,6 @@ class FieldNode:
 @dataclass
 class MethodNode:
     name: str
-    signature: str  # "<modifiers> <return> <name>(<params>);"
     span: Span
     sig_end: int  # offset just past the closing ')' of the parameter list
     body_span: Span
@@ -103,13 +104,11 @@ class MethodNode:
 @dataclass
 class ClassNode:
     name: str
-    declaration: str
     decl_span: Span
     span: Span
     fields: list[FieldNode] = field(default_factory=list)
     methods: list[MethodNode] = field(default_factory=list)
     others: list[Span] = field(default_factory=list)  # properties etc., kept raw
-    comments: list[Span] = field(default_factory=list)
     nested: list["ClassNode"] = field(default_factory=list)
 
     def walk(self):
@@ -120,12 +119,22 @@ class ClassNode:
 
 @dataclass
 class FocalFileTree:
+    """Parse result for a whole focal file.  ``comments`` holds the span of
+    every comment token (comments and preprocessor lines), in source order;
+    a class owns the comments its ``span`` contains."""
+
     source: str
-    using_directives: list[str]
-    namespaces: list[str]
     classes: list[ClassNode]
+    comments: list[Span] = field(default_factory=list)
     diagnostics: list[SyntaxDiagnostic] = field(default_factory=list)
 
     def walk_classes(self):
         for cls in self.classes:
             yield from cls.walk()
+
+    def comments_within(self, span: Span) -> list[Span]:
+        """The comment spans that lie inside ``span``.  Comments neither
+        overlap nor nest, so their starts and their ends both ascend."""
+        lo = bisect_left(self.comments, span[0], key=lambda c: c[0])
+        hi = bisect_right(self.comments, span[1], key=lambda c: c[1])
+        return self.comments[lo:hi]

@@ -148,10 +148,6 @@ class _Cursor:
         last = self.toks[end_pos]
         return a, last.offset + len(last.text)
 
-    def text(self, start_pos: int, end_pos: int) -> str:
-        a, b = self.char_span(start_pos, end_pos)
-        return self.source[a:b]
-
     def scan(self, stops: frozenset[str] = frozenset(), pairs: dict[str, int] = _ALL,
              close: str = "") -> str:
         """Advance, counting depth with the ``pairs`` steps, to the first
@@ -633,8 +629,8 @@ def parse_focal_file(source: str) -> FocalFileTree:
     fp = _FocalParser(source)
     classes: list[ClassNode] = []
     fp.parse_container(classes, top_level=True)
-    _attach_comments(fp.cur, classes)
-    return FocalFileTree(source, fp.usings, fp.namespaces, classes, fp.diags)
+    comments = [(tok.offset, tok.offset + len(tok.text)) for tok in fp.cur.comments]
+    return FocalFileTree(source, classes, comments, fp.diags)
 
 
 def _at_type_declaration(cur: _Cursor) -> bool:
@@ -645,11 +641,6 @@ def _at_type_declaration(cur: _Cursor) -> bool:
 
 
 class _FocalParser(_Parser):
-    def __init__(self, source: str):
-        super().__init__(source)
-        self.usings: list[str] = []
-        self.namespaces: list[str] = []
-
     def parse_container(self, classes: list[ClassNode], *, top_level: bool) -> None:
         cur = self.cur
         while not cur.at_end:
@@ -660,17 +651,12 @@ class _FocalParser(_Parser):
             if t.kind is TokenKind.ATTRIBUTE:
                 cur.advance()
             elif text == "using":
-                start = cur.pos
                 _to_semicolon(cur)
-                self.usings.append(cur.text(start, cur.pos - 1))
             elif text == "namespace":
                 cur.advance()
-                name_parts: list[str] = []
                 while (tok := cur.peek()) is not None and tok.kind is TokenKind.IDENTIFIER:
-                    name_parts.append(cur.advance().text)
-                    if cur.peek_text() == ".":
-                        name_parts.append(cur.advance().text)
-                self.namespaces.append("".join(name_parts))
+                    cur.advance()
+                    cur.accept(".")
                 if cur.peek_text() != "{":
                     cur.accept(";")
                 elif self.too_deep():
@@ -707,8 +693,7 @@ class _FocalParser(_Parser):
         # Generic parameters, base list, constraints: up to '{' or ';'.
         body = cur.scan(_TYPE_BODY, pairs=_FLAT)
         decl_span = cur.char_span(start, cur.pos - 1)
-        node = ClassNode(name=name, declaration=cur.text(start, cur.pos - 1),
-                         decl_span=decl_span, span=decl_span)
+        node = ClassNode(name=name, decl_span=decl_span, span=decl_span)
         if not body:
             self.fatal("type body missing")
             return node
@@ -778,8 +763,6 @@ class _FocalParser(_Parser):
         name = _last_identifier(cur.toks, 0, j)
         cur.scan(pairs=_PARENS, close=")")
         sig_char_end = cur.char_span(cur.pos - 1, cur.pos - 1)[1]
-        member_char_start = cur.char_span(member_start, member_start)[0]
-        signature = cur.source[member_char_start:sig_char_end] + ";"
 
         # Constraints or nothing until the body.
         body = cur.scan(_METHOD_BODY, pairs=_FLAT)
@@ -793,20 +776,4 @@ class _FocalParser(_Parser):
         body_span = (cur.char_span(body_start, cur.pos - 1) if body in ("{", "=>")
                      else (sig_char_end, sig_char_end))
         span = cur.char_span(member_start, cur.pos - 1)
-        node.methods.append(MethodNode(name, signature, span, sig_char_end, body_span))
-
-
-def _attach_comments(cur: _Cursor, classes: list[ClassNode]) -> None:
-    comment_spans = [(tok.offset, tok.offset + len(tok.text)) for tok in cur.comments]
-    all_classes: list[ClassNode] = []
-    for cls in classes:
-        all_classes.extend(cls.walk())
-    for span in comment_spans:
-        # Innermost class wins so nested-class comments are not doubled.
-        owner: ClassNode | None = None
-        for cls in all_classes:
-            if cls.span[0] <= span[0] and span[1] <= cls.span[1]:
-                if owner is None or (cls.span[1] - cls.span[0]) < (owner.span[1] - owner.span[0]):
-                    owner = cls
-        if owner is not None:
-            owner.comments.append(span)
+        node.methods.append(MethodNode(name, span, sig_char_end, body_span))

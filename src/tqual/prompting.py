@@ -116,7 +116,7 @@ def _apply_edits(text: str, edits: list[tuple[int, int, str]]) -> str:
     out: list[str] = []
     pos = 0
     for start, end, repl in cleaned:
-        out.append(text[:0] if pos > start else text[pos:start])
+        out.append(text[pos:start])
         out.append(repl)
         pos = max(pos, end)
     out.append(text[pos:])
@@ -154,9 +154,8 @@ def render_level(tree: FocalFileTree, focal: str, level: int) -> str:
     if level >= 3:
         for fld in cls.fields:
             delete(fld.span)
-        for node in cls.walk():
-            for span in node.comments:
-                delete(span)
+        for span in tree.comments_within(cls.span):
+            delete(span)
 
     if level == 4:
         for span in cls.others:

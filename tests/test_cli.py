@@ -401,6 +401,83 @@ def test_train_toy_vocab_must_include_stop_token(tmp_path):
     ) == 2
 
 
+def test_train_toy_scores_checkpoints_with_the_configured_formula(tmp_path, capsys):
+    cfg_path = tmp_path / "pipeline.cfg"
+    cfg_path.write_text("score.positive_properties = has_comment\n"
+                        "score.smell_properties = duplicate_assertion\n")
+    metrics_path = tmp_path / "metrics.jsonl"
+    assert main(["train-toy", "--episodes", "60", "--config", str(cfg_path),
+                 "--metrics", str(metrics_path), "--out", str(tmp_path / "p.json")]) == 0
+    rows = [json.loads(line) for line in metrics_path.read_text().splitlines()]
+    for row in rows:
+        freq = row["frequencies"]
+        assert row["quality_score"] == freq["has_comment"] - freq["duplicate_assertion"]
+    # The default formula gives other scores on these rows.
+    assert any(row["quality_score"] != row["frequencies"]["has_assertion"]
+               + row["frequencies"]["invokes_focal"]
+               - row["frequencies"]["duplicate_assertion"]
+               - row["frequencies"]["conditional_or_exception"] for row in rows)
+
+
+# ── seeds ────────────────────────────────────────────────────────────
+
+
+SEED_KEYS = {"train-toy": "train.seed", "sample": "train.seed", "split": "split.seed"}
+
+
+def seeded_output(tmp_path, capsys, command: str, args: list[str]) -> str:
+    """What ``command`` writes when given ``args``: the policy of a short
+    train-toy run, a sample batch, or a split manifest."""
+    out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+    if command == "train-toy":
+        argv = ["train-toy", "--episodes", "40", "--max-tokens", "6", "--out", str(out)]
+    elif command == "sample":
+        policy = tmp_path / "policy.json"
+        if not policy.exists():
+            assert main(["train-toy", "--episodes", "10", "--out", str(policy)]) == 0
+        argv = ["sample", "--policy", str(policy), "--count", "8", "--out", str(out)]
+    else:
+        repos = [f"repo{i % 8}" for i in range(40)]
+        corpus = write_corpus(tmp_path / "c.jsonl", [GOLDEN_TEST] * 40, repo=repos)
+        argv = ["split", str(corpus), "--out-dir", str(out)]
+        out = out / "manifest.json"
+    assert main(argv + args) == 0
+    capsys.readouterr()
+    return out.read_text()
+
+
+@pytest.mark.parametrize("command", sorted(SEED_KEYS))
+def test_config_seed_holds_unless_the_flag_is_given(tmp_path, capsys, command):
+    cfg_path = tmp_path / "seed.cfg"
+    cfg_path.write_text(f"{SEED_KEYS[command]} = 5\n")
+
+    def run(*args: str) -> str:
+        return seeded_output(tmp_path, capsys, command, list(args))
+
+    seed0, seed5 = run("--seed", "0"), run("--seed", "5")
+    assert seed0 != seed5
+    assert run() == seed0
+    assert run("--config", str(cfg_path)) == seed5
+    assert run("--config", str(cfg_path), "--seed", "0") == seed0
+
+
+@pytest.mark.parametrize("command", ["resample", "subsample"])
+def test_seed_defaults_to_zero_without_a_config(tmp_path, capsys, command):
+    corpus = write_corpus(tmp_path / "c.jsonl", [GOLDEN_TEST, PLAIN_TEST] * 10)
+    source = corpus
+    if command == "resample":
+        source = tmp_path / "labeled.jsonl"
+        assert main(["reward", str(corpus), "--properties", "assertion",
+                     "--out", str(source)]) == 0
+    extra = ["--n", "5"] if command == "subsample" else []
+
+    def run(*args: str) -> list[dict]:
+        assert main([command, str(source), *extra, *args]) == 0
+        return read_lines(capsys)
+
+    assert run() == run("--seed", "0")
+
+
 # ── argument handling ────────────────────────────────────────────────
 
 

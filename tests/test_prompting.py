@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from test_snapshot import FOCAL_FILES, _as_class, _soups
 from tqual.errors import FocalNotFound, PromptTooLong
+from tqual.lexer import scan
 from tqual.parser import parse_focal_file
 # Aliased: the library name starts with "test_" and pytest would try to
 # collect it as a test function otherwise.
@@ -164,3 +166,57 @@ def test_prompt_record_dict(inventory_tree):
     assert data["schema"] == "prompt.v1"
     assert data["context_level"] == 1
     assert data["prompt_text"] == record.prompt_text
+
+
+# ── comment ownership ────────────────────────────────────────────────
+
+
+def reference_class_comments(tree) -> list[list[tuple[int, int]]]:
+    """Comment spans per class in ``walk_classes`` order, owned the way the
+    parser once attached them: each comment goes to the innermost class
+    whose span holds it, and a class's comments are those of every class
+    in its ``walk()``."""
+    comments = [(t.offset, t.offset + len(t.text)) for t in scan(tree.source)[1]]
+    classes = list(tree.walk_classes())
+    owned: dict[int, list[tuple[int, int]]] = {id(cls): [] for cls in classes}
+    for span in comments:
+        owner = None
+        for cls in classes:
+            if cls.span[0] <= span[0] and span[1] <= cls.span[1]:
+                if owner is None or (cls.span[1] - cls.span[0]) < (owner.span[1] - owner.span[0]):
+                    owner = cls
+        if owner is not None:
+            owned[id(owner)].append(span)
+    return [sorted(span for node in cls.walk() for span in owned[id(node)])
+            for cls in classes]
+
+
+NESTED_CLASS_CASES = [
+    "class A { // a\n class B { /* b */ class C { // c\n } } // a2\n }",
+    "// top\nnamespace N { /* n */ class A { } // between\n class B { // b\n } }",
+    "class A { // a\n class B { // b\n void M() { /* m */ } ",  # unclosed nested type
+    "class A { class B // b\n } // a\n",  # bodiless nested type
+    "class A { struct S; // s\n interface I : IFoo ; /* i */ }",
+    "class A { enum E { X /* x */ } // a\n record R(int x); }",
+    "#if DEBUG\nclass A {\n#endif\n class B { } /* a */ }\n// after",
+    "class A { int f; // f\n } class B { /* b */ } // tail",
+]
+
+
+@pytest.mark.parametrize("source", NESTED_CLASS_CASES)
+def test_class_comments_match_the_attach_reference(source):
+    tree = parse_focal_file(source)
+    assert [tree.comments_within(cls.span) for cls in tree.walk_classes()] \
+        == reference_class_comments(tree)
+
+
+def test_class_comments_match_the_attach_reference_on_the_snapshot_corpus():
+    fixtures = [p.read_text(encoding="utf-8") for p in sorted(FOCAL_FILES.glob("*.cs"))]
+    soups = _soups()
+    owned = 0
+    for source in fixtures + [_as_class(s) for s in soups] + soups:
+        tree = parse_focal_file(source)
+        got = [tree.comments_within(cls.span) for cls in tree.walk_classes()]
+        assert got == reference_class_comments(tree), source
+        owned += sum(map(len, got))
+    assert owned > 100
