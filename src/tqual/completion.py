@@ -24,6 +24,9 @@ from .lexer import scan as tokenize  # the lexer call, by the name tracers patch
 __all__ = ["RawCompletion", "truncate_completion", "assemble_record", "prompt_hint_for"]
 
 _TEST_ANNOTATION = "TestMethod"
+# Module constants: an enum member read off its class is a slow lookup.
+_ATTRIBUTE = TokenKind.ATTRIBUTE
+_PUNCTUATION = TokenKind.PUNCTUATION
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ def _annotation_offsets(source: str, significant: list[Token]) -> list[int]:
     positions the attribute heuristic does not cover."""
     offsets: list[int] = []
     for i, tok in enumerate(significant):
-        if tok.kind is TokenKind.ATTRIBUTE:
+        if tok.kind is _ATTRIBUTE:
             inner = tok.text[1:-1]
         elif tok.text == "[" and i + 2 < len(significant) and significant[i + 2].text == "]":
             # One token inside; a comment around it keeps the name from matching.
@@ -65,7 +68,7 @@ def truncate_completion(raw: RawCompletion) -> str:
     significant, _ = tokenize(full)
     brace_offset: int | None = None
     for tok in significant:
-        if tok.kind is not TokenKind.PUNCTUATION or tok.text != "}":
+        if tok.kind is not _PUNCTUATION or tok.text != "}":
             continue
         off = tok.offset
         if off < search_from:

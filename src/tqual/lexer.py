@@ -12,21 +12,25 @@ but not parsed.  An unterminated literal or block comment yields a single
 directives are consumed as line tokens sharing the ``comment-line`` kind;
 downstream consumers that care distinguish them by text prefix.
 
-One compiled pattern matches each token together with the whitespace
-before it, so the scan makes one match per token and builds no token for
-whitespace.  Words are classified in the loop: a reserved word is a
-keyword, any other word that starts with a letter or ``_`` an
-identifier.  Hand code runs only where context decides: an interpolated
-string's holes, a ``#`` that opens a line, a ``[`` that may open an
-attribute list, and an unterminated literal or comment.  It also turns
-away a word that the regex word class admits but C# does not, one
-starting with a digit or numeral that is not a letter, and resolves an
-``@`` word.
+The token patterns are written once and compiled twice.  ``scan`` finds
+each token with the one-group form, which matches the token together with
+the whitespace before it, so the scan makes one match per token and builds
+no token for whitespace.  The first character then decides most kinds: an
+ASCII letter or ``_`` starts a word (a reserved word is a keyword, any
+other an identifier), an ASCII digit a number, and a character of
+``(){}]<>.,;:?!+-*%=&|^~`` punctuation.  Any other token is matched again
+with the named-group form, whose group gives its kind or sends it to hand
+code.  Hand code runs only where context decides: an interpolated string's
+holes, a ``#`` that opens a line, a ``[`` that may open an attribute list,
+and an unterminated literal or comment.  It also turns away a word that
+the regex word class admits but C# does not, one starting with a digit or
+numeral that is not a letter, and resolves an ``@`` word.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
@@ -64,6 +68,10 @@ RESERVED_KEYWORDS = frozenset(
 )
 
 _COMMENT_KINDS = frozenset({TokenKind.COMMENT_LINE, TokenKind.COMMENT_BLOCK})
+# Kinds as module constants: reading a member off the enum class goes
+# through ``EnumType.__getattr__``, about ten times slower than a global.
+_ATTRIBUTE = TokenKind.ATTRIBUTE
+_PUNCTUATION = TokenKind.PUNCTUATION
 
 
 class Token(NamedTuple):
@@ -72,44 +80,62 @@ class Token(NamedTuple):
     offset: int  # character offset of ``text`` in the source
 
 
-# Each match is the whitespace before a token, then the token.  Groups
-# named after a TokenKind member yield that kind as matched; ``END`` ends
-# the scan, and the rest go to the loop's word lookup or to hand code in
-# ``_resolve``.  Earlier alternatives win, so comments beat ``/``,
-# literals beat their unterminated openers and ``??=`` beats ``??`` beats
-# ``?``.  ``ERROR`` or ``END`` matches wherever the others fail, so the
-# engine never backtracks into the whitespace prefix.  Numbers take
+# The token alternatives, in order: earlier ones win, so comments beat
+# ``/``, literals beat their unterminated openers and ``??=`` beats ``??``
+# beats ``?``.  ``ERROR`` matches any character the others do not, so the
+# engine never backtracks into the whitespace before a token.  Numbers take
 # Unicode decimal digits (``\d``); a digit that is not decimal, such as
-# ``²``, is an error unless it continues a word.
-_TOKEN = re.compile(
-    r"""
-    [ \t\r\n\f\v]*
-    (?:
-      (?P<COMMENT_LINE>//[^\n]*)
-    | (?P<COMMENT_BLOCK>/\*.*?\*/)
-    | (?P<STRING>"(?:\\.|[^"\\\n])*"
-                | @"(?:[^"]|"")*"(?!"))  # (?!") stops backtracking into a "" escape
-    | (?P<CHAR>'(?:\\.[^'\n]*|[^'\n\\])?')
-    | (?P<INTERPOLATED>\$@?"|@\$")
-    | (?P<UNTERMINATED>/\*|@?"|')
-    | (?P<NUMBER>(?:0[xXbB][0-9a-fA-F_]*
-                 | \d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDmMuUlL]*)
-    | (?P<WORD>@?[^\W\d]\w*)
-    | (?P<HASH>\#)
-    | (?P<BRACKET>\[)
-    | (?P<PUNCTUATION>\?\?= | <<= | >>=
+# ``²``, is an error unless it continues a word.  The ``(?!")`` stops a
+# verbatim string backtracking into a ``""`` escape.
+_ALTERNATIVES = {
+    "COMMENT_LINE": r"//[^\n]*",
+    "COMMENT_BLOCK": r"/\*.*?\*/",
+    "STRING": r""" "(?:\\.|[^"\\\n])*" | @"(?:[^"]|"")*"(?!") """,
+    "CHAR": r"'(?:\\.[^'\n]*|[^'\n\\])?'",
+    "INTERPOLATED": r"""\$@?" | @\$" """,
+    "UNTERMINATED": r"""/\* | @?" | ' """,
+    "NUMBER": r"""(?:0[xXbB][0-9a-fA-F_]*
+                  | \d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)[fFdDmMuUlL]*""",
+    "WORD": r"@?[^\W\d]\w*",
+    "HASH": r"\#",
+    "BRACKET": r"\[",
+    "PUNCTUATION": r"""\?\?= | <<= | >>=
                      | => | [=!<>+\-*/%&|^]= | && | \|\| | \?\? | \?\. | \+\+ | -- | -> | :: | << | >>
-                     | [(){}\]<>.,;:?!+\-*/%=&|^~@$])
-    | (?P<ERROR>.)
-    | (?P<END>\Z)
-    )
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+                     | [(){}\]<>.,;:?!+\-*/%=&|^~@$]""",
+    "ERROR": r".",
+}
+_WHITESPACE = " \t\r\n\f\v"
+
+
+def _compile(tokens: str) -> re.Pattern[str]:
+    """The whitespace before a token, then ``tokens``."""
+    return re.compile(f"[{_WHITESPACE}]*" + tokens, re.VERBOSE | re.DOTALL)
+
+
+# The alternatives compiled twice.  ``_TOKEN`` names each one: a group
+# named after a TokenKind member yields that kind as matched, and the rest
+# go to hand code in ``_resolve``.  ``_SPAN`` has one group and only finds
+# where a token lies: with no named groups sre can rule out most branches
+# by their first character, and a match keeps no per-group marks.  It
+# tries ``WORD`` first, which moves no span, because no earlier
+# alternative can start with a letter, ``_``, or ``@`` then a letter.
+_TOKEN = _compile(
+    "(?:" + "|".join(f"(?P<{name}>{alt})" for name, alt in _ALTERNATIVES.items()) + ")")
+_SPAN = _compile(
+    "(" + "|".join([_ALTERNATIVES["WORD"]]
+                   + [alt for name, alt in _ALTERNATIVES.items() if name != "WORD"]) + ")")
 _KIND_OF_GROUP = {
     name: TokenKind[name] for name in _TOKEN.groupindex if name in TokenKind.__members__
 }
 _KIND_OF_WORD = dict.fromkeys(RESERVED_KEYWORDS, TokenKind.KEYWORD)
+# The kind a token's first character decides alone: ASCII words (looked up
+# as keyword or identifier), ASCII numbers and punctuation that opens no
+# comment, literal or attribute.  Other tokens go through ``_TOKEN``.
+_KIND_OF_FIRST = {
+    **dict.fromkeys(string.ascii_letters + "_", TokenKind.IDENTIFIER),
+    **dict.fromkeys(string.digits, TokenKind.NUMBER),
+    **dict.fromkeys("(){}]<>.,;:?!+-*%=&|^~", TokenKind.PUNCTUATION),
+}
 _LITERAL_GROUPS = frozenset({"STRING", "CHAR", "COMMENT_LINE", "COMMENT_BLOCK"})
 
 # Runs of text the hand scanners step over in one match.
@@ -204,8 +230,8 @@ def _opens_attribute(source: str, i: int, significant: list[Token]) -> bool:
     # Its first name must start with a letter, ``_`` or ``@``.
     if significant:
         prev = significant[-1]
-        if prev.kind is not TokenKind.ATTRIBUTE and (
-            prev.kind is not TokenKind.PUNCTUATION or prev.text not in ("{", "}", ";")
+        if prev.kind is not _ATTRIBUTE and (
+            prev.kind is not _PUNCTUATION or prev.text not in ("{", "}", ";")
         ):
             return False
     first = _ATTRIBUTE_NAME.match(source, i + 1).group(1)
@@ -253,25 +279,29 @@ def scan(source: str) -> tuple[list[Token], list[Token]]:
     significant: list[Token] = []
     comments: list[Token] = []
     decided: dict[int, int | None] = {}
-    match, kind_of_group, kind_of_word = _TOKEN.match, _KIND_OF_GROUP.get, _KIND_OF_WORD.get
+    match, kind_of_first, kind_of_word = _SPAN.match, _KIND_OF_FIRST.get, _KIND_OF_WORD.get
     # tuple.__new__ builds the same Token without the NamedTuple's Python __new__ frame.
     new, identifier, comment_kinds = tuple.__new__, TokenKind.IDENTIFIER, _COMMENT_KINDS
+    # Before ``end`` a token is always left, so every match finds one.
+    end = len(source.rstrip(_WHITESPACE))
     pos = 0
-    while True:
-        m = match(source, pos)
-        group = m.lastgroup
-        start, pos = m.span(group)
-        kind = kind_of_group(group)
-        if kind is None:
-            if group == "WORD" and (source[start].isalpha() or source[start] == "_"):
+    while pos < end:
+        start, pos = match(source, pos).span(1)
+        text = source[start:pos]
+        kind = kind_of_first(text[0])
+        if kind is identifier:
+            kind = kind_of_word(text, identifier)
+        elif kind is None:
+            group = _TOKEN.match(source, start).lastgroup
+            kind = _KIND_OF_GROUP.get(group)
+            if kind is None:
+                kind, pos = _resolve(source, group, start, pos, significant, decided)
                 text = source[start:pos]
-                significant.append(new(Token, (kind_of_word(text, identifier), text, start)))
+            if kind in comment_kinds:
+                comments.append(new(Token, (kind, text, start)))
                 continue
-            if group == "END":
-                return significant, comments
-            kind, pos = _resolve(source, group, start, pos, significant, decided)
-        token = new(Token, (kind, source[start:pos], start))
-        (comments if kind in comment_kinds else significant).append(token)
+        significant.append(new(Token, (kind, text, start)))
+    return significant, comments
 
 
 def tokenize(source: str) -> list[Token]:

@@ -16,9 +16,17 @@ forwards or backwards.  Both parsers descend at most ``MAX_NESTING``
 levels (statements, or namespace and type bodies).  Constructs past the
 cap are skipped flat, the first with a fatal ``nesting too deep``
 diagnostic, so no input exhausts the Python stack.
+
+The one pass that checks error tokens and delimiters also records the
+index of every ``(`` and ``?``.  Call sites and ternaries are read from
+that index: each expression bisects to the ``(`` in its range and reads
+only the tokens before each, and its ternary walk runs only when a ``?``
+lies in range, starting there.  No expression's tokens are copied.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from .lexer import Token, TokenKind
 from .lexer import scan as tokenize  # the lexer call, by the name tracers patch
@@ -59,6 +67,13 @@ PREDEFINED_TYPES = frozenset(
 # Python frames, so a parse at the cap stays well inside the default
 # recursion limit of 1000 frames.
 MAX_NESTING = 420
+
+# Module constants: an enum member read off its class is a slow lookup.
+_IDENTIFIER = TokenKind.IDENTIFIER
+_KEYWORD = TokenKind.KEYWORD
+_PUNCTUATION = TokenKind.PUNCTUATION
+_ATTRIBUTE = TokenKind.ATTRIBUTE
+_ERROR = TokenKind.ERROR
 
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
@@ -158,9 +173,10 @@ class _Cursor:
         Closers that are not stops may take depth below zero.  A caller that
         only looks ahead saves ``pos`` and puts it back."""
         toks = self.toks
+        n = len(toks)
         depth = 0
         k = self.pos
-        while k < len(toks):
+        while k < n:
             t = toks[k].text
             if depth == 0 and t in stops:
                 self.pos = k
@@ -176,12 +192,13 @@ class _Cursor:
         return ""
 
 
-def _skip_generic(toks: list[Token], k: int, step: int = 1) -> int:
+def _skip_generic(toks: list[Token], k: int, step: int = 1, lo: int = 0) -> int:
     """Index just past the generic argument list bracketed at ``toks[k]``:
     its ``<`` when ``step`` is 1, its closing ``>``/``>>`` when ``step`` is
-    -1 (walking backwards).  Runs off the end when the list is unclosed."""
+    -1 (walking backwards).  Runs off the end, or below ``lo``, when the
+    list is unclosed."""
     depth = 0
-    while 0 <= k < len(toks):
+    while lo <= k < len(toks):
         depth += _ANGLES.get(toks[k].text, 0) * step
         k += step
         if depth <= 0:
@@ -198,19 +215,19 @@ def _type_end(toks: list[Token], k: int, *, strict: bool) -> int:
     if k >= n:
         return -1
     t = toks[k]
-    if t.kind is TokenKind.KEYWORD and t.text in PREDEFINED_TYPES:
+    if t.kind is _KEYWORD and t.text in PREDEFINED_TYPES:
         k += 1
-    elif t.kind is TokenKind.IDENTIFIER:
+    elif t.kind is _IDENTIFIER:
         k += 1
         while k + 1 < n and toks[k].text == "." \
-                and toks[k + 1].kind is TokenKind.IDENTIFIER:
+                and toks[k + 1].kind is _IDENTIFIER:
             k += 2
     else:
         return -1
     if k < n and toks[k].text == "<":
         end = _skip_generic(toks, k)
         if strict and not all(
-                a.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+                a.kind is _IDENTIFIER or a.kind is _KEYWORD
                 or a.text in (",", ".", "?", "[", "]") or a.text in _ANGLES
                 for a in toks[k + 1:end]):
             return -1
@@ -233,7 +250,7 @@ def _type_end(toks: list[Token], k: int, *, strict: bool) -> int:
 def _last_identifier(toks: list[Token], lo: int, hi: int) -> str:
     """Text of the last identifier in ``toks[lo .. hi]``, or ""."""
     for j in range(hi, lo - 1, -1):
-        if toks[j].kind is TokenKind.IDENTIFIER:
+        if toks[j].kind is _IDENTIFIER:
             return toks[j].text
     return ""
 
@@ -249,91 +266,102 @@ def _to_semicolon(cur: _Cursor) -> None:
 _ERROR_TOKEN_MESSAGE = "unterminated literal, comment, or unsupported character"
 
 
-def _token_diagnostics(significant: list[Token]) -> list[SyntaxDiagnostic]:
+def _token_diagnostics(significant: list[Token]
+                       ) -> tuple[list[SyntaxDiagnostic], list[int], list[int]]:
     """A diagnostic for each ``error`` token, in source order, then one for
-    the first delimiter fault, if any.
+    the first delimiter fault, if any; and the indices of every ``(`` and
+    every ``?`` punctuation token, ascending.
 
     (), [] and {} are stack-matched over the punctuation; attribute tokens
     are internally balanced and skipped.  The first unmatched closer, or
     else the innermost opener left unclosed, is the fault.  Any fault is
     fatal: this is the soundness floor under check_syntax."""
     diags: list[SyntaxDiagnostic] = []
+    parens: list[int] = []
+    questions: list[int] = []
     stack: list[Token] = []
     fault = None
-    error, punctuation = TokenKind.ERROR, TokenKind.PUNCTUATION
-    tokens = iter(significant)
-    for tok in tokens:
+    for i, tok in enumerate(significant):
         kind, text, offset = tok
-        if kind is error:
+        if kind is _ERROR:
             diags.append(SyntaxDiagnostic(_ERROR_TOKEN_MESSAGE, offset, FATAL))
-        elif kind is punctuation:
+        elif kind is _PUNCTUATION:
+            if text == "(":
+                parens.append(i)
+            elif text == "?":
+                questions.append(i)
+            if fault is not None:
+                continue
             if text in _OPENERS:
                 stack.append(tok)
             elif text in _CLOSERS:
-                if not stack or stack[-1].text != _CLOSERS[text]:
+                if stack and stack[-1].text == _CLOSERS[text]:
+                    stack.pop()
+                else:
                     fault = SyntaxDiagnostic(f"unmatched '{text}'", offset, FATAL)
-                    break
-                stack.pop()
     if fault is None and stack:
         fault = SyntaxDiagnostic(f"unclosed '{stack[-1].text}'", stack[-1].offset, FATAL)
     if fault is not None:
-        diags.extend(SyntaxDiagnostic(_ERROR_TOKEN_MESSAGE, t.offset, FATAL)
-                     for t in tokens if t.kind is error)
         diags.append(fault)
-    return diags
+    return diags, parens, questions
 
 
 # ── expression-level extraction ──────────────────────────────────────────
 
 
-def _extract_invocations(sig_toks: list[Token]) -> tuple[list[Invocation], bool]:
-    """Call sites and ternary presence within one expression token range."""
+def _extract_invocations(toks: list[Token], lo: int, hi: int, parens: list[int],
+                         questions: list[int]) -> tuple[list[Invocation], bool]:
+    """Call sites and ternary presence within the expression ``toks[lo ..
+    hi]``.  ``parens`` and ``questions`` index every ``(`` and ``?`` of
+    ``toks``, ascending, so only the tokens around them are read."""
     invocations: list[Invocation] = []
-    for idx, tok in enumerate(sig_toks):
-        if tok.kind is not TokenKind.PUNCTUATION or tok.text != "(":
-            continue
+    for idx in parens[bisect_left(parens, lo):bisect_right(parens, hi)]:
         j = idx - 1
         # Step over a generic argument list: Foo<Bar>( or Foo<A, B<C>>(.
-        if j >= 0 and sig_toks[j].text in (">", ">>"):
-            j = _skip_generic(sig_toks, j, -1)
-        if j < 0 or sig_toks[j].kind is not TokenKind.IDENTIFIER:
+        if j >= lo and toks[j].text in (">", ">>"):
+            j = _skip_generic(toks, j, -1, lo)
+        if j < lo or toks[j].kind is not _IDENTIFIER:
             continue
-        chain = [sig_toks[j].text]
+        chain = [toks[j].text]
         rooted = True
         j -= 1
-        while j >= 0 and sig_toks[j].text in (".", "?."):
-            prev = sig_toks[j - 1] if j >= 1 else None
-            if prev is None:
+        while j >= lo and toks[j].text in (".", "?."):
+            if j == lo:
                 rooted = False
                 break
-            if prev.kind is TokenKind.IDENTIFIER or prev.text in ("this", "base"):
+            prev = toks[j - 1]
+            if prev.kind is _IDENTIFIER or prev.text in ("this", "base"):
                 chain.insert(0, prev.text)
                 j -= 2
             else:
                 # Chained off an expression result: (...).Wait() etc.
                 rooted = False
                 break
-        is_constructor = j >= 0 and sig_toks[j].text == "new"
+        is_constructor = j >= lo and toks[j].text == "new"
         invocations.append(Invocation(tuple(chain), rooted, is_constructor))
 
-    has_ternary = False
+    # A ternary is a ':' at the depth of the last '?' still open.  Depths
+    # only compare with each other, so the walk can start at the first '?'.
+    first = bisect_left(questions, lo)
+    if first == len(questions) or questions[first] > hi:
+        return invocations, False
     depth = 0
     pending: list[int] = []  # depths of unmatched '?'
-    for tok in sig_toks:
-        if tok.kind is not TokenKind.PUNCTUATION:
+    for k in range(questions[first], hi + 1):
+        kind, text, _ = toks[k]
+        if kind is not _PUNCTUATION:
             continue
-        if tok.text in _OPENERS:
+        if text in _OPENERS:
             depth += 1
-        elif tok.text in _CLOSERS:
+        elif text in _CLOSERS:
             depth -= 1
             while pending and pending[-1] > depth:
                 pending.pop()
-        elif tok.text == "?":
+        elif text == "?":
             pending.append(depth)
-        elif tok.text == ":" and pending and pending[-1] == depth:
-            has_ternary = True
-            break
-    return invocations, has_ternary
+        elif text == ":" and pending and pending[-1] == depth:
+            return invocations, True
+    return invocations, False
 
 
 # ── parser state ─────────────────────────────────────────────────────────
@@ -346,7 +374,7 @@ class _Parser:
     def __init__(self, source: str):
         significant, comments = tokenize(source)
         self.cur = _Cursor(source, significant, comments)
-        self.diags = _token_diagnostics(significant)
+        self.diags, self.parens, self.questions = _token_diagnostics(significant)
         self.depth = 0
         self.capped = False
 
@@ -375,7 +403,7 @@ class _StatementParser(_Parser):
         has_ternary = False
         for a, b in expr_ranges:
             if b >= a:
-                invs, tern = _extract_invocations(cur.toks[a:b + 1])
+                invs, tern = _extract_invocations(cur.toks, a, b, self.parens, self.questions)
                 invocations.extend(invs)
                 has_ternary = has_ternary or tern
         return Statement(kind, cur.char_span(start, cur.pos - 1), children or [],
@@ -544,10 +572,10 @@ class _StatementParser(_Parser):
             k += 1
         if k >= len(toks):
             return False
-        if toks[k].text == "var" and toks[k].kind is TokenKind.IDENTIFIER:
-            return k + 1 < len(toks) and toks[k + 1].kind is TokenKind.IDENTIFIER
+        if toks[k].text == "var" and toks[k].kind is _IDENTIFIER:
+            return k + 1 < len(toks) and toks[k + 1].kind is _IDENTIFIER
         k = _type_end(toks, k, strict=True)
-        return (0 <= k < len(toks) - 1 and toks[k].kind is TokenKind.IDENTIFIER
+        return (0 <= k < len(toks) - 1 and toks[k].kind is _IDENTIFIER
                 and toks[k + 1].text in ("=", ";", ","))
 
 
@@ -558,7 +586,7 @@ def parse_test_method(source: str) -> TestSyntaxTree:
     sp = _StatementParser(source)
     cur = sp.cur
 
-    while (tok := cur.peek()) is not None and tok.kind is TokenKind.ATTRIBUTE:
+    while (tok := cur.peek()) is not None and tok.kind is _ATTRIBUTE:
         cur.advance()
     while cur.peek_text() in MODIFIER_WORDS:
         cur.advance()
@@ -572,10 +600,10 @@ def parse_test_method(source: str) -> TestSyntaxTree:
     if type_end >= 0:
         cur.pos = type_end
     name_tok = cur.peek()
-    if name_tok is not None and name_tok.kind is TokenKind.IDENTIFIER:
+    if name_tok is not None and name_tok.kind is _IDENTIFIER:
         method_name = cur.advance().text
     elif (cur.peek_text() == "(" and cur.pos == type_start + 1
-          and cur.toks[type_start].kind is TokenKind.IDENTIFIER):
+          and cur.toks[type_start].kind is _IDENTIFIER):
         # Constructor-shaped header: the lone identifier was the name.
         method_name = cur.toks[type_start].text
     else:
@@ -648,13 +676,13 @@ class _FocalParser(_Parser):
             text = t.text
             if text == "}" and not top_level:
                 return
-            if t.kind is TokenKind.ATTRIBUTE:
+            if t.kind is _ATTRIBUTE:
                 cur.advance()
             elif text == "using":
                 _to_semicolon(cur)
             elif text == "namespace":
                 cur.advance()
-                while (tok := cur.peek()) is not None and tok.kind is TokenKind.IDENTIFIER:
+                while (tok := cur.peek()) is not None and tok.kind is _IDENTIFIER:
                     cur.advance()
                     cur.accept(".")
                 if cur.peek_text() != "{":
@@ -686,7 +714,7 @@ class _FocalParser(_Parser):
         if kw == "record" and cur.peek_text() in ("class", "struct"):
             cur.advance()
         name_tok = cur.peek()
-        if name_tok is None or name_tok.kind is not TokenKind.IDENTIFIER:
+        if name_tok is None or name_tok.kind is not _IDENTIFIER:
             self.fatal("type declaration missing name")
             return None
         name = cur.advance().text
@@ -715,7 +743,7 @@ class _FocalParser(_Parser):
         cur = self.cur
         while not cur.at_end and cur.peek_text() != "}":
             member_start = cur.pos
-            while (tok := cur.peek()) is not None and tok.kind is TokenKind.ATTRIBUTE:
+            while (tok := cur.peek()) is not None and tok.kind is _ATTRIBUTE:
                 cur.advance()
             if _at_type_declaration(cur):
                 inner = self.parse_type_declaration()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import posixpath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .corpus import encode
 from .errors import FocalNotFound, PromptTooLong
@@ -172,8 +172,11 @@ def build_prompt(tree: FocalFileTree, focal: str, focal_path: str,
     budget.  Raises PromptTooLong when even level 4 does not fit."""
     cfg = cfg or BudgetConfig()
     test_path = test_path_for(focal_path)
+    # Find the focal class once: each level renders from a view of the tree
+    # that holds only that class, so its lookup stops at the first class.
+    view = replace(tree, classes=[_find_focal_class(tree, focal)])
     for level in _LEVELS:
-        context = render_level(tree, focal, level)
+        context = render_level(view, focal, level)
         prompt_text = (
             f"{focal_path}:\n{context}\n"
             f"{test_path}:\n[TestMethod]\npublic void Test{focal}"

@@ -417,3 +417,16 @@ def test_scan_matches_the_reference_loop(source):
     got = scan(source)
     assert got == reference_scan(source)
     assert all(type(tok) is Token for tokens in got for tok in tokens)
+
+
+# Every ASCII character, and non-ASCII ones that stress the first-character
+# dispatch: a letter, a non-decimal digit, a decimal digit, a letter
+# numeral and two kinds of whitespace that C# allows but the lexer does not.
+_DISPATCH_CHARS = [chr(c) for c in range(128)] + ["é", "²", "١", "Ⅷ", "\xa0", "\u2028"]
+
+
+def test_scan_dispatch_matches_the_reference_on_every_short_source():
+    assert lexer._SPAN.groups == 1
+    for first in _DISPATCH_CHARS:
+        for source in [first] + [first + second for second in _DISPATCH_CHARS]:
+            assert scan(source) == reference_scan(source), repr(source)

@@ -368,18 +368,25 @@ def reference_balance_diagnostics(significant):
 def test_token_diagnostics_list_errors_then_the_first_fault():
     significant, _ = scan("² ( ] \xa0 { ²")
     error = "unterminated literal, comment, or unsupported character"
-    assert [(d.message, d.offset) for d in parser._token_diagnostics(significant)] == [
+    diags, parens, questions = parser._token_diagnostics(significant)
+    assert [(d.message, d.offset) for d in diags] == [
         (error, 0), (error, 6), (error, 10), ("unmatched ']'", 4)]
+    assert (parens, questions) == ([1], [])
 
 
 @given(st.lists(st.sampled_from(
-    ["(", ")", "[", "]", "{", "}", "[A(", "[A]", "x", ";", " ", "\n", "²", "\xa0", "#",
+    ["(", ")", "[", "]", "{", "}", "[A(", "[A]", "x", ";", " ", "\n", "²", "\xa0", "#", "?", "?.",
      "'c'", '"s"', "'", '"open', "/* c */", "// c\n", "if", "Run"]), max_size=40).map("".join))
 @settings(max_examples=300, deadline=None)
 def test_token_diagnostics_match_the_two_reference_passes(source):
     significant, _ = scan(source)
-    assert parser._token_diagnostics(significant) == (
+    diags, parens, questions = parser._token_diagnostics(significant)
+    assert diags == (
         reference_lex_diagnostics(significant) + reference_balance_diagnostics(significant))
+    punctuation = [(i, t.text) for i, t in enumerate(significant)
+                   if t.kind is TokenKind.PUNCTUATION]
+    assert parens == [i for i, text in punctuation if text == "("]
+    assert questions == [i for i, text in punctuation if text == "?"]
 
 
 @pytest.mark.parametrize("source", [
@@ -391,6 +398,87 @@ def test_generic_test_method_header(source):
     assert tree.method_name == "T"
     assert not tree.has_fatal
     assert invocations(source) == [Invocation(("x", "Run"))]
+
+
+# ── call sites from the '(' index against the slice and two walks ────
+
+
+def reference_extract_invocations(sig_toks):
+    """Call sites and ternary presence of one expression's tokens, copied
+    out of the stream: one walk for calls, one for ternaries."""
+    invocations = []
+    for idx, tok in enumerate(sig_toks):
+        if tok.kind is not TokenKind.PUNCTUATION or tok.text != "(":
+            continue
+        j = idx - 1
+        if j >= 0 and sig_toks[j].text in (">", ">>"):
+            j = parser._skip_generic(sig_toks, j, -1)
+        if j < 0 or sig_toks[j].kind is not TokenKind.IDENTIFIER:
+            continue
+        chain = [sig_toks[j].text]
+        rooted = True
+        j -= 1
+        while j >= 0 and sig_toks[j].text in (".", "?."):
+            prev = sig_toks[j - 1] if j >= 1 else None
+            if prev is None:
+                rooted = False
+                break
+            if prev.kind is TokenKind.IDENTIFIER or prev.text in ("this", "base"):
+                chain.insert(0, prev.text)
+                j -= 2
+            else:
+                rooted = False
+                break
+        is_constructor = j >= 0 and sig_toks[j].text == "new"
+        invocations.append(Invocation(tuple(chain), rooted, is_constructor))
+
+    has_ternary = False
+    depth = 0
+    pending = []
+    for tok in sig_toks:
+        if tok.kind is not TokenKind.PUNCTUATION:
+            continue
+        if tok.text in _OPENERS:
+            depth += 1
+        elif tok.text in _CLOSERS:
+            depth -= 1
+            while pending and pending[-1] > depth:
+                pending.pop()
+        elif tok.text == "?":
+            pending.append(depth)
+        elif tok.text == ":" and pending and pending[-1] == depth:
+            has_ternary = True
+            break
+    return invocations, has_ternary
+
+
+# Single tokens, and call-shaped runs so that chains, generic lists and
+# ternaries meet the range ends often.
+_EXPRESSION_SOUPS = st.lists(st.sampled_from(
+    ["(", ")", "?", ":", "<", ">", ">>", ".", "?.", "new", "this", "base", "x", "Run",
+     ",", "[", "]", "{", "}", "1", '"s"', "=>", "??", ";",
+     "a.Run(", "this.x.Run(", "base.Run(", "x?.y.Run(", "(a).Run(", "new List<x>(",
+     "new a.B(", "Run<a, List<x>>(", "a.Run<List<x>>(", "c ? a : b", "c ? (a ? b : d) : e"]),
+    max_size=30)
+
+
+@given(_EXPRESSION_SOUPS, st.data())
+@settings(max_examples=400, deadline=None)
+def test_indexed_extraction_matches_the_slice_and_two_walks(fragments, data):
+    significant, _ = scan(" ".join(fragments))
+    _, parens, questions = parser._token_diagnostics(significant)
+    n = len(significant)
+    if n == 0:
+        return
+    # Cuts just after a '<' or at a '.' split a generic list or a call
+    # chain at ``lo``; the rest of the ranges start anywhere.
+    cuts = [i for i in range(1, n) if significant[i - 1].text in ("<", ".", "?.")
+            or significant[i].text in (".", "?.")]
+    lo = data.draw(st.sampled_from(cuts) if cuts and data.draw(st.booleans())
+                   else st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo, n - 1))
+    assert parser._extract_invocations(significant, lo, hi, parens, questions) == (
+        reference_extract_invocations(significant[lo:hi + 1]))
 
 
 # ── focal file parsing ───────────────────────────────────────────────

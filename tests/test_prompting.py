@@ -168,6 +168,33 @@ def test_prompt_record_dict(inventory_tree):
     assert data["prompt_text"] == record.prompt_text
 
 
+def test_build_prompt_walks_the_classes_once(monkeypatch):
+    """One walk over the file's classes per prompt, however many levels it
+    tries, and the prompt that the level's render gives."""
+    count = 300
+    source = "".join(f"class C{i}\n{{\n    void M{i}() {{ Run({i}); }}\n}}\n"
+                     for i in range(count))
+    tree = parse_focal_file(source)
+    # Level 1, the whole file, does not fit; level 2, one class, does.
+    cfg = BudgetConfig(prompt_token_budget=64, completion_token_budget=64, model_context=128)
+    walks = []
+    walk_classes = type(tree).walk_classes
+
+    def counted(self):
+        walks.append(self)
+        yield from walk_classes(self)
+
+    for i in (0, count // 2, count - 1):
+        context = render_level(tree, f"M{i}", 2)
+        monkeypatch.setattr(type(tree), "walk_classes", counted)
+        record = build_prompt(tree, f"M{i}", "src/C.cs", cfg)
+        monkeypatch.undo()
+        assert record.context_level == 2
+        assert record.prompt_text.startswith(f"src/C.cs:\n{context}\n")
+        assert sum(walked is tree for walked in walks) == 1
+        walks.clear()
+
+
 # ── comment ownership ────────────────────────────────────────────────
 
 
