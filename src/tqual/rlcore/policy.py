@@ -9,6 +9,16 @@ Sampling applies the decoding pipeline in a fixed order: temperature
 scaling, then a per-completion frequency penalty, then nucleus truncation.
 The log-probabilities used for policy-gradient ratios come from the plain
 softmax of the logits; the decoding knobs shape exploration only.
+
+Under fixed weights and knobs, a draw's nucleus (the kept token indices and
+their cdf) depends only on the current state and the completion's token
+counts.  A caller that samples many completions from a frozen policy passes
+one draw-table dict to every ``sample_completion`` call: it maps
+``(state, counts.tobytes())`` to that pair, so each nucleus is built once
+and every later draw from it is a single lookup of one uniform.  A table
+stops growing at ``DRAW_TABLE_SIZE`` entries, and greedy decoding never
+reads or fills it.  The draws, and the generator's stream, are the same
+with or without a table.
 """
 
 from __future__ import annotations
@@ -23,6 +33,13 @@ from ..corpus import REQUIRED, decode, encode
 from ..errors import DomainError
 
 __all__ = ["PolicyTable", "SampledCompletion", "sample_completion"]
+
+# Most nucleus tables one draw-table dict holds; past it, misses are built
+# and used but not stored.
+DRAW_TABLE_SIZE = 512
+
+# (state, token counts as bytes) -> (kept token indices, their cdf).
+DrawTable = dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]]
 
 # Below this temperature the softmax is numerically a point mass; decode
 # greedily instead of dividing by ~0.
@@ -168,7 +185,11 @@ def sample_completion(
     temperature: float,
     top_p: float,
     frequency_penalty: float,
+    tables: DrawTable | None = None,
 ) -> SampledCompletion:
+    """Decode one completion.  ``tables`` is a draw table shared by calls
+    that sample ``policy`` with the same weights and knobs (see the module
+    docstring); without one, each nucleus is built for its draw alone."""
     if max_tokens < 1:
         raise DomainError(f"max_tokens must be positive, got {max_tokens}")
     if not (0 <= temperature < math.inf):
@@ -186,15 +207,23 @@ def sample_completion(
     states: list[int] = []
     actions: list[int] = []
     stopped = False
+    greedy = temperature <= _GREEDY_TEMPERATURE
+    if tables is None:
+        tables = {}
 
     for _ in range(max_tokens):
-        row = policy.logits[state]
-        if temperature <= _GREEDY_TEMPERATURE:
-            adjusted = row - frequency_penalty * counts
-            action = int(np.argmax(adjusted))
+        if greedy:
+            action = int(np.argmax(policy.logits[state] - frequency_penalty * counts))
         else:
-            adjusted = row / temperature - frequency_penalty * counts
-            action = _nucleus_draw(_softmax(adjusted), top_p, rng)
+            key = (state, counts.tobytes())
+            table = tables.get(key)
+            if table is None:
+                adjusted = policy.logits[state] / temperature - frequency_penalty * counts
+                table = _nucleus_table(_softmax(adjusted), top_p)
+                if len(tables) < DRAW_TABLE_SIZE:
+                    tables[key] = table
+            keep, cdf = table
+            action = int(keep[cdf.searchsorted(rng.random(), side="right")])
 
         states.append(state)
         actions.append(action)
@@ -213,13 +242,9 @@ def sample_completion(
     )
 
 
-def _nucleus_draw(probs: np.ndarray, top_p: float, rng: np.random.Generator) -> int:
-    """Sample from the smallest probability-sorted prefix with mass >= top_p.
-
-    The draw is the inverse-cdf step that ``rng.choice(len(keep), p=kept)``
-    performs, without its argument checks: it takes the same single uniform
-    from ``rng`` and returns the same index.
-    """
+def _nucleus_table(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest probability-sorted prefix with mass >= top_p: its token
+    indices and their normalised cdf, ending at exactly 1."""
     order = (-probs).argsort(kind="stable")
     cumulative = probs[order].cumsum()
     cut = int(cumulative.searchsorted(top_p, side="left")) + 1
@@ -229,4 +254,16 @@ def _nucleus_draw(probs: np.ndarray, top_p: float, rng: np.random.Generator) -> 
     if not math.isfinite(cdf[-1]):
         raise DomainError("next-token distribution is not finite; the logits overflowed")
     cdf /= cdf[-1]
+    return keep, cdf
+
+
+def _nucleus_draw(probs: np.ndarray, top_p: float, rng: np.random.Generator) -> int:
+    """Sample from the nucleus of ``probs``.
+
+    The draw is the inverse-cdf step that ``rng.choice(len(keep), p=kept)``
+    performs, without its argument checks: it takes the same single uniform
+    from ``rng`` and returns the same index.  ``sample_completion`` makes the
+    same lookup on a table it may have built for an earlier draw.
+    """
+    keep, cdf = _nucleus_table(probs, top_p)
     return int(keep[cdf.searchsorted(rng.random(), side="right")])

@@ -21,6 +21,11 @@ often, and evaluation's quality pass only reads back what its reward pass
 stored.  The policy is frozen while a batch is collected and while an
 evaluation runs, so each visited row's reference KL (and, in a batch, its
 log-probabilities) is computed once and reused by every episode in it.
+For the same reason each collected batch, and each ``generate_completions``
+call, shares one draw table across its completions: a nucleus is built once
+per (state, token counts) key and later draws from it are lookups.  A table
+holds at most ``DRAW_TABLE_SIZE`` (512) entries, so a long evaluation or
+``tqual sample`` run cannot grow it without bound.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from ..corpus import encode
 from ..errors import DomainError
 from ..rewards import RewardScheme, reward_for
 from .math import TrajectoryStep, clipped_surrogate_grad, kl_penalized_reward
-from .policy import PolicyTable, SampledCompletion, sample_completion
+from .policy import DrawTable, PolicyTable, SampledCompletion, sample_completion
 from .reward_model import LinearRewardModel
 
 __all__ = [
@@ -220,6 +225,7 @@ def generate_completions(
     count: int,
 ) -> list[SampledCompletion]:
     rng = np.random.default_rng(seed)
+    tables: DrawTable = {}
     return [
         sample_completion(
             policy,
@@ -228,6 +234,7 @@ def generate_completions(
             temperature=cfg.temperature,
             top_p=cfg.top_p,
             frequency_penalty=cfg.frequency_penalty,
+            tables=tables,
         )
         for _ in range(count)
     ]
@@ -338,6 +345,7 @@ def train_toy_policy(
         batch_size = min(cfg.batch_size, cfg.episodes - episodes_done)
         episodes: list[_Episode] = []
         rows = _FrozenRows(work)
+        tables: DrawTable = {}
         for _ in range(batch_size):
             completion = sample_completion(
                 work,
@@ -346,6 +354,7 @@ def train_toy_policy(
                 temperature=cfg.temperature,
                 top_p=cfg.top_p,
                 frequency_penalty=cfg.frequency_penalty,
+                tables=tables,
             )
             raw = float(reward_fn(completion.tokens))
             kl = rows.episode_kl(completion.states)

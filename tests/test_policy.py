@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from tqual.errors import DomainError
+from tqual.rlcore import policy as policy_module
 from tqual.rlcore.policy import (
+    DRAW_TABLE_SIZE,
     PolicyTable,
     SampledCompletion,
     _nucleus_draw,
@@ -271,6 +275,119 @@ def test_nucleus_draw_matches_rng_choice_and_its_stream():
         assert ours.bit_generator.state == reference.bit_generator.state
         draws += 1
     assert draws == 50 * 41
+
+
+# ── the draw table against the per-draw loop it replaced ─────────────
+
+
+def _per_draw_nucleus(probs, top_p, rng):
+    """The nucleus draw as it was before draw tables: built on every draw."""
+    order = (-probs).argsort(kind="stable")
+    cumulative = probs[order].cumsum()
+    cut = int(cumulative.searchsorted(top_p, side="left")) + 1
+    keep = order[:cut]
+    kept = probs[keep]
+    cdf = (kept / kept.sum()).cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise DomainError("next-token distribution is not finite; the logits overflowed")
+    cdf /= cdf[-1]
+    return int(keep[cdf.searchsorted(rng.random(), side="right")])
+
+
+def _per_draw_sample(policy, rng, *, max_tokens, temperature, top_p, frequency_penalty):
+    """``sample_completion`` as it was before draw tables (argument checks
+    left out): temperature, penalty, softmax and nucleus on every draw."""
+    counts = np.zeros(policy.size)
+    state = policy.stop_index
+    tokens, states, actions = [], [], []
+    stopped = False
+    for _ in range(max_tokens):
+        row = policy.logits[state]
+        if temperature <= 1e-8:
+            action = int(np.argmax(row - frequency_penalty * counts))
+        else:
+            adjusted = row / temperature - frequency_penalty * counts
+            shifted = adjusted - adjusted.max()
+            exp = np.exp(shifted)
+            action = _per_draw_nucleus(exp / exp.sum(), top_p, rng)
+        states.append(state)
+        actions.append(action)
+        if action == policy.stop_index:
+            stopped = True
+            break
+        tokens.append(policy.vocabulary[action])
+        counts[action] += 1.0
+        state = action
+    return SampledCompletion(tuple(tokens), tuple(states), tuple(actions), stopped)
+
+
+def _random_policy(source, size):
+    """A seeded policy ``size`` tokens wide: spread, tied (rounded) or
+    uniform rows, with a stop column strong enough to end completions."""
+    vocabulary = ("</s>",) + tuple(f"t{i}" for i in range(1, size))
+    logits = source.normal(0.0, 2.0, (size, size))
+    style = int(source.integers(3))
+    if style == 1:
+        logits = np.round(logits)
+    elif style == 2:
+        logits = np.zeros((size, size))
+    logits[:, 0] += float(source.uniform(0.0, 2.0))
+    return PolicyTable(vocabulary=vocabulary, logits=logits, ref_logits=logits.copy())
+
+
+def _knob_cases():
+    source = np.random.default_rng(2020)
+    temperatures = (1e-9, 0.3, 0.7, 1.0, 1.3, 2.5)
+    penalties = (0.0, 0.5, 1.7)
+    for case in range(24):
+        size = int(source.integers(2, 51))
+        knobs = dict(
+            max_tokens=int(source.integers(1, 13)),
+            temperature=temperatures[case % len(temperatures)],
+            top_p=1.0 if case % 3 == 0 else float(1.0 - source.uniform(0.0, 1.0)),
+            frequency_penalty=penalties[case % len(penalties)],
+        )
+        yield _random_policy(source, size), knobs
+
+
+def _assert_table_matches_per_draw(policy, knobs, seed, completions=200):
+    ours = np.random.default_rng(seed)
+    reference = np.random.default_rng(seed)
+    tables = {}
+    for _ in range(completions):
+        got = sample_completion(policy, ours, tables=tables, **knobs)
+        assert got == _per_draw_sample(policy, reference, **knobs)
+        assert ours.bit_generator.state == reference.bit_generator.state
+        assert len(tables) <= DRAW_TABLE_SIZE
+    return tables
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_draw_table_matches_the_per_draw_loop(case):
+    policy, knobs = list(_knob_cases())[case]
+    tables = _assert_table_matches_per_draw(policy, knobs, seed=case)
+    if knobs["temperature"] <= 1e-8:
+        assert tables == {}
+
+
+def test_draw_table_matches_the_per_draw_loop_past_its_cap():
+    # Fifty tokens, flat rows and a penalty give thousands of distinct
+    # (state, counts) keys, so the table fills and later misses go unstored.
+    source = np.random.default_rng(99)
+    policy = _random_policy(source, 50)
+    policy.logits[:, 0] -= 3.0
+    knobs = dict(max_tokens=40, temperature=1.1, top_p=0.95, frequency_penalty=0.4)
+    tables = _assert_table_matches_per_draw(policy, knobs, seed=5)
+    assert len(tables) == DRAW_TABLE_SIZE
+
+
+def test_a_full_table_still_matches_with_a_small_cap(monkeypatch):
+    monkeypatch.setattr(policy_module, "DRAW_TABLE_SIZE", 3)
+    source = np.random.default_rng(3)
+    policy = _random_policy(source, 12)
+    knobs = dict(max_tokens=12, temperature=0.8, top_p=0.9, frequency_penalty=0.5)
+    tables = _assert_table_matches_per_draw(policy, knobs, seed=8)
+    assert len(tables) == 3
 
 
 def test_completion_text_joins_tokens():

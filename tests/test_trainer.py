@@ -17,6 +17,7 @@ from toy_setup import (
 from tqual.analyzer import PROPERTY_FIELDS
 from tqual.errors import DomainError
 from tqual.rewards import RewardScheme
+from tqual.rlcore import policy as policy_module
 from tqual.rlcore import trainer
 from tqual.rlcore.policy import PolicyTable
 from tqual.rlcore.reward_model import LinearRewardModel
@@ -350,3 +351,71 @@ def test_report_dict_stays_within_its_bound(monkeypatch):
     # Evicted texts are analyzed again, and the run's output is unchanged.
     assert len(texts) > len(set(texts))
     assert [m.to_dict() for m in bounded] == [m.to_dict() for m in unbounded]
+
+
+def _spy_on_draw_tables(monkeypatch):
+    """Count, per draw table, the completions sampled with it, their draws
+    and the nucleus tables built for them, and record its largest size.
+    Each table is kept alive, so no two share an ``id``."""
+    stats: dict[int, dict] = {}
+    builds = [0]
+    real_table = policy_module._nucleus_table
+    real_sample = trainer.sample_completion
+
+    def counting_table(probs, top_p):
+        builds[0] += 1
+        return real_table(probs, top_p)
+
+    def counting_sample(*args, tables, **kwargs):
+        before = builds[0]
+        completion = real_sample(*args, tables=tables, **kwargs)
+        entry = stats.setdefault(
+            id(tables), dict(tables=tables, completions=0, draws=0, builds=0, size=0)
+        )
+        entry["completions"] += 1
+        entry["draws"] += len(completion.actions)
+        entry["builds"] += builds[0] - before
+        entry["size"] = max(entry["size"], len(tables))
+        return completion
+
+    monkeypatch.setattr(policy_module, "_nucleus_table", counting_table)
+    monkeypatch.setattr(trainer, "sample_completion", counting_sample)
+    return stats
+
+
+def test_a_collected_batch_builds_fewer_tables_than_it_draws(monkeypatch):
+    stats = _spy_on_draw_tables(monkeypatch)
+    cfg = toy_config(episodes=50, eval_interval=50, eval_samples=30)
+    reward_fn, report_fn = make_analyzer_reward(
+        RewardScheme.individual("has_assertion"), TOY_FOCAL
+    )
+    train_toy_policy(assert_seeded_policy(), reward_fn, cfg, report_fn)
+    # Two batches and two evaluations, each with a table of its own.
+    sizes = sorted(entry["completions"] for entry in stats.values())
+    assert sizes == [cfg.batch_size] * 2 + [cfg.eval_samples] * 2
+    for entry in stats.values():
+        assert 0 < entry["builds"] < entry["draws"]
+        assert entry["size"] == entry["builds"] <= policy_module.DRAW_TABLE_SIZE
+
+
+def test_generate_completions_keeps_its_table_within_the_cap(monkeypatch):
+    stats = _spy_on_draw_tables(monkeypatch)
+    generate_completions(assert_seeded_policy(), toy_config(), seed=1, count=2000)
+    (entry,) = stats.values()
+    assert entry["completions"] == 2000
+    # The table fills; misses past the cap are built and used, not stored.
+    assert entry["size"] == policy_module.DRAW_TABLE_SIZE < entry["builds"] < entry["draws"]
+
+
+def test_greedy_sampling_builds_no_table_and_draws_no_uniform(monkeypatch):
+    builds = []
+    monkeypatch.setattr(policy_module, "_nucleus_table", lambda *args: builds.append(args))
+    policy = assert_seeded_policy()
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    tables: dict = {}
+    for _ in range(20):
+        policy_module.sample_completion(policy, rng, max_tokens=16, temperature=1e-9,
+                                        top_p=0.9, frequency_penalty=0.5, tables=tables)
+    assert builds == [] and tables == {}
+    assert rng.bit_generator.state == state

@@ -27,6 +27,9 @@ RUNS = {
     "assert": dict(episodes=300, eval_interval=100, eval_samples=30, seed=7),
     "assert_top_p": dict(episodes=300, eval_interval=100, eval_samples=30, seed=11,
                          top_p=0.8),
+    "assert_sampling_knobs": dict(episodes=300, eval_interval=100, eval_samples=30,
+                                  seed=5, frequency_penalty=0.0, temperature=1.3,
+                                  top_p=0.9),
 }
 
 
@@ -53,6 +56,10 @@ PINNED = {
     "assert_top_p": {
         "metrics": "bad2cda3e0338fc9be0612e9f67f24090c443106b8fed00837716d9c8c9c9745",
         "policy": "9fe844afa731569b6d2291f437b6e4aef61e463a63bcfc46bfe0f2af4c0252d0",
+    },
+    "assert_sampling_knobs": {
+        "metrics": "968996373bea277ef41223db4f2285171511253f3fc6da676c60557fc7d4bb21",
+        "policy": "2b64ff168c151252c7989d228ed1ad4dc0ec970ac038ae7538495f11e98f369f",
     },
 }
 
