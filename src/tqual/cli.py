@@ -10,6 +10,17 @@ becomes an ``error.v1`` record and flips the exit code to 1.  Whole-input
 stages stop at the first bad line with a usage error naming it.
 
 Exit codes: 0 success, 1 data error, 2 usage error.
+
+Only ``train-toy`` and ``sample`` need the RL core, and it imports numpy,
+which would more than double the start-up time of every other command and
+add about 12 MB to its peak memory.  So its names (``train_toy_policy``, ``PolicyTable`` and the
+rest of ``_RLCORE_NAMES``) are bound into this module on first use: those
+two commands call ``_bind_rlcore`` first, and reading one of the names as an
+attribute of the module binds them too.  Tracers such as
+``perfbench/tracing.py`` wrap ``train_toy_policy`` and
+``make_analyzer_reward`` by getting and setting them as attributes before
+any command runs; binding never overwrites a name already set, so the
+commands then call the wrappers.
 """
 
 from __future__ import annotations
@@ -31,15 +42,6 @@ from .errors import DomainError, PipelineError
 from .parser import parse_focal_file
 from .prompting import build_prompt
 from .rewards import LabeledRecord, resample_balanced, reward_for
-from .rlcore.policy import PolicyTable
-from .rlcore.trainer import (
-    DEFAULT_VOCAB,
-    bigram_policy_from_corpus,
-    generate_completions,
-    make_analyzer_reward,
-    render_toy_test,
-    train_toy_policy,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -275,6 +277,33 @@ def cmd_subsample(args: argparse.Namespace) -> int:
 
 # ── toy RL commands ─────────────────────────────────────────────────
 
+_RLCORE_NAMES = (
+    "PolicyTable",
+    "DEFAULT_VOCAB",
+    "bigram_policy_from_corpus",
+    "generate_completions",
+    "make_analyzer_reward",
+    "render_toy_test",
+    "train_toy_policy",
+)
+
+
+def _bind_rlcore() -> None:
+    """Import the RL core and bind ``_RLCORE_NAMES`` here, keeping any name
+    already set (a tracer's wrapper)."""
+    from .rlcore import trainer
+    names = globals()
+    for name in _RLCORE_NAMES:
+        names.setdefault(name, getattr(trainer, name))
+
+
+def __getattr__(name: str) -> Any:
+    if name in _RLCORE_NAMES:
+        _bind_rlcore()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _load_vocabulary(path: str | None) -> tuple[str, ...]:
     if path is None:
         return DEFAULT_VOCAB
@@ -294,6 +323,7 @@ _SEED_FIELDS = {"tokens": ([str], REQUIRED)}
 
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
+    _bind_rlcore()
     pipeline = _pipeline_config(args)
     cfg = pipeline.train_config(
         beta=args.beta,
@@ -341,6 +371,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    _bind_rlcore()
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     policy = _load_policy(args.policy)

@@ -26,18 +26,20 @@ call, shares one draw table across its completions: a nucleus is built once
 per (state, token counts) key and later draws from it are lookups.  A table
 holds at most ``DRAW_TABLE_SIZE`` (512) entries, so a long evaluation or
 ``tqual sample`` run cannot grow it without bound.
+
+``TrainConfig`` is defined in ``tqual.config``, which must not import numpy,
+and is re-exported here.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..analyzer import QualityReport, ScoreConfig, analyze, score_corpus
+from ..config import TrainConfig
 from ..corpus import encode
 from ..errors import DomainError
 from ..rewards import RewardScheme, reward_for
@@ -76,51 +78,6 @@ DEFAULT_VOCAB: tuple[str, ...] = (
     "client", "Stop", "Start", "Run", "Execute", "Wait", "IsStopped",
     "Count", "expected", "actual", "==", "!=", "=", "+", "//", "Test",
 )
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    beta: float = 0.05
-    epsilon: float = 0.2
-    learning_rate: float = 0.5
-    episodes: int = 2000
-    max_tokens: int = 512
-    temperature: float = 0.7
-    top_p: float = 1.0
-    frequency_penalty: float = 0.5
-    seed: int = 0
-    batch_size: int = 25
-    ppo_epochs: int = 4
-    baseline_decay: float = 0.9
-    eval_interval: int = 200
-    eval_samples: int = 100
-
-    def __post_init__(self) -> None:
-        # One-sided range checks such as ``beta < 0`` let NaN and inf through.
-        for name in ("beta", "learning_rate", "temperature", "frequency_penalty"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.beta < 0:
-            raise DomainError(f"beta must be non-negative, got {self.beta}")
-        if not (0 < self.epsilon < 1):
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.learning_rate <= 0:
-            raise DomainError("learning_rate must be positive")
-        if self.temperature <= 0:
-            raise DomainError(f"temperature must be positive, got {self.temperature}")
-        if not (0 < self.top_p <= 1):
-            raise DomainError(f"top_p must lie in (0, 1], got {self.top_p}")
-        if self.frequency_penalty < 0:
-            raise DomainError("frequency_penalty cannot be negative")
-        for name in ("episodes", "max_tokens", "batch_size", "ppo_epochs",
-                     "eval_interval", "eval_samples"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be at least 1")
-        if not (0 <= self.baseline_decay < 1):
-            raise DomainError("baseline_decay must lie in [0, 1)")
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
+import tqual.config
+import tqual.rlcore
+import tqual.rlcore.trainer
+from tqual.cli import main
 from tqual.config import PipelineConfig, load_config, parse_config_text
+from tqual.errors import DomainError
 
 
 def test_parse_key_value_lines():
@@ -107,3 +113,40 @@ def test_readme_config_example_parses():
     assert config.split_spec().test_fraction == 0.05
     assert config.reward_scheme().properties == ("has_assertion", "invokes_focal")
     assert config.train_config().episodes == 2000
+
+
+# ── the RL loop's settings ───────────────────────────────────────────
+
+
+def test_train_config_is_one_class_wherever_it_is_imported():
+    assert tqual.config.TrainConfig is tqual.rlcore.trainer.TrainConfig is tqual.rlcore.TrainConfig
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_beta_from_a_config_file_is_a_domain_error(tmp_path, value):
+    path = tmp_path / "pipeline.cfg"
+    path.write_text(f"train.beta = {value}\n")
+    with pytest.raises(DomainError, match="beta must be finite"):
+        PipelineConfig.from_file(path).train_config()
+
+
+def test_config_file_values_reach_train_toy_when_flags_are_left_out(tmp_path, capsys):
+    # Keys without a flag, set in both files: evaluate every 10 episodes.
+    shape = "train.batch_size = 10\ntrain.eval_interval = 10\n"
+    full = tmp_path / "full.cfg"
+    full.write_text(shape + "train.seed = 5\ntrain.episodes = 30\ntrain.max_tokens = 6\n")
+    interval = tmp_path / "interval.cfg"
+    interval.write_text(shape)
+
+    def run(*args: str) -> tuple[str, list[int]]:
+        policy, metrics = tmp_path / "policy.json", tmp_path / "metrics.jsonl"
+        assert main(["train-toy", "--out", str(policy), "--metrics", str(metrics), *args]) == 0
+        capsys.readouterr()
+        episodes = [json.loads(line)["episode"] for line in metrics.read_text().splitlines()]
+        return policy.read_text(), episodes
+
+    from_file = run("--config", str(full))
+    assert from_file[1] == [0, 10, 20, 30]
+    assert from_file == run("--config", str(interval), "--seed", "5", "--episodes", "30",
+                            "--max-tokens", "6")
+    assert from_file != run("--config", str(full), "--seed", "0")
