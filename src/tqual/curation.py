@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .analyzer import QualityReport, analyze
 from .corpus import CorpusRecord
@@ -56,12 +56,9 @@ def is_golden(report: QualityReport) -> bool:
     )
 
 
-def filter_golden(
-    records: Sequence[CorpusRecord],
-    analyze_fn: Callable[[str, str], QualityReport] = analyze,
-) -> list[CorpusRecord]:
+def filter_golden(records: Sequence[CorpusRecord]) -> list[CorpusRecord]:
     """Keep records whose tests pass all five golden conditions."""
-    return [r for r in records if is_golden(analyze_fn(r.test, r.focal_method))]
+    return [r for r in records if is_golden(analyze(r.test, r.focal_method))]
 
 
 def dedupe(records: Sequence[CorpusRecord]) -> list[CorpusRecord]:

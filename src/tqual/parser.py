@@ -11,17 +11,18 @@ comments are always fatal.
 Every skip over a run of tokens goes through one of two primitives:
 ``_Cursor.scan`` walks forward counting depth over a chosen set of
 delimiter pairs and stops at a chosen depth-zero token or after a closing
-one; ``_skip_generic`` steps over a ``<...>`` generic argument list,
-forwards or backwards.  Both parsers descend at most ``MAX_NESTING``
-levels (statements, or namespace and type bodies).  Constructs past the
-cap are skipped flat, the first with a fatal ``nesting too deep``
-diagnostic, so no input exhausts the Python stack.
+one; the angle table steps over a ``<...>`` generic argument list,
+forwards or backwards, in one lookup.  Both parsers descend at most
+``MAX_NESTING`` levels (statements, or namespace and type bodies).
+Constructs past the cap are skipped flat, the first with a fatal
+``nesting too deep`` diagnostic, so no input exhausts the Python stack.
 
 The one pass that checks error tokens and delimiters also records the
-index of every ``(`` and ``?``.  Call sites and ternaries are read from
-that index: each expression bisects to the ``(`` in its range and reads
-only the tokens before each, and its ternary walk runs only when a ``?``
-lies in range, starting there.  No expression's tokens are copied.
+index of every ``(`` and ``?`` and builds the angle table, which pairs
+each ``<`` with its ``>``.  Call sites and ternaries are read from that
+index: each expression bisects to the ``(`` in its range and reads only
+the tokens before each, and its ternary walk runs only when a ``?`` lies
+in range, starting there.  No expression's tokens are copied.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ _MEMBER_END = frozenset({"(", "=", ";", "{", "=>", "}"})
 _TYPE_BODY = frozenset({"{", ";"})
 _METHOD_BODY = frozenset({"{", ";", "=>"})
 
-# Depth steps of generic angle brackets, read forwards.
+# Generic angle brackets: how many angles each opens (> 0) or closes (< 0).
 _ANGLES = {"<": 1, "<<": 2, ">": -1, ">>": -2}
 
 _HEADED = {"if": "if", "while": "while", "for": "for", "foreach": "foreach",
@@ -192,25 +193,12 @@ class _Cursor:
         return ""
 
 
-def _skip_generic(toks: list[Token], k: int, step: int = 1, lo: int = 0) -> int:
-    """Index just past the generic argument list bracketed at ``toks[k]``:
-    its ``<`` when ``step`` is 1, its closing ``>``/``>>`` when ``step`` is
-    -1 (walking backwards).  Runs off the end, or below ``lo``, when the
-    list is unclosed."""
-    depth = 0
-    while lo <= k < len(toks):
-        depth += _ANGLES.get(toks[k].text, 0) * step
-        k += step
-        if depth <= 0:
-            break
-    return k
-
-
-def _type_end(toks: list[Token], k: int, *, strict: bool) -> int:
+def _type_end(toks: list[Token], angles: dict[int, int], k: int, *, strict: bool) -> int:
     """Index just past the type reference at ``toks[k]`` (predefined type or
     dotted name, generic arguments, ``?``, array ranks), or -1 when there is
     none.  ``strict`` also gives -1 for generic arguments that are not
-    type-like and for an array rank left open."""
+    type-like and for an array rank left open.  ``angles`` is the angle
+    table of ``toks``; an unclosed ``<`` runs to the end."""
     n = len(toks)
     if k >= n:
         return -1
@@ -225,11 +213,12 @@ def _type_end(toks: list[Token], k: int, *, strict: bool) -> int:
     else:
         return -1
     if k < n and toks[k].text == "<":
-        end = _skip_generic(toks, k)
+        end = angles.get(k, n - 1) + 1
+        # By index: a slice of an unclosed '<' copies the rest of the stream.
         if strict and not all(
                 a.kind is _IDENTIFIER or a.kind is _KEYWORD
                 or a.text in (",", ".", "?", "[", "]") or a.text in _ANGLES
-                for a in toks[k + 1:end]):
+                for a in map(toks.__getitem__, range(k + 1, end))):
             return -1
         k = end
     if k < n and toks[k].text == "?":
@@ -247,14 +236,6 @@ def _type_end(toks: list[Token], k: int, *, strict: bool) -> int:
     return k
 
 
-def _last_identifier(toks: list[Token], lo: int, hi: int) -> str:
-    """Text of the last identifier in ``toks[lo .. hi]``, or ""."""
-    for j in range(hi, lo - 1, -1):
-        if toks[j].kind is _IDENTIFIER:
-            return toks[j].text
-    return ""
-
-
 def _to_semicolon(cur: _Cursor) -> None:
     """Skip past the next depth-zero ';', or up to an unmatched closer."""
     cur.scan(_STATEMENT_END)
@@ -266,19 +247,26 @@ def _to_semicolon(cur: _Cursor) -> None:
 _ERROR_TOKEN_MESSAGE = "unterminated literal, comment, or unsupported character"
 
 
-def _token_diagnostics(significant: list[Token]
-                       ) -> tuple[list[SyntaxDiagnostic], list[int], list[int]]:
+def _token_diagnostics(significant: list[Token]) -> tuple[
+        list[SyntaxDiagnostic], list[int], list[int], dict[int, int]]:
     """A diagnostic for each ``error`` token, in source order, then one for
-    the first delimiter fault, if any; and the indices of every ``(`` and
-    every ``?`` punctuation token, ascending.
+    the first delimiter fault, if any; the indices of every ``(`` and every
+    ``?`` punctuation token, ascending; and the angle table.
 
     (), [] and {} are stack-matched over the punctuation; attribute tokens
     are internally balanced and skipped.  The first unmatched closer, or
     else the innermost opener left unclosed, is the fault.  Any fault is
-    fatal: this is the soundness floor under check_syntax."""
+    fatal: this is the soundness floor under check_syntax.
+
+    Angles match on a stack of their own: ``<`` pushes its index once and
+    ``<<`` twice; ``>`` pops one entry and ``>>`` two, or what is left.  The
+    angle table maps an opener to the closer that pops its last copy, and a
+    closer that pops its full count to the last index it pops."""
     diags: list[SyntaxDiagnostic] = []
     parens: list[int] = []
     questions: list[int] = []
+    angles: dict[int, int] = {}
+    opens: list[int] = []  # one entry per open angle
     stack: list[Token] = []
     fault = None
     for i, tok in enumerate(significant):
@@ -290,6 +278,18 @@ def _token_diagnostics(significant: list[Token]
                 parens.append(i)
             elif text == "?":
                 questions.append(i)
+            elif text in _ANGLES:
+                count = _ANGLES[text]
+                if count > 0:
+                    opens += [i] * count
+                else:
+                    popped = opens[count:]
+                    del opens[count:]
+                    for k in popped:
+                        if not opens or opens[-1] != k:
+                            angles[k] = i
+                    if len(popped) == -count:
+                        angles[i] = popped[0]
             if fault is not None:
                 continue
             if text in _OPENERS:
@@ -303,23 +303,25 @@ def _token_diagnostics(significant: list[Token]
         fault = SyntaxDiagnostic(f"unclosed '{stack[-1].text}'", stack[-1].offset, FATAL)
     if fault is not None:
         diags.append(fault)
-    return diags, parens, questions
+    return diags, parens, questions, angles
 
 
 # ── expression-level extraction ──────────────────────────────────────────
 
 
 def _extract_invocations(toks: list[Token], lo: int, hi: int, parens: list[int],
-                         questions: list[int]) -> tuple[list[Invocation], bool]:
+                         questions: list[int], angles: dict[int, int]
+                         ) -> tuple[list[Invocation], bool]:
     """Call sites and ternary presence within the expression ``toks[lo ..
-    hi]``.  ``parens`` and ``questions`` index every ``(`` and ``?`` of
-    ``toks``, ascending, so only the tokens around them are read."""
+    hi]``.  ``parens``, ``questions`` and ``angles`` are the indices and the
+    angle table of ``toks``, so only the tokens around each ``(`` are read."""
     invocations: list[Invocation] = []
     for idx in parens[bisect_left(parens, lo):bisect_right(parens, hi)]:
         j = idx - 1
         # Step over a generic argument list: Foo<Bar>( or Foo<A, B<C>>(.
+        # A list opened before ``lo``, or never, leaves ``j`` below ``lo``.
         if j >= lo and toks[j].text in (">", ">>"):
-            j = _skip_generic(toks, j, -1, lo)
+            j = angles.get(j, 0) - 1
         if j < lo or toks[j].kind is not _IDENTIFIER:
             continue
         chain = [toks[j].text]
@@ -374,7 +376,7 @@ class _Parser:
     def __init__(self, source: str):
         significant, comments = tokenize(source)
         self.cur = _Cursor(source, significant, comments)
-        self.diags, self.parens, self.questions = _token_diagnostics(significant)
+        self.diags, self.parens, self.questions, self.angles = _token_diagnostics(significant)
         self.depth = 0
         self.capped = False
 
@@ -403,7 +405,8 @@ class _StatementParser(_Parser):
         has_ternary = False
         for a, b in expr_ranges:
             if b >= a:
-                invs, tern = _extract_invocations(cur.toks, a, b, self.parens, self.questions)
+                invs, tern = _extract_invocations(cur.toks, a, b, self.parens,
+                                                  self.questions, self.angles)
                 invocations.extend(invs)
                 has_ternary = has_ternary or tern
         return Statement(kind, cur.char_span(start, cur.pos - 1), children or [],
@@ -574,7 +577,7 @@ class _StatementParser(_Parser):
             return False
         if toks[k].text == "var" and toks[k].kind is _IDENTIFIER:
             return k + 1 < len(toks) and toks[k + 1].kind is _IDENTIFIER
-        k = _type_end(toks, k, strict=True)
+        k = _type_end(toks, self.angles, k, strict=True)
         return (0 <= k < len(toks) - 1 and toks[k].kind is _IDENTIFIER
                 and toks[k + 1].text in ("=", ";", ","))
 
@@ -596,7 +599,7 @@ def parse_test_method(source: str) -> TestSyntaxTree:
     problem = ""
 
     type_start = cur.pos
-    type_end = _type_end(cur.toks, type_start, strict=False)
+    type_end = _type_end(cur.toks, sp.angles, type_start, strict=False)
     if type_end >= 0:
         cur.pos = type_end
     name_tok = cur.peek()
@@ -611,7 +614,7 @@ def parse_test_method(source: str) -> TestSyntaxTree:
 
     if not problem:
         if cur.peek_text() == "<":  # generic test methods: consume and ignore
-            cur.pos = _skip_generic(cur.toks, cur.pos)
+            cur.pos = sp.angles.get(cur.pos, len(cur.toks) - 1) + 1
         if cur.peek_text() == "(":
             sp._consume_parens()
         else:
@@ -669,6 +672,16 @@ def _at_type_declaration(cur: _Cursor) -> bool:
 
 
 class _FocalParser(_Parser):
+    def __init__(self, source: str):
+        super().__init__(source)
+        self.identifiers = [i for i, t in enumerate(self.cur.toks) if t.kind is _IDENTIFIER]
+
+    def last_identifier(self, lo: int, hi: int) -> str:
+        """Text of the last identifier in ``toks[lo .. hi]``, or ""."""
+        k = bisect_right(self.identifiers, hi) - 1
+        i = self.identifiers[k] if k >= 0 else -1
+        return self.cur.toks[i].text if i >= lo else ""
+
     def parse_container(self, classes: list[ClassNode], *, top_level: bool) -> None:
         cur = self.cur
         while not cur.at_end:
@@ -779,7 +792,7 @@ class _FocalParser(_Parser):
                 elif terminator == "=>":
                     node.others.append(cur.char_span(member_start, cur.pos - 1))
                 else:
-                    name = _last_identifier(cur.toks, start, end)
+                    name = self.last_identifier(start, end)
                     node.fields.append(FieldNode(name, cur.char_span(member_start, cur.pos - 1)))
 
     def parse_method_member(self, node: ClassNode, member_start: int) -> None:
@@ -787,8 +800,8 @@ class _FocalParser(_Parser):
         cur = self.cur
         j = cur.pos - 1
         if j >= 0 and cur.toks[j].text in (">", ">>"):
-            j = _skip_generic(cur.toks, j, -1)
-        name = _last_identifier(cur.toks, 0, j)
+            j = self.angles.get(j, 0) - 1
+        name = self.last_identifier(0, j)
         cur.scan(pairs=_PARENS, close=")")
         sig_char_end = cur.char_span(cur.pos - 1, cur.pos - 1)[1]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .analyzer import QualityReport, analyze
 from .corpus import REQUIRED, CorpusRecord, decode, encode
@@ -127,14 +127,10 @@ class LabeledRecord:
         })
 
 
-def label_dataset(
-    records: Sequence[CorpusRecord],
-    scheme: RewardScheme,
-    analyze_fn: Callable[[str, str], QualityReport] = analyze,
-) -> list[LabeledRecord]:
+def label_dataset(records: Sequence[CorpusRecord], scheme: RewardScheme) -> list[LabeledRecord]:
     out = []
     for record in records:
-        report = analyze_fn(record.test, record.focal_method)
+        report = analyze(record.test, record.focal_method)
         out.append(LabeledRecord(record, report, reward_for(report, scheme)))
     return out
 

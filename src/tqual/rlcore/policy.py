@@ -244,7 +244,9 @@ def sample_completion(
 
 def _nucleus_table(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
     """The smallest probability-sorted prefix with mass >= top_p: its token
-    indices and their normalised cdf, ending at exactly 1."""
+    indices and their normalised cdf, ending at exactly 1.  For one uniform
+    ``u``, ``keep[cdf.searchsorted(u, side="right")]`` is the index that
+    ``rng.choice`` draws from the same nucleus with that uniform."""
     order = (-probs).argsort(kind="stable")
     cumulative = probs[order].cumsum()
     cut = int(cumulative.searchsorted(top_p, side="left")) + 1
@@ -256,14 +258,3 @@ def _nucleus_table(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndar
     cdf /= cdf[-1]
     return keep, cdf
 
-
-def _nucleus_draw(probs: np.ndarray, top_p: float, rng: np.random.Generator) -> int:
-    """Sample from the nucleus of ``probs``.
-
-    The draw is the inverse-cdf step that ``rng.choice(len(keep), p=kept)``
-    performs, without its argument checks: it takes the same single uniform
-    from ``rng`` and returns the same index.  ``sample_completion`` makes the
-    same lookup on a table it may have built for an earlier draw.
-    """
-    keep, cdf = _nucleus_table(probs, top_p)
-    return int(keep[cdf.searchsorted(rng.random(), side="right")])

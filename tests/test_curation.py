@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from tqual import curation
 from tqual.analyzer import PROPERTY_FIELDS, QualityReport
 from tqual.corpus import CorpusRecord
 from tqual.curation import (
@@ -80,7 +81,7 @@ def test_filter_golden_end_to_end():
     assert kept == [good]
 
 
-def test_filter_golden_accepts_injected_analyzer():
+def test_filter_golden_accepts_injected_analyzer(monkeypatch):
     records = [make_record("r", i) for i in range(4)]
     calls = []
 
@@ -88,7 +89,8 @@ def test_filter_golden_accepts_injected_analyzer():
         calls.append(focal)
         return make_report(has_assertion=len(calls) % 2 == 1)
 
-    kept = filter_golden(records, fake_analyze)
+    monkeypatch.setattr(curation, "analyze", fake_analyze)
+    kept = filter_golden(records)
     assert [r.prompt for r in kept] == [records[0].prompt, records[2].prompt]
 
 

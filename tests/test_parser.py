@@ -368,10 +368,10 @@ def reference_balance_diagnostics(significant):
 def test_token_diagnostics_list_errors_then_the_first_fault():
     significant, _ = scan("² ( ] \xa0 { ²")
     error = "unterminated literal, comment, or unsupported character"
-    diags, parens, questions = parser._token_diagnostics(significant)
+    diags, parens, questions, angles = parser._token_diagnostics(significant)
     assert [(d.message, d.offset) for d in diags] == [
         (error, 0), (error, 6), (error, 10), ("unmatched ']'", 4)]
-    assert (parens, questions) == ([1], [])
+    assert (parens, questions, angles) == ([1], [], {})
 
 
 @given(st.lists(st.sampled_from(
@@ -380,13 +380,63 @@ def test_token_diagnostics_list_errors_then_the_first_fault():
 @settings(max_examples=300, deadline=None)
 def test_token_diagnostics_match_the_two_reference_passes(source):
     significant, _ = scan(source)
-    diags, parens, questions = parser._token_diagnostics(significant)
+    diags, parens, questions, _ = parser._token_diagnostics(significant)
     assert diags == (
         reference_lex_diagnostics(significant) + reference_balance_diagnostics(significant))
     punctuation = [(i, t.text) for i, t in enumerate(significant)
                    if t.kind is TokenKind.PUNCTUATION]
     assert parens == [i for i, text in punctuation if text == "("]
     assert questions == [i for i, text in punctuation if text == "?"]
+
+
+# ── the angle table against the walk it replaced ─────────────────────
+
+_ANGLES = {"<": 1, "<<": 2, ">": -1, ">>": -2}
+
+
+def reference_skip_generic(toks, k, step=1, lo=0):
+    """Index just past the generic argument list bracketed at ``toks[k]``:
+    its ``<`` when ``step`` is 1, its closing ``>``/``>>`` when ``step`` is
+    -1 (walking backwards).  Runs off the end, or below ``lo``, when the
+    list is unclosed."""
+    depth = 0
+    while lo <= k < len(toks):
+        depth += _ANGLES.get(toks[k].text, 0) * step
+        k += step
+        if depth <= 0:
+            break
+    return k
+
+
+# Every token with an angle in its text, 'operator' before a stray '>', and
+# generic-shaped runs, so lists nest, close in pairs and stay open.
+_ANGLE_SOUPS = st.lists(st.sampled_from(
+    ["<", "<<", ">", ">>", "<<=", ">>=", ">=", "<=", "=>", "operator", "operator >(",
+     "x", "List", ",", "(", ")", ";", "List<x>", "A<B<x>>", "A<B<C<x>>>", "a < b", "a >> b"]),
+    max_size=30)
+
+
+@given(_ANGLE_SOUPS)
+@settings(max_examples=500, deadline=None)
+def test_angle_table_matches_the_walk_both_ways_from_every_lo(fragments):
+    significant, _ = scan(" ".join(fragments))
+    *_, angles = parser._token_diagnostics(significant)
+    n = len(significant)
+    for k, tok in enumerate(significant):
+        if tok.text in ("<", "<<"):
+            assert angles.get(k, n - 1) + 1 == reference_skip_generic(significant, k)
+        elif tok.text in (">", ">>"):
+            for lo in range(k + 1):
+                assert max(angles.get(k, lo), lo) - 1 == (
+                    reference_skip_generic(significant, k, -1, lo))
+
+
+def test_angle_table_pairs_double_angles():
+    significant, _ = scan("A<B<C>> << x >> >")
+    *_, angles = parser._token_diagnostics(significant)
+    # A < B < C >> << x >> >
+    # 0 1 2 3 4 5  6  7 8  9
+    assert angles == {1: 5, 3: 5, 5: 1, 6: 8, 8: 6}
 
 
 @pytest.mark.parametrize("source", [
@@ -412,7 +462,7 @@ def reference_extract_invocations(sig_toks):
             continue
         j = idx - 1
         if j >= 0 and sig_toks[j].text in (">", ">>"):
-            j = parser._skip_generic(sig_toks, j, -1)
+            j = reference_skip_generic(sig_toks, j, -1)
         if j < 0 or sig_toks[j].kind is not TokenKind.IDENTIFIER:
             continue
         chain = [sig_toks[j].text]
@@ -466,7 +516,7 @@ _EXPRESSION_SOUPS = st.lists(st.sampled_from(
 @settings(max_examples=400, deadline=None)
 def test_indexed_extraction_matches_the_slice_and_two_walks(fragments, data):
     significant, _ = scan(" ".join(fragments))
-    _, parens, questions = parser._token_diagnostics(significant)
+    _, parens, questions, angles = parser._token_diagnostics(significant)
     n = len(significant)
     if n == 0:
         return
@@ -477,11 +527,33 @@ def test_indexed_extraction_matches_the_slice_and_two_walks(fragments, data):
     lo = data.draw(st.sampled_from(cuts) if cuts and data.draw(st.booleans())
                    else st.integers(0, n - 1))
     hi = data.draw(st.integers(lo, n - 1))
-    assert parser._extract_invocations(significant, lo, hi, parens, questions) == (
+    assert parser._extract_invocations(significant, lo, hi, parens, questions, angles) == (
         reference_extract_invocations(significant[lo:hi + 1]))
 
 
 # ── focal file parsing ───────────────────────────────────────────────
+
+
+def reference_last_identifier(toks, lo, hi):
+    """Text of the last identifier in ``toks[lo .. hi]``, or "", by a walk
+    back from ``hi``."""
+    for j in range(hi, lo - 1, -1):
+        if toks[j].kind is TokenKind.IDENTIFIER:
+            return toks[j].text
+    return ""
+
+
+@given(st.lists(st.sampled_from(
+    ["x", "Run", "int", "var", "(", ")", ";", "operator", ">", "=", "1", '"s"', "[A]"]),
+    max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_last_identifier_matches_the_walk_on_every_range(fragments):
+    fp = parser._FocalParser(" ".join(fragments))
+    toks = fp.cur.toks
+    for hi in range(-1, len(toks)):
+        for lo in range(hi + 2):
+            assert fp.last_identifier(lo, hi) == reference_last_identifier(toks, lo, hi)
+
 
 
 def test_upload_command_structure(upload_source):

@@ -13,7 +13,7 @@ from tqual.rlcore.policy import (
     DRAW_TABLE_SIZE,
     PolicyTable,
     SampledCompletion,
-    _nucleus_draw,
+    _nucleus_table,
     sample_completion,
 )
 
@@ -230,10 +230,27 @@ def test_overflowing_logits_are_a_domain_error():
     with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
         draw(policy, temperature=1e-7)
     with pytest.raises(DomainError, match="not finite"):
-        _nucleus_draw(np.full(4, np.nan), 1.0, np.random.default_rng(0))
+        _nucleus_table(np.full(4, np.nan), 1.0)
 
 
 # ── the nucleus draw against rng.choice ──────────────────────────────
+#
+# The chain: ``rng.choice`` draws what the per-draw nucleus draws, and the
+# table-backed sampler draws what the per-draw sampler built on it draws.
+
+
+def _per_draw_nucleus(probs, top_p, rng):
+    """The nucleus draw as it was before draw tables: built on every draw."""
+    order = (-probs).argsort(kind="stable")
+    cumulative = probs[order].cumsum()
+    cut = int(cumulative.searchsorted(top_p, side="left")) + 1
+    keep = order[:cut]
+    kept = probs[keep]
+    cdf = (kept / kept.sum()).cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise DomainError("next-token distribution is not finite; the logits overflowed")
+    cdf /= cdf[-1]
+    return int(keep[cdf.searchsorted(rng.random(), side="right")])
 
 
 def _choice_draw(probs: np.ndarray, top_p: float, rng: np.random.Generator) -> int:
@@ -271,27 +288,13 @@ def test_nucleus_draw_matches_rng_choice_and_its_stream():
     reference = np.random.default_rng(20231004)
     draws = 0
     for probs, top_p in _rows(np.random.default_rng(7)):
-        assert _nucleus_draw(probs, top_p, ours) == _choice_draw(probs, top_p, reference)
+        assert _per_draw_nucleus(probs, top_p, ours) == _choice_draw(probs, top_p, reference)
         assert ours.bit_generator.state == reference.bit_generator.state
         draws += 1
     assert draws == 50 * 41
 
 
 # ── the draw table against the per-draw loop it replaced ─────────────
-
-
-def _per_draw_nucleus(probs, top_p, rng):
-    """The nucleus draw as it was before draw tables: built on every draw."""
-    order = (-probs).argsort(kind="stable")
-    cumulative = probs[order].cumsum()
-    cut = int(cumulative.searchsorted(top_p, side="left")) + 1
-    keep = order[:cut]
-    kept = probs[keep]
-    cdf = (kept / kept.sum()).cumsum()
-    if not math.isfinite(cdf[-1]):
-        raise DomainError("next-token distribution is not finite; the logits overflowed")
-    cdf /= cdf[-1]
-    return int(keep[cdf.searchsorted(rng.random(), side="right")])
 
 
 def _per_draw_sample(policy, rng, *, max_tokens, temperature, top_p, frequency_penalty):

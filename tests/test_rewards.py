@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqual import rewards
 from tqual.analyzer import PROPERTY_FIELDS, QualityReport
 from tqual.corpus import CorpusRecord
 from tqual.errors import DomainError, InsufficientData
@@ -151,7 +152,7 @@ def test_reward_range_combined(report):
 # ── dataset labeling ─────────────────────────────────────────────────
 
 
-def test_label_dataset_uses_injected_analyzer():
+def test_label_dataset_uses_injected_analyzer(monkeypatch):
     records = [
         CorpusRecord(repo="r", focal_class="C", focal_method="Stop", prompt="p", test=t)
         for t in ("good", "bad")
@@ -160,7 +161,8 @@ def test_label_dataset_uses_injected_analyzer():
     def fake_analyze(test, focal):
         return make_report(has_assertion=(test == "good"))
 
-    labeled = label_dataset(records, RewardScheme.individual("assertion"), fake_analyze)
+    monkeypatch.setattr(rewards, "analyze", fake_analyze)
+    labeled = label_dataset(records, RewardScheme.individual("assertion"))
     assert [l.reward for l in labeled] == [1, 0]
     assert labeled[0].record is records[0]
 
