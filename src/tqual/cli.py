@@ -333,10 +333,9 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         max_tokens=args.max_tokens,
         seed=args.seed,
     )
-    scheme = pipeline.reward_scheme(args.properties, args.strategy)
-    if scheme is None:
-        print("train-toy: no reward properties given", file=sys.stderr)
-        return 2
+    # has_assertion only when neither the flag nor the config names properties.
+    scheme = (pipeline.reward_scheme(args.properties, args.strategy)
+              or pipeline.reward_scheme("has_assertion", args.strategy))
 
     vocabulary = _load_vocabulary(args.vocab_file)
     if args.init_policy:
@@ -399,9 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *, seed: bool = True, out: bool = True) -> None:
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output path (default stdout)")
+        if out:
+            p.add_argument("--out", help="output path (default stdout)")
         if seed:  # no default: a --seed left out leaves the config's seed in force
             p.add_argument("--seed", type=int)
 
@@ -442,13 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.set_defaults(func=cmd_golden)
 
-    p = sub.add_parser("split", help="leakage-free repository splits")
+    # No abbreviations: ``--out`` would otherwise be taken for ``--out-dir``.
+    p = sub.add_parser("split", help="leakage-free repository splits", allow_abbrev=False)
     p.add_argument("input")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--rl", action="store_true",
                    help="three-way sft/rm/pm partition of the training repos")
     p.add_argument("--dedupe", action="store_true")
-    common(p)
+    common(p, out=False)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("subsample", help="seeded random subset")
@@ -458,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_subsample, seed=0)
 
     p = sub.add_parser("train-toy", help="PPO on a tabular bigram policy")
-    p.add_argument("--properties", default="has_assertion")
+    p.add_argument("--properties",
+                   help="comma-separated quality properties (default has_assertion)")
     p.add_argument("--strategy", choices=["individual", "combined"])
     p.add_argument("--focal", default="Stop")
     p.add_argument("--episodes", type=int)

@@ -8,9 +8,10 @@ concatenated prompt hint + completion at the earlier of
 * a closing brace sitting at column zero (kept, cut after it), or
 * the start of a second ``[TestMethod]`` annotation (dropped).
 
-Both boundaries are found on the token stream, so braces and annotations
-inside string literals or comments never trigger a cut.  The operation is
-idempotent: truncating an already-truncated test returns it unchanged.
+Both boundaries are found in one forward walk over the token stream, which
+stops at the first, so braces and annotations inside string literals or
+comments never trigger a cut.  The operation is idempotent: truncating an
+already-truncated test returns it unchanged.
 """
 
 from __future__ import annotations
@@ -41,54 +42,42 @@ def prompt_hint_for(focal_method: str) -> str:
     return f"[TestMethod]\npublic void Test{focal_method}"
 
 
-def _annotation_offsets(source: str, significant: list[Token]) -> list[int]:
-    """Character offsets where a [TestMethod] annotation begins.
+def _is_annotation(source: str, significant: list[Token], i: int) -> bool:
+    """Whether a [TestMethod] annotation begins at ``significant[i]``.
 
     Handles both lexings: a single attribute-bracket token, and a plain
     ``[`` ``TestMethod`` ``]`` punctuation run (whitespace allowed) for
     positions the attribute heuristic does not cover."""
-    offsets: list[int] = []
-    for i, tok in enumerate(significant):
-        if tok.kind is _ATTRIBUTE:
-            inner = tok.text[1:-1]
-        elif tok.text == "[" and i + 2 < len(significant) and significant[i + 2].text == "]":
-            # One token inside; a comment around it keeps the name from matching.
-            inner = source[tok.offset + 1:significant[i + 2].offset]
-        else:
-            continue
-        if inner.split("(")[0].split(",")[0].strip() == _TEST_ANNOTATION:
-            offsets.append(tok.offset)
-    return offsets
+    tok = significant[i]
+    if tok.kind is _ATTRIBUTE:
+        inner = tok.text[1:-1]
+    elif tok.text == "[" and i + 2 < len(significant) and significant[i + 2].text == "]":
+        # One token inside; a comment around it keeps the name from matching.
+        inner = source[tok.offset + 1:significant[i + 2].offset]
+    else:
+        return False
+    return inner.split("(")[0].split(",")[0].strip() == _TEST_ANNOTATION
 
 
 def truncate_completion(raw: RawCompletion) -> str:
+    """Cut at the first boundary at or after the hint, walking forwards.
+
+    The annotation that cuts is the second of the whole text, so a hint
+    holding two annotations leaves only the brace rule."""
     full = raw.prompt_hint + raw.completion_text
     search_from = len(raw.prompt_hint)
-
     significant, _ = tokenize(full)
-    brace_offset: int | None = None
-    for tok in significant:
-        if tok.kind is not _PUNCTUATION or tok.text != "}":
-            continue
+    annotations = 0
+    for i, tok in enumerate(significant):
         off = tok.offset
-        if off < search_from:
-            continue
-        if off == 0 or full[off - 1] == "\n":
-            brace_offset = off
-            break
-
-    annotations = _annotation_offsets(full, significant)
-    second_annotation: int | None = None
-    if len(annotations) >= 2 and annotations[1] >= search_from:
-        second_annotation = annotations[1]
-
-    if brace_offset is None and second_annotation is None:
-        return full
-    if second_annotation is None or (
-        brace_offset is not None and brace_offset <= second_annotation
-    ):
-        return full[: brace_offset + 1]
-    return full[:second_annotation]
+        if tok.kind is _PUNCTUATION and tok.text == "}":
+            if off >= search_from and (off == 0 or full[off - 1] == "\n"):
+                return full[:off + 1]
+        elif annotations < 2 and _is_annotation(full, significant, i):
+            annotations += 1
+            if annotations == 2 and off >= search_from:
+                return full[:off]
+    return full
 
 
 def assemble_record(prompt: str, raw: RawCompletion, *, repo: str = "",

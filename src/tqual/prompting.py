@@ -19,6 +19,7 @@ import math
 import posixpath
 from dataclasses import dataclass, replace
 
+from .completion import prompt_hint_for
 from .corpus import encode
 from .errors import FocalNotFound, PromptTooLong
 from .nodes import ClassNode, FocalFileTree
@@ -179,7 +180,7 @@ def build_prompt(tree: FocalFileTree, focal: str, focal_path: str,
         context = render_level(view, focal, level)
         prompt_text = (
             f"{focal_path}:\n{context}\n"
-            f"{test_path}:\n[TestMethod]\npublic void Test{focal}"
+            f"{test_path}:\n{prompt_hint_for(focal)}"
         )
         tokens = estimate_tokens(prompt_text, cfg)
         if tokens <= cfg.prompt_token_budget:

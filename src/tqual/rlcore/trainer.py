@@ -21,11 +21,13 @@ often, and evaluation's quality pass only reads back what its reward pass
 stored.  The policy is frozen while a batch is collected and while an
 evaluation runs, so each visited row's reference KL (and, in a batch, its
 log-probabilities) is computed once and reused by every episode in it.
-For the same reason each collected batch, and each ``generate_completions``
-call, shares one draw table across its completions: a nucleus is built once
-per (state, token counts) key and later draws from it are lookups.  A table
-holds at most ``DRAW_TABLE_SIZE`` (512) entries, so a long evaluation or
-``tqual sample`` run cannot grow it without bound.
+For the same reason ``_sample`` draws each collected batch, and each
+``generate_completions`` call, with one draw table shared across its
+completions: a nucleus is built once per (state, token counts) key and later
+draws from it are lookups.  A table holds at most ``DRAW_TABLE_SIZE`` (512)
+entries, so a long evaluation or ``tqual sample`` run cannot grow it without
+bound.  Collection groups a batch's steps by state as it scores them, once
+per batch, in the shape every PPO pass over the batch reads.
 
 ``TrainConfig`` is defined in ``tqual.config``, which must not import numpy,
 and is re-exported here.
@@ -39,6 +41,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..analyzer import QualityReport, ScoreConfig, analyze, score_corpus
+from ..completion import prompt_hint_for
 from ..config import TrainConfig
 from ..corpus import encode
 from ..errors import DomainError
@@ -61,6 +64,9 @@ __all__ = [
 
 RewardFn = Callable[[Sequence[str]], float]
 ReportFn = Callable[[Sequence[str]], QualityReport]
+# A PPO batch: each state's (action, old log-prob, advantage) steps, in
+# collection order.
+_Batch = dict[int, list[tuple[int, float, float]]]
 
 # Most reports one analyzer reward keeps.  A 2000-episode toy run renders a
 # few hundred distinct texts; past the bound the oldest report is dropped.
@@ -100,7 +106,7 @@ class MetricsEntry:
 def render_toy_test(tokens: Sequence[str], focal_name: str) -> str:
     """Wrap a sampled token sequence in a minimal test method shell."""
     body = " ".join(tokens)
-    return f"[TestMethod]\npublic void Test{focal_name}()\n{{\n{body}\n}}"
+    return f"{prompt_hint_for(focal_name)}()\n{{\n{body}\n}}"
 
 
 def make_analyzer_reward(
@@ -174,14 +180,10 @@ def bigram_policy_from_corpus(
 
 # ── sampling and evaluation ─────────────────────────────────────────
 
-def generate_completions(
-    policy: PolicyTable,
-    cfg: TrainConfig,
-    *,
-    seed: int,
-    count: int,
+def _sample(
+    policy: PolicyTable, cfg: TrainConfig, rng: np.random.Generator, count: int
 ) -> list[SampledCompletion]:
-    rng = np.random.default_rng(seed)
+    """``count`` completions drawn from ``rng`` with one shared draw table."""
     tables: DrawTable = {}
     return [
         sample_completion(
@@ -195,6 +197,16 @@ def generate_completions(
         )
         for _ in range(count)
     ]
+
+
+def generate_completions(
+    policy: PolicyTable,
+    cfg: TrainConfig,
+    *,
+    seed: int,
+    count: int,
+) -> list[SampledCompletion]:
+    return _sample(policy, cfg, np.random.default_rng(seed), count)
 
 
 class _FrozenRows:
@@ -262,12 +274,6 @@ def _evaluate(
 
 # ── training loop ───────────────────────────────────────────────────
 
-@dataclass
-class _Episode:
-    steps: list[TrajectoryStep]
-    reward: float
-
-
 def train_toy_policy(
     init: PolicyTable,
     reward_fn: RewardFn,
@@ -300,45 +306,28 @@ def train_toy_policy(
 
     while episodes_done < cfg.episodes:
         batch_size = min(cfg.batch_size, cfg.episodes - episodes_done)
-        episodes: list[_Episode] = []
         rows = _FrozenRows(work)
-        tables: DrawTable = {}
-        for _ in range(batch_size):
-            completion = sample_completion(
-                work,
-                rng,
-                max_tokens=cfg.max_tokens,
-                temperature=cfg.temperature,
-                top_p=cfg.top_p,
-                frequency_penalty=cfg.frequency_penalty,
-                tables=tables,
-            )
+        batch: _Batch = {}
+        totals: list[float] = []
+        steps = 0
+        for completion in _sample(work, cfg, rng, batch_size):
             raw = float(reward_fn(completion.tokens))
             kl = rows.episode_kl(completion.states)
             total = kl_penalized_reward(raw, kl, cfg.beta)
+            totals.append(total)
             advantage = total - baseline
-            steps = [
-                TrajectoryStep(
-                    state=state,
-                    action=action,
-                    logprob_new=logprob,
-                    logprob_old=logprob,
-                    advantage=advantage,
+            for state, action in zip(completion.states, completion.actions):
+                batch.setdefault(state, []).append(
+                    (action, rows.log_prob(state, action), advantage)
                 )
-                for state, action in zip(completion.states, completion.actions)
-                for logprob in [rows.log_prob(state, action)]
-            ]
-            episodes.append(_Episode(steps=steps, reward=total))
+            steps += len(completion.actions)
         episodes_done += batch_size
 
-        rewards = [e.reward for e in episodes]
         baseline = cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * float(
-            np.mean(rewards)
+            np.mean(totals)
         )
-
-        all_steps = [s for e in episodes for s in e.steps]
         for _ in range(cfg.ppo_epochs):
-            _ascend(work, all_steps, cfg)
+            _ascend(work, batch, steps, cfg)
 
         if episodes_done >= next_eval or episodes_done >= cfg.episodes:
             epoch += 1
@@ -355,30 +344,23 @@ def train_toy_policy(
     return best_policy, metrics
 
 
-def _ascend(policy: PolicyTable, steps: list[TrajectoryStep], cfg: TrainConfig) -> None:
-    """One gradient-ascent pass of the clipped surrogate over a batch."""
+def _ascend(policy: PolicyTable, batch: _Batch, steps: int, cfg: TrainConfig) -> None:
+    """One gradient-ascent pass of the clipped surrogate over a batch of
+    ``steps`` steps grouped by state."""
     if not steps:
         return
     grad = np.zeros_like(policy.logits)
-    by_state: dict[int, list[TrajectoryStep]] = {}
-    for step in steps:
-        by_state.setdefault(step.state, []).append(step)
-
-    for state, group in by_state.items():
+    for state, group in batch.items():
         log_row = policy.log_probs(state)
         prob_row = np.exp(log_row)
-        for step in group:
+        for action, logprob_old, advantage in group:
             current = TrajectoryStep(
-                state=step.state,
-                action=step.action,
-                logprob_new=float(log_row[step.action]),
-                logprob_old=step.logprob_old,
-                advantage=step.advantage,
+                state, action, float(log_row[action]), logprob_old, advantage
             )
             g = clipped_surrogate_grad(current, cfg.epsilon)
             if g == 0.0:
                 continue
             grad[state] -= g * prob_row
-            grad[state, step.action] += g
+            grad[state, action] += g
 
-    policy.logits = policy.logits + cfg.learning_rate * grad / len(steps)
+    policy.logits = policy.logits + cfg.learning_rate * grad / steps

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import tqual.cli as cli
 from tqual.cli import main
 from tqual.corpus import CorpusRecord, dump_line
+from tqual.rewards import RewardScheme
 
 GOLDEN_TEST = (
     "[TestMethod]\npublic void TestStop()\n{\n"
@@ -227,6 +229,17 @@ def test_split_too_few_repos_is_data_error(tmp_path, capsys):
     assert main(["split", str(path), "--out-dir", str(tmp_path / "s")]) == 1
 
 
+def test_split_takes_no_out_flag(tmp_path, capsys):
+    # split writes into --out-dir only; an --out it would ignore is refused.
+    path = write_corpus(tmp_path / "c.jsonl", [GOLDEN_TEST] * 40,
+                        repo=[f"repo{i % 8}" for i in range(40)])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["split", str(path), "--out-dir", str(tmp_path / "s"), "--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "x").exists()
+
+
 # ── unwritable outputs ───────────────────────────────────────────────
 
 
@@ -417,6 +430,43 @@ def test_train_toy_scores_checkpoints_with_the_configured_formula(tmp_path, caps
                + row["frequencies"]["invokes_focal"]
                - row["frequencies"]["duplicate_assertion"]
                - row["frequencies"]["conditional_or_exception"] for row in rows)
+
+
+def train_toy_scheme(monkeypatch, tmp_path, config: str | None, *flags: str) -> RewardScheme:
+    """The reward scheme ``train-toy`` hands to ``make_analyzer_reward``."""
+    schemes = []
+    make_reward = cli.make_analyzer_reward
+
+    def recording(scheme, focal_name):
+        schemes.append(scheme)
+        return make_reward(scheme, focal_name)
+
+    monkeypatch.setattr(cli, "make_analyzer_reward", recording)
+    argv = ["train-toy", "--episodes", "10", "--max-tokens", "6",
+            "--out", str(tmp_path / "policy.json"), *flags]
+    if config is not None:
+        cfg_path = tmp_path / "pipeline.cfg"
+        cfg_path.write_text(config)
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 0
+    (scheme,) = schemes
+    return scheme
+
+
+def test_train_toy_reads_reward_properties_from_the_config(monkeypatch, tmp_path):
+    scheme = train_toy_scheme(monkeypatch, tmp_path, "reward.properties = invokes_focal\n")
+    assert scheme == RewardScheme(("invokes_focal",), "individual")
+
+
+def test_train_toy_properties_flag_beats_the_config(monkeypatch, tmp_path):
+    scheme = train_toy_scheme(monkeypatch, tmp_path, "reward.properties = invokes_focal\n",
+                              "--properties", "has_comment")
+    assert scheme == RewardScheme(("has_comment",), "individual")
+
+
+def test_train_toy_defaults_to_has_assertion(monkeypatch, tmp_path):
+    scheme = train_toy_scheme(monkeypatch, tmp_path, None)
+    assert scheme == RewardScheme(("has_assertion",), "individual")
 
 
 # ── seeds ────────────────────────────────────────────────────────────

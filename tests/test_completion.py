@@ -11,6 +11,7 @@ from tqual.completion import (
     prompt_hint_for,
     truncate_completion,
 )
+from tqual.lexer import TokenKind, scan
 
 HINT = prompt_hint_for("Stop")
 
@@ -100,6 +101,82 @@ def test_truncation_idempotent_on_fuzzed_completions(fragments):
     raw = RawCompletion(HINT, "".join(fragments))
     once = truncate_completion(raw)
     assert retruncate(once) == once
+
+
+def reference_truncate(raw: RawCompletion) -> str:
+    """Truncation as it was before the one forward walk: the first column-zero
+    brace at or after the hint, then a list of every annotation offset, of
+    which the second cuts if it lies at or after the hint."""
+    full = raw.prompt_hint + raw.completion_text
+    search_from = len(raw.prompt_hint)
+    significant, _ = scan(full)
+    brace_offset = None
+    for tok in significant:
+        if tok.kind is not TokenKind.PUNCTUATION or tok.text != "}":
+            continue
+        off = tok.offset
+        if off < search_from:
+            continue
+        if off == 0 or full[off - 1] == "\n":
+            brace_offset = off
+            break
+
+    annotations = []
+    for i, tok in enumerate(significant):
+        if tok.kind is TokenKind.ATTRIBUTE:
+            inner = tok.text[1:-1]
+        elif tok.text == "[" and i + 2 < len(significant) and significant[i + 2].text == "]":
+            inner = full[tok.offset + 1:significant[i + 2].offset]
+        else:
+            continue
+        if inner.split("(")[0].split(",")[0].strip() == "TestMethod":
+            annotations.append(tok.offset)
+    second_annotation = None
+    if len(annotations) >= 2 and annotations[1] >= search_from:
+        second_annotation = annotations[1]
+
+    if brace_offset is None and second_annotation is None:
+        return full
+    if second_annotation is None or (
+        brace_offset is not None and brace_offset <= second_annotation
+    ):
+        return full[: brace_offset + 1]
+    return full[:second_annotation]
+
+
+_ANNOTATIONS = ["[TestMethod]\n", "[ TestMethod ]", "[TestMethod(\"x\")]", "[TestMethod, Ignore]",
+                "x[TestMethod]", "[/*c*/TestMethod]"]
+_DIFF_FRAGMENTS = _FRAGMENTS + _ANNOTATIONS + ["[", "]", "TestMethod", " ", "x[0] = 1;\n",
+                                               "/* } */", "@\"\n}\"", "[Ignore]\n"]
+_HINT_FILLER = ["public void TestStop", "\n", "{\n", "}\n", "    x();\n", "// note\n",
+                '"[TestMethod]"', "[Ignore]\n", "namespace N\n"]
+
+
+@given(
+    st.integers(0, 2),
+    st.lists(st.sampled_from(_HINT_FILLER), max_size=4),
+    st.lists(st.sampled_from(_DIFF_FRAGMENTS), max_size=14),
+    st.data(),
+)
+@settings(max_examples=500, deadline=None)
+def test_forward_walk_matches_the_two_pass_truncation(count, filler, fragments, data):
+    # Hints holding 0, 1 and 2 annotations, each spelled one of the ways.
+    hint_parts = list(filler)
+    for _ in range(count):
+        at = data.draw(st.integers(0, len(hint_parts)))
+        hint_parts.insert(at, data.draw(st.sampled_from(_ANNOTATIONS)))
+    raw = RawCompletion("".join(hint_parts), "".join(fragments))
+    assert truncate_completion(raw) == reference_truncate(raw)
+
+
+def test_a_hint_with_two_annotations_disables_annotation_cuts():
+    hint = "[TestMethod]\n[TestMethod]\npublic void TestStop"
+    body = "()\n{\n    x();\n    [TestMethod]\n    y();\n"
+    raw = RawCompletion(hint, body)
+    assert truncate_completion(raw) == hint + body
+    # The brace rule still holds.
+    raw = RawCompletion(hint, body + "}\n[TestMethod]\nvoid U()")
+    assert truncate_completion(raw) == hint + body + "}"
 
 
 def test_assemble_record_truncates_and_fills_fields():
