@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator
 
 from . import __version__
 from .analyzer import PROPERTY_FIELDS, QualityReport, analyze, score_corpus
@@ -56,20 +57,17 @@ _PROPERTY_LABELS = {
 }
 
 
-@contextmanager
-def _out_stream(path: str | None) -> Iterator[TextIO]:
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        handle = open(path, "w", encoding="utf-8")
-        try:
-            yield handle
-        finally:
-            handle.close()
+def _write_lines(path: str | Path | None, lines: Iterable[str]) -> None:
+    """Write each line and a newline to ``path``, or to stdout when ``path``
+    is None or "-".  The lines are written as they come."""
+    to_stdout = path is None or path == "-"
+    with nullcontext(sys.stdout) if to_stdout else open(path, "w", encoding="utf-8") as out:
+        for line in lines:
+            out.write(line + "\n")
 
 
-def _emit(out: TextIO, obj: dict) -> None:
-    out.write(dump_line(obj) + "\n")
+def _write_jsonl(path: str | Path | None, rows: Iterable[dict]) -> None:
+    _write_lines(path, map(dump_line, rows))
 
 
 def _error_record(line_no: int, message: str) -> dict:
@@ -94,10 +92,16 @@ def _stream(args: argparse.Namespace, handle: Callable[[dict], dict | None]) -> 
     form it returns, in input order; ``None`` drops the line.  A line that
     is not a JSON object, or on which ``handle`` raises a PipelineError or
     an OSError, becomes that line's ``error.v1`` record and makes the exit
-    code 1."""
+    code 1.  The output is written while the input is read, so an ``--out``
+    naming the input file is a usage error."""
     _require_file(args.input)
+    if args.out not in (None, "-") and Path(args.out).exists() \
+            and os.path.samefile(args.input, args.out):
+        raise ValueError(f"--out {args.out} is the input file; it would be emptied")
     had_error = False
-    with _out_stream(args.out) as out:
+
+    def rows() -> Iterator[dict]:
+        nonlocal had_error
         for line_no, obj, err in iter_jsonl(args.input):
             if err is None:
                 try:
@@ -108,7 +112,9 @@ def _stream(args: argparse.Namespace, handle: Callable[[dict], dict | None]) -> 
                 row = _error_record(line_no, err)
                 had_error = True
             if row is not None:
-                _emit(out, row)
+                yield row
+
+    _write_jsonl(args.out, rows())
     return 1 if had_error else 0
 
 
@@ -219,20 +225,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"\nTests analyzed: {stats.count}")
     print(f"Quality score: {stats.quality_score:.3f}")
 
-    payload = json.dumps(stats.to_dict(), sort_keys=True, ensure_ascii=False)
-    if args.out and args.out != "-":
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
+    _write_lines(args.out, [json.dumps(stats.to_dict(), sort_keys=True, ensure_ascii=False)])
     return 0
 
 
 def cmd_resample(args: argparse.Namespace) -> int:
     labeled = _read_records(args.input, LabeledRecord.from_dict)
     balanced = resample_balanced(labeled, args.seed)
-    with _out_stream(args.out) as out:
-        for item in balanced:
-            _emit(out, item.to_dict())
+    _write_jsonl(args.out, (item.to_dict() for item in balanced))
     return 0
 
 
@@ -249,10 +249,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
     for name, members in splits.items():
-        target = out_dir / f"{name}.jsonl"
-        with open(target, "w", encoding="utf-8") as handle:
-            for record in members:
-                _emit(handle, record.to_dict())
+        _write_jsonl(out_dir / f"{name}.jsonl", (record.to_dict() for record in members))
         counts[name] = len(members)
     manifest = {
         "schema": "split-manifest.v1",
@@ -269,9 +266,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 def cmd_subsample(args: argparse.Namespace) -> int:
     records = _read_records(args.input)
     chosen = subsample(records, args.n, args.seed)
-    with _out_stream(args.out) as out:
-        for record in chosen:
-            _emit(out, record.to_dict())
+    _write_jsonl(args.out, (record.to_dict() for record in chosen))
     return 0
 
 
@@ -352,14 +347,8 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
                                         pipeline.score_config())
 
     if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            for entry in metrics:
-                _emit(handle, entry.to_dict())
-    payload = json.dumps(trained.to_dict(), sort_keys=True)
-    if args.out and args.out != "-":
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
+        _write_jsonl(args.metrics, (entry.to_dict() for entry in metrics))
+    _write_lines(args.out, [json.dumps(trained.to_dict(), sort_keys=True)])
     final = metrics[-1]
     print(
         f"episodes={final.episode} mean_reward={final.mean_reward:.3f} "
@@ -376,15 +365,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
     policy = _load_policy(args.policy)
     cfg = _pipeline_config(args).train_config(seed=args.seed, max_tokens=args.max_tokens)
     completions = generate_completions(policy, cfg, seed=cfg.seed, count=args.count)
-    with _out_stream(args.out) as out:
-        for completion in completions:
-            record = {
-                "schema": "sample.v1",
-                "tokens": list(completion.tokens),
-                "stopped": completion.stopped,
-                "test": render_toy_test(completion.tokens, args.focal),
-            }
-            _emit(out, record)
+    _write_jsonl(args.out, ({
+        "schema": "sample.v1",
+        "tokens": list(completion.tokens),
+        "stopped": completion.stopped,
+        "test": render_toy_test(completion.tokens, args.focal),
+    } for completion in completions))
     return 0
 
 

@@ -9,7 +9,7 @@ this test".  Soundness rule: unbalanced delimiters outside literals and
 comments are always fatal.
 
 Every skip over a run of tokens goes through one of two primitives:
-``_Cursor.scan`` walks forward counting depth over a chosen set of
+``_Parser.scan`` walks forward counting depth over a chosen set of
 delimiter pairs and stops at a chosen depth-zero token or after a closing
 one; the angle table steps over a ``<...>`` generic argument list,
 forwards or backwards, in one lookup.  Both parsers descend at most
@@ -79,7 +79,7 @@ _ERROR = TokenKind.ERROR
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
-# Depth steps for ``_Cursor.scan``: which delimiters a scan counts.
+# Depth steps for ``_Parser.scan``: which delimiters a scan counts.
 _ALL = {**dict.fromkeys(_OPENERS, 1), **dict.fromkeys(_CLOSERS, -1)}
 _PARENS = {"(": 1, ")": -1}
 _BRACES = {"{": 1, "}": -1}
@@ -103,20 +103,24 @@ _UNKNOWN_STATEMENTS = frozenset(
 )
 
 
-# ── token cursor ─────────────────────────────────────────────────────────
+# ── parser state ─────────────────────────────────────────────────────────
 
 
-class _Cursor:
-    """Walks the significant tokens of a lexed stream.
+class _Parser:
+    """The state of one parse, shared by both parsers: the significant
+    tokens and the position in them, the comments, the diagnostics, the
+    ``(`` and ``?`` indices, the angle table and the current nesting level.
 
     Token offsets are character offsets, so statement and member spans
     index straight into the source."""
 
-    def __init__(self, source: str, significant: list[Token], comments: list[Token]):
+    def __init__(self, source: str):
         self.source = source
-        self.toks = significant
-        self.comments = comments
+        self.toks, self.comments = tokenize(source)
         self.pos = 0
+        self.diags, self.parens, self.questions, self.angles = _token_diagnostics(self.toks)
+        self.depth = 0
+        self.capped = False
 
     @property
     def at_end(self) -> bool:
@@ -192,6 +196,24 @@ class _Cursor:
         self.pos = k
         return ""
 
+    def to_semicolon(self) -> None:
+        """Skip past the next depth-zero ';', or up to an unmatched closer."""
+        self.scan(_STATEMENT_END)
+        self.accept(";")
+
+    def fatal(self, message: str) -> None:
+        self.diags.append(SyntaxDiagnostic(message, self.offset(), FATAL))
+
+    def too_deep(self) -> bool:
+        """True at the nesting cap, where the caller skips the construct
+        flat instead of descending into it.  The first time is fatal."""
+        if self.depth < MAX_NESTING:
+            return False
+        if not self.capped:
+            self.capped = True
+            self.fatal("nesting too deep")
+        return True
+
 
 def _type_end(toks: list[Token], angles: dict[int, int], k: int, *, strict: bool) -> int:
     """Index just past the type reference at ``toks[k]`` (predefined type or
@@ -234,12 +256,6 @@ def _type_end(toks: list[Token], angles: dict[int, int], k: int, *, strict: bool
         else:
             break
     return k
-
-
-def _to_semicolon(cur: _Cursor) -> None:
-    """Skip past the next depth-zero ';', or up to an unmatched closer."""
-    cur.scan(_STATEMENT_END)
-    cur.accept(";")
 
 
 # ── shared checks ────────────────────────────────────────────────────────
@@ -366,94 +382,63 @@ def _extract_invocations(toks: list[Token], lo: int, hi: int, parens: list[int],
     return invocations, False
 
 
-# ── parser state ─────────────────────────────────────────────────────────
-
-
-class _Parser:
-    """Lexes the source; holds the cursor, the diagnostics and the current
-    nesting level shared by both parsers."""
-
-    def __init__(self, source: str):
-        significant, comments = tokenize(source)
-        self.cur = _Cursor(source, significant, comments)
-        self.diags, self.parens, self.questions, self.angles = _token_diagnostics(significant)
-        self.depth = 0
-        self.capped = False
-
-    def fatal(self, message: str) -> None:
-        self.diags.append(SyntaxDiagnostic(message, self.cur.offset(), FATAL))
-
-    def too_deep(self) -> bool:
-        """True at the nesting cap, where the caller skips the construct
-        flat instead of descending into it.  The first time is fatal."""
-        if self.depth < MAX_NESTING:
-            return False
-        if not self.capped:
-            self.capped = True
-            self.fatal("nesting too deep")
-        return True
-
-
 # ── statement parsing ────────────────────────────────────────────────────
 
 
 class _StatementParser(_Parser):
     def _make(self, kind: str, start: int, *, children: list[Statement] | None = None,
               expr_ranges: list[tuple[int, int]] = ()) -> Statement:
-        cur = self.cur
         invocations: list[Invocation] = []
         has_ternary = False
         for a, b in expr_ranges:
             if b >= a:
-                invs, tern = _extract_invocations(cur.toks, a, b, self.parens,
+                invs, tern = _extract_invocations(self.toks, a, b, self.parens,
                                                   self.questions, self.angles)
                 invocations.extend(invs)
                 has_ternary = has_ternary or tern
-        return Statement(kind, cur.char_span(start, cur.pos - 1), children or [],
+        return Statement(kind, self.char_span(start, self.pos - 1), children or [],
                          invocations, has_ternary)
 
     def parse_block(self, closing: str | None, *, labels: bool = False) -> list[Statement]:
         """Statements up to the enclosing '}', which must follow (else the
         fatal ``closing`` diagnostic); with ``closing`` None, statements up
         to end of input, stray '}' included.  ``labels`` skips case labels."""
-        cur = self.cur
         statements: list[Statement] = []
-        while not cur.at_end:
-            t = cur.peek_text()
+        while not self.at_end:
+            t = self.peek_text()
             if closing and t == "}":
                 break
             if labels and t == "case":
-                cur.scan(_COLON)
-                cur.accept(":")
-            elif labels and t == "default" and cur.peek_text(1) == ":":
-                cur.pos += 2
+                self.scan(_COLON)
+                self.accept(":")
+            elif labels and t == "default" and self.peek_text(1) == ":":
+                self.pos += 2
             else:
-                before = cur.pos
+                before = self.pos
                 statements.append(self.parse_statement())
-                if cur.pos == before:  # safety: always make progress
-                    cur.advance()
-        if closing and not cur.accept("}"):
+                if self.pos == before:  # safety: always make progress
+                    self.advance()
+        if closing and not self.accept("}"):
             self.fatal(closing)
         return statements
 
     def parse_statement(self) -> Statement:
         # Every construct recurses through here with at most one frame in
         # between, which keeps the cost of a nesting level at two frames.
-        cur = self.cur
-        start = cur.pos
-        text = cur.peek_text()
+        start = self.pos
+        text = self.peek_text()
         if self.too_deep():
             return self._parse_unknown(start)
         self.depth += 1
         if text == "{":
-            cur.advance()
+            self.advance()
             stmt = self._make("block", start, children=self.parse_block("block not closed"))
-        elif text in _HEADED and (text != "using" or cur.peek_text(1) == "("):
+        elif text in _HEADED and (text != "using" or self.peek_text(1) == "("):
             stmt = self._parse_headed(_HEADED[text], start)
         elif text == "switch":
-            cur.advance()
+            self.advance()
             header = self._consume_parens()
-            if cur.accept("{"):
+            if self.accept("{"):
                 children = self.parse_block("switch body not closed", labels=True)
             else:
                 self.fatal("switch body missing")
@@ -464,8 +449,8 @@ class _StatementParser(_Parser):
         elif text == "try":
             stmt = self._parse_try(start)
         elif text in ("return", "throw", "using"):
-            cur.advance()
-            expr_start = cur.pos
+            self.advance()
+            expr_start = self.pos
             end = self._consume_simple_statement()
             stmt = self._make(_HEADED.get(text, text), start,
                               expr_ranges=[(expr_start, end)])
@@ -483,48 +468,45 @@ class _StatementParser(_Parser):
 
     def _parse_headed(self, kind: str, start: int) -> Statement:
         """``keyword (header) body``, plus an ``else`` branch for ``if``."""
-        cur = self.cur
-        cur.advance()
+        self.advance()
         header = self._consume_parens()
-        children = [self.parse_statement()] if not cur.at_end else []
-        if kind == "if" and cur.accept("else") and not cur.at_end:
+        children = [self.parse_statement()] if not self.at_end else []
+        if kind == "if" and self.accept("else") and not self.at_end:
             children.append(self.parse_statement())
         return self._make(kind, start, children=children, expr_ranges=[header])
 
     def _parse_do(self, start: int) -> Statement:
-        cur = self.cur
-        cur.advance()
-        children = [self.parse_statement()] if not cur.at_end else []
+        self.advance()
+        children = [self.parse_statement()] if not self.at_end else []
         headers = []
-        if cur.accept("while"):
+        if self.accept("while"):
             headers.append(self._consume_parens())
-            if not cur.accept(";"):
+            if not self.accept(";"):
                 self.fatal("do-statement missing ';'")
         else:
             self.fatal("do-statement missing 'while'")
         return self._make("do", start, children=children, expr_ranges=headers)
 
     def _parse_try(self, start: int) -> Statement:
-        cur = self.cur
-        cur.advance()
+        self.advance()
         children: list[Statement] = []
-        if cur.peek_text() == "{":
+        if self.peek_text() == "{":
             children.append(self.parse_statement())
         else:
             self.fatal("try block missing")
-        while cur.accept("catch"):
-            if cur.peek_text() == "(":
+        while self.accept("catch"):
+            if self.peek_text() == "(":
                 self._consume_parens()
-            if cur.peek_text() == "when" and cur.peek_text(1) == "(":
-                cur.advance()
+            if self.peek_text() == "when" and self.peek_text(1) == "(":
+                self.advance()
                 self._consume_parens()
-            if cur.peek_text() == "{":
+            if self.peek_text() == "{":
                 children.append(self.parse_statement())
             else:
                 self.fatal("catch block missing")
                 break
-        if cur.accept("finally"):
-            if cur.peek_text() == "{":
+        if self.accept("finally"):
+            if self.peek_text() == "{":
                 children.append(self.parse_statement())
             else:
                 self.fatal("finally block missing")
@@ -533,24 +515,22 @@ class _StatementParser(_Parser):
     def _parse_unknown(self, start: int) -> Statement:
         """Constructs outside the subset: swallow one balanced unit, up to a
         depth-zero ';' or through the '}' that closes it."""
-        cur = self.cur
-        if cur.scan(_STATEMENT_END, close="}") == ";":
-            cur.advance()
+        if self.scan(_STATEMENT_END, close="}") == ";":
+            self.advance()
         return self._make("unknown-statement", start,
-                          expr_ranges=[(start, cur.pos - 1)])
+                          expr_ranges=[(start, self.pos - 1)])
 
     # low-level consumers
 
     def _consume_parens(self) -> tuple[int, int]:
         """Consume a ``( ... )`` group, counting parentheses only; returns
         its sig-token range, empty when there is no '('."""
-        cur = self.cur
-        start = cur.pos
-        if cur.peek_text() != "(":
+        start = self.pos
+        if self.peek_text() != "(":
             self.fatal("expected '('")
-        elif not cur.scan(pairs=_PARENS, close=")"):
+        elif not self.scan(pairs=_PARENS, close=")"):
             self.fatal("unclosed '('")
-        return (start, cur.pos - 1)
+        return (start, self.pos - 1)
 
     def _consume_simple_statement(self) -> int:
         """Consume up to and including ';' at depth zero.
@@ -558,19 +538,18 @@ class _StatementParser(_Parser):
         Stops without consuming at an unmatched closer (enclosing block
         end), which is a missing-semicolon error.  Returns the last consumed
         sig position, excluding the ';'."""
-        cur = self.cur
-        start = cur.pos
-        end = cur.scan(_STATEMENT_END)
+        start = self.pos
+        end = self.scan(_STATEMENT_END)
         if end == ";":
-            cur.advance()
-            return cur.pos - 2
-        if cur.pos > start:
+            self.advance()
+            return self.pos - 2
+        if self.pos > start:
             self.fatal("statement missing ';'" if end else "input ends mid-statement")
-        return cur.pos - 1
+        return self.pos - 1
 
     def _looks_like_declaration(self) -> bool:
-        toks = self.cur.toks
-        k = self.cur.pos
+        toks = self.toks
+        k = self.pos
         if k < len(toks) and toks[k].text == "const":
             k += 1
         if k >= len(toks):
@@ -587,59 +566,58 @@ class _StatementParser(_Parser):
 
 def parse_test_method(source: str) -> TestSyntaxTree:
     sp = _StatementParser(source)
-    cur = sp.cur
 
-    while (tok := cur.peek()) is not None and tok.kind is _ATTRIBUTE:
-        cur.advance()
-    while cur.peek_text() in MODIFIER_WORDS:
-        cur.advance()
+    while (tok := sp.peek()) is not None and tok.kind is _ATTRIBUTE:
+        sp.advance()
+    while sp.peek_text() in MODIFIER_WORDS:
+        sp.advance()
 
     method_name = ""
     statements: list[Statement] = []
     problem = ""
 
-    type_start = cur.pos
-    type_end = _type_end(cur.toks, sp.angles, type_start, strict=False)
+    type_start = sp.pos
+    type_end = _type_end(sp.toks, sp.angles, type_start, strict=False)
     if type_end >= 0:
-        cur.pos = type_end
-    name_tok = cur.peek()
+        sp.pos = type_end
+    name_tok = sp.peek()
     if name_tok is not None and name_tok.kind is _IDENTIFIER:
-        method_name = cur.advance().text
-    elif (cur.peek_text() == "(" and cur.pos == type_start + 1
-          and cur.toks[type_start].kind is _IDENTIFIER):
+        method_name = sp.advance().text
+    elif (sp.peek_text() == "(" and sp.pos == type_start + 1
+          and sp.toks[type_start].kind is _IDENTIFIER):
         # Constructor-shaped header: the lone identifier was the name.
-        method_name = cur.toks[type_start].text
+        method_name = sp.toks[type_start].text
     else:
         problem = "malformed method header"
 
     if not problem:
-        if cur.peek_text() == "<":  # generic test methods: consume and ignore
-            cur.pos = sp.angles.get(cur.pos, len(cur.toks) - 1) + 1
-        if cur.peek_text() == "(":
+        if sp.peek_text() == "<":  # generic test methods: consume and ignore
+            sp.pos = sp.angles.get(sp.pos, len(sp.toks) - 1) + 1
+        if sp.peek_text() == "(":
             sp._consume_parens()
         else:
             problem = "method header missing parameter list"
 
     if not problem:
-        if cur.accept("{"):
+        if sp.accept("{"):
             statements = sp.parse_block("method body not closed")
-        elif cur.accept("=>"):
-            expr_start = cur.pos
+        elif sp.accept("=>"):
+            expr_start = sp.pos
             end = sp._consume_simple_statement()
             statements = [sp._make("expression-statement", expr_start,
                                    expr_ranges=[(expr_start, end)])]
-        elif not cur.accept(";"):  # a bodiless declaration has nothing to analyze
+        elif not sp.accept(";"):  # a bodiless declaration has nothing to analyze
             problem = "method body missing"
 
     if problem:
         sp.fatal(problem)
         statements = sp.parse_block(None)
-    elif not cur.at_end:
+    elif not sp.at_end:
         sp.fatal("unexpected content after method")
         # Keep parsing so detectors can still see the trailing statements.
         statements = statements + sp.parse_block(None)
 
-    return TestSyntaxTree(method_name, sp.diags, source, cur.comments, statements)
+    return TestSyntaxTree(method_name, sp.diags, source, sp.comments, statements)
 
 
 def check_syntax(source: str) -> SyntaxVerdict:
@@ -660,161 +638,156 @@ def parse_focal_file(source: str) -> FocalFileTree:
     fp = _FocalParser(source)
     classes: list[ClassNode] = []
     fp.parse_container(classes, top_level=True)
-    comments = [(tok.offset, tok.offset + len(tok.text)) for tok in fp.cur.comments]
+    comments = [(tok.offset, tok.offset + len(tok.text)) for tok in fp.comments]
     return FocalFileTree(source, classes, comments, fp.diags)
-
-
-def _at_type_declaration(cur: _Cursor) -> bool:
-    k = 0
-    while cur.peek_text(k) in MODIFIER_WORDS:
-        k += 1
-    return cur.peek_text(k) in _TYPE_DECL_KEYWORDS
 
 
 class _FocalParser(_Parser):
     def __init__(self, source: str):
         super().__init__(source)
-        self.identifiers = [i for i, t in enumerate(self.cur.toks) if t.kind is _IDENTIFIER]
+        self.identifiers = [i for i, t in enumerate(self.toks) if t.kind is _IDENTIFIER]
 
     def last_identifier(self, lo: int, hi: int) -> str:
         """Text of the last identifier in ``toks[lo .. hi]``, or ""."""
         k = bisect_right(self.identifiers, hi) - 1
         i = self.identifiers[k] if k >= 0 else -1
-        return self.cur.toks[i].text if i >= lo else ""
+        return self.toks[i].text if i >= lo else ""
+
+    def _at_type_declaration(self) -> bool:
+        k = 0
+        while self.peek_text(k) in MODIFIER_WORDS:
+            k += 1
+        return self.peek_text(k) in _TYPE_DECL_KEYWORDS
 
     def parse_container(self, classes: list[ClassNode], *, top_level: bool) -> None:
-        cur = self.cur
-        while not cur.at_end:
-            t = cur.peek()
+        while not self.at_end:
+            t = self.peek()
             text = t.text
             if text == "}" and not top_level:
                 return
             if t.kind is _ATTRIBUTE:
-                cur.advance()
+                self.advance()
             elif text == "using":
-                _to_semicolon(cur)
+                self.to_semicolon()
             elif text == "namespace":
-                cur.advance()
-                while (tok := cur.peek()) is not None and tok.kind is _IDENTIFIER:
-                    cur.advance()
-                    cur.accept(".")
-                if cur.peek_text() != "{":
-                    cur.accept(";")
+                self.advance()
+                while (tok := self.peek()) is not None and tok.kind is _IDENTIFIER:
+                    self.advance()
+                    self.accept(".")
+                if self.peek_text() != "{":
+                    self.accept(";")
                 elif self.too_deep():
-                    cur.scan(pairs=_BRACES, close="}")
+                    self.scan(pairs=_BRACES, close="}")
                 else:
-                    cur.advance()
+                    self.advance()
                     self.depth += 1
                     self.parse_container(classes, top_level=False)
                     self.depth -= 1
-                    if not cur.accept("}"):
+                    if not self.accept("}"):
                         self.fatal("namespace not closed")
-            elif _at_type_declaration(cur):
+            elif self._at_type_declaration():
                 node = self.parse_type_declaration()
                 if node is not None:
                     classes.append(node)
             elif text == "{":  # unknown construct: skip its balanced block
-                cur.scan(pairs=_BRACES, close="}")
+                self.scan(pairs=_BRACES, close="}")
             else:
-                cur.advance()
+                self.advance()
 
     def parse_type_declaration(self) -> ClassNode | None:
-        cur = self.cur
-        start = cur.pos
-        while cur.peek_text() in MODIFIER_WORDS:
-            cur.advance()
-        kw = cur.advance().text  # class | struct | interface | enum | record
-        if kw == "record" and cur.peek_text() in ("class", "struct"):
-            cur.advance()
-        name_tok = cur.peek()
+        start = self.pos
+        while self.peek_text() in MODIFIER_WORDS:
+            self.advance()
+        kw = self.advance().text  # class | struct | interface | enum | record
+        if kw == "record" and self.peek_text() in ("class", "struct"):
+            self.advance()
+        name_tok = self.peek()
         if name_tok is None or name_tok.kind is not _IDENTIFIER:
             self.fatal("type declaration missing name")
             return None
-        name = cur.advance().text
+        name = self.advance().text
         # Generic parameters, base list, constraints: up to '{' or ';'.
-        body = cur.scan(_TYPE_BODY, pairs=_FLAT)
-        decl_span = cur.char_span(start, cur.pos - 1)
+        body = self.scan(_TYPE_BODY, pairs=_FLAT)
+        decl_span = self.char_span(start, self.pos - 1)
         node = ClassNode(name=name, decl_span=decl_span, span=decl_span)
         if not body:
             self.fatal("type body missing")
             return node
         if body == ";":
-            cur.advance()
+            self.advance()
         elif kw == "enum" or self.too_deep():
-            cur.scan(pairs=_BRACES, close="}")
+            self.scan(pairs=_BRACES, close="}")
         else:
-            cur.advance()
+            self.advance()
             self.depth += 1
             self.parse_members(node)
             self.depth -= 1
-            if not cur.accept("}"):
+            if not self.accept("}"):
                 self.fatal(f"type '{name}' not closed")
-        node.span = cur.char_span(start, cur.pos - 1)
+        node.span = self.char_span(start, self.pos - 1)
         return node
 
     def parse_members(self, node: ClassNode) -> None:
-        cur = self.cur
-        while not cur.at_end and cur.peek_text() != "}":
-            member_start = cur.pos
-            while (tok := cur.peek()) is not None and tok.kind is _ATTRIBUTE:
-                cur.advance()
-            if _at_type_declaration(cur):
+        while not self.at_end and self.peek_text() != "}":
+            member_start = self.pos
+            while (tok := self.peek()) is not None and tok.kind is _ATTRIBUTE:
+                self.advance()
+            if self._at_type_declaration():
                 inner = self.parse_type_declaration()
                 if inner is not None:
                     node.nested.append(inner)
                 continue
-            while cur.peek_text() in MODIFIER_WORDS:
-                cur.advance()
-            start = cur.pos
-            terminator = cur.scan(_MEMBER_END)
+            while self.peek_text() in MODIFIER_WORDS:
+                self.advance()
+            start = self.pos
+            terminator = self.scan(_MEMBER_END)
             if terminator == "(":
                 self.parse_method_member(node, member_start)
             elif terminator == "{":
-                cur.scan(pairs=_BRACES, close="}")
-                if cur.peek_text() == "=":  # auto-property initializer
-                    _to_semicolon(cur)
-                node.others.append(cur.char_span(member_start, cur.pos - 1))
+                self.scan(pairs=_BRACES, close="}")
+                if self.peek_text() == "=":  # auto-property initializer
+                    self.to_semicolon()
+                node.others.append(self.char_span(member_start, self.pos - 1))
             elif terminator in ("}", ""):
                 # No member terminator before the type's end or end of input:
                 # the whole run is one raw member.
-                node.others.append(cur.char_span(member_start, cur.pos - 1))
+                node.others.append(self.char_span(member_start, self.pos - 1))
             else:
                 # Only looked ahead: fields and '=>' members are consumed
                 # again from their start.
-                end = cur.pos - 1
-                cur.pos = start
-                _to_semicolon(cur)
-                if cur.pos == member_start:
+                end = self.pos - 1
+                self.pos = start
+                self.to_semicolon()
+                if self.pos == member_start:
                     # Nothing consumed, as at an unmatched closer: keep one
                     # token raw so the loop always makes progress.
-                    cur.advance()
-                    node.others.append(cur.char_span(member_start, member_start))
+                    self.advance()
+                    node.others.append(self.char_span(member_start, member_start))
                 elif terminator == "=>":
-                    node.others.append(cur.char_span(member_start, cur.pos - 1))
+                    node.others.append(self.char_span(member_start, self.pos - 1))
                 else:
                     name = self.last_identifier(start, end)
-                    node.fields.append(FieldNode(name, cur.char_span(member_start, cur.pos - 1)))
+                    node.fields.append(FieldNode(name, self.char_span(member_start, self.pos - 1)))
 
     def parse_method_member(self, node: ClassNode, member_start: int) -> None:
         """The method whose parameter list opens at the cursor."""
-        cur = self.cur
-        j = cur.pos - 1
-        if j >= 0 and cur.toks[j].text in (">", ">>"):
+        j = self.pos - 1
+        if j >= 0 and self.toks[j].text in (">", ">>"):
             j = self.angles.get(j, 0) - 1
         name = self.last_identifier(0, j)
-        cur.scan(pairs=_PARENS, close=")")
-        sig_char_end = cur.char_span(cur.pos - 1, cur.pos - 1)[1]
+        self.scan(pairs=_PARENS, close=")")
+        sig_char_end = self.char_span(self.pos - 1, self.pos - 1)[1]
 
         # Constraints or nothing until the body.
-        body = cur.scan(_METHOD_BODY, pairs=_FLAT)
-        body_start = cur.pos
+        body = self.scan(_METHOD_BODY, pairs=_FLAT)
+        body_start = self.pos
         if body == "{":
-            cur.scan(pairs=_BRACES, close="}")
+            self.scan(pairs=_BRACES, close="}")
         elif body == "=>":
-            _to_semicolon(cur)
+            self.to_semicolon()
         else:
-            cur.accept(";")
-        body_span = (cur.char_span(body_start, cur.pos - 1) if body in ("{", "=>")
+            self.accept(";")
+        body_span = (self.char_span(body_start, self.pos - 1) if body in ("{", "=>")
                      else (sig_char_end, sig_char_end))
-        span = cur.char_span(member_start, cur.pos - 1)
+        span = self.char_span(member_start, self.pos - 1)
         node.methods.append(MethodNode(name, span, sig_char_end, body_span))

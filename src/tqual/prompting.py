@@ -91,7 +91,7 @@ def _expand_deletion(text: str, start: int, end: int) -> tuple[int, int]:
         start = line_start
     n = len(text)
     j = end
-    while j < n and text[j] in " \t":
+    while j < n and text[j] in " \t\r":
         j += 1
     if j < n and text[j] == "\n":
         end = j + 1

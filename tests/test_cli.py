@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -255,6 +256,27 @@ def test_report_out_to_a_directory_is_usage_error(tmp_path, capsys):
     assert main(["analyze", str(corpus), "--out", str(reports_path)]) == 0
     assert main(["report", str(reports_path), "--out", str(tmp_path)]) == 2
     assert "tqual:" in capsys.readouterr().err
+
+
+# Output is written while input is read, so the input would be emptied.
+@pytest.mark.parametrize("command, hard_link", [
+    ("analyze", False), ("truncate", False), ("prompt", False), ("reward", False),
+    ("golden", False), ("analyze", True)])
+def test_out_naming_the_input_of_a_per_line_command_is_usage_error(
+        tmp_path, capsys, command, hard_link):
+    path = tmp_path / "c.jsonl"
+    path.write_text(dump_line({
+        "test": GOLDEN_TEST, "focal_method": "Stop", "completion": "()\n{\n}\n",
+        "focal_path": "tests/fixtures/focal_files/InventoryService.cs"}) + "\n")
+    before = path.read_bytes()
+    out = path
+    if hard_link:
+        out = tmp_path / "link.jsonl"
+        os.link(path, out)
+    argv = [command, str(path), "--out", str(out)]
+    assert main(argv + (["--properties", "has_assertion"] if command == "reward" else [])) == 2
+    assert path.read_bytes() == before
+    assert str(out) in capsys.readouterr().err
 
 
 def test_split_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):

@@ -549,7 +549,7 @@ def reference_last_identifier(toks, lo, hi):
 @settings(max_examples=200, deadline=None)
 def test_last_identifier_matches_the_walk_on_every_range(fragments):
     fp = parser._FocalParser(" ".join(fragments))
-    toks = fp.cur.toks
+    toks = fp.toks
     for hi in range(-1, len(toks)):
         for lo in range(hi + 2):
             assert fp.last_identifier(lo, hi) == reference_last_identifier(toks, lo, hi)

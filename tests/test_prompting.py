@@ -107,6 +107,17 @@ def test_levels_shrink_monotonically_for_every_method(
                 assert lengths == sorted(lengths, reverse=True), method.name
 
 
+@pytest.mark.parametrize("path", sorted(FOCAL_FILES.glob("*.cs")), ids=lambda p: p.name)
+def test_crlf_files_render_as_their_lf_renders(path):
+    source = path.read_text(encoding="utf-8")
+    lf, crlf = parse_focal_file(source), parse_focal_file(source.replace("\n", "\r\n"))
+    for cls in lf.walk_classes():
+        for method in cls.methods:
+            for level in (1, 2, 3, 4):
+                expected = render_level(lf, method.name, level).replace("\n", "\r\n")
+                assert render_level(crlf, method.name, level) == expected, (method.name, level)
+
+
 def test_unknown_level_rejected(inventory_tree):
     with pytest.raises(ValueError):
         render_level(inventory_tree, "Reserve", 5)

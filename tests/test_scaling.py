@@ -133,6 +133,40 @@ class _CountingTokens(list):
         return item
 
 
+# Reads are counted, not timed, so these bounds do not move with the host's
+# load.  Linear code reads a bounded number of times per token and about 4x
+# the tokens at 4x the input; quadratic code reads about 16x.
+MAX_READS_PER_TOKEN = 8
+READS_BOUND = 6.0
+
+
+def _reads(monkeypatch, run, source) -> tuple[int, int]:
+    """Tokens read out of the parser's token lists while ``run`` reads
+    ``source``, and the tokens those lists hold."""
+    lists: list[_CountingTokens] = []
+
+    def counting_scan(text: str):
+        significant, comments = scan(text)
+        lists.append(_CountingTokens(significant))
+        return lists[-1], comments
+
+    monkeypatch.setattr(parser, "tokenize", counting_scan)
+    run(source)
+    return sum(toks.reads for toks in lists), sum(len(toks) for toks in lists)
+
+
+@pytest.mark.parametrize("name", [name for name, (_, _, run) in CASES.items()
+                                  if run in (_analyze, parse_focal_file, _prompt)])
+def test_four_times_the_input_reads_under_six_times_the_tokens(monkeypatch, name):
+    n, build, run = CASES[name]
+    small_reads, _ = _reads(monkeypatch, run, build(n))
+    large_reads, large_tokens = _reads(monkeypatch, run, build(4 * n))
+    assert large_reads <= MAX_READS_PER_TOKEN * large_tokens, \
+        f"{name}: {large_reads / large_tokens:.2f} reads per token"
+    ratio = large_reads / small_reads
+    assert ratio < READS_BOUND, f"{name}: 4x the input read {ratio:.2f}x the tokens"
+
+
 def test_type_references_read_no_further_than_their_first_foreign_token():
     # Every '<' is unclosed, so each statement's generic list runs to the
     # end of the stream; only the ';' after it may be read.
