@@ -16,11 +16,10 @@ from .analyzer import (
     score_corpus,
 )
 from .completion import RawCompletion, assemble_record, prompt_hint_for, truncate_completion
-from .corpus import CorpusRecord, iter_jsonl, write_jsonl
+from .corpus import CorpusRecord, iter_jsonl
 from .curation import (
     SplitSpec,
     dedupe,
-    filter_golden,
     is_golden,
     split_by_repository,
     split_manifest,
@@ -41,7 +40,6 @@ from .prompting import BudgetConfig, PromptRecord, build_prompt, estimate_tokens
 from .rewards import (
     LabeledRecord,
     RewardScheme,
-    label_dataset,
     resample_balanced,
     reward_for,
 )
@@ -61,10 +59,8 @@ __all__ = [
     "truncate_completion",
     "CorpusRecord",
     "iter_jsonl",
-    "write_jsonl",
     "SplitSpec",
     "dedupe",
-    "filter_golden",
     "is_golden",
     "split_by_repository",
     "split_manifest",
@@ -86,7 +82,6 @@ __all__ = [
     "estimate_tokens",
     "LabeledRecord",
     "RewardScheme",
-    "label_dataset",
     "resample_balanced",
     "reward_for",
     "__version__",

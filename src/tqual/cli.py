@@ -1,15 +1,14 @@
 """Command-line pipeline over JSONL files.
 
-Each subcommand wraps one pipeline stage: quality analysis, frequency
-reporting, completion truncation, prompt construction, reward labeling,
-class-balanced resampling, golden filtering, repository-level splitting,
-subsampling, toy policy training and sampling.  Records are decoded by the
-``from_dict`` of their type, or by ``decode`` with a field spec.  Per-line
-stages stream their input through ``_stream`` and preserve order; a bad line
-becomes an ``error.v1`` record and flips the exit code to 1.  Whole-input
-stages stop at the first bad line with a usage error naming it.
+Each subcommand wraps one pipeline stage and is one row of ``_COMMANDS``,
+from which the parser and the path check are built.  Every input goes
+through ``_read``.  A bad line becomes an ``error.v1`` record and exit code
+1 in a per-line stage (``_stream``), stops a whole-input stage with a usage
+error naming it, and is skipped with a note by ``report``.
 
-Exit codes: 0 success, 1 data error, 2 usage error.
+Exit codes: 0 success, also when the reader closes stdout early (``head``);
+1 data error; 2 usage error, which includes two outputs of one command
+naming one file and an ``--out`` naming the input of a per-line stage.
 
 Only ``train-toy`` and ``sample`` need the RL core, and it imports numpy,
 which would more than double the start-up time of every other command and
@@ -20,18 +19,20 @@ attribute of the module binds them too.  Tracers such as
 ``perfbench/tracing.py`` wrap ``train_toy_policy`` and
 ``make_analyzer_reward`` by getting and setting them as attributes before
 any command runs; binding never overwrites a name already set, so the
-commands then call the wrappers.
+commands then call the wrappers.  The rows hold only ``cmd_*`` functions,
+which look up every pipeline function here when they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .analyzer import PROPERTY_FIELDS, QualityReport, analyze, score_corpus
@@ -70,52 +71,55 @@ def _write_jsonl(path: str | Path | None, rows: Iterable[dict]) -> None:
     _write_lines(path, map(dump_line, rows))
 
 
-def _error_record(line_no: int, message: str) -> dict:
-    return {"schema": "error.v1", "line": line_no, "error": message}
-
-
 def _require_file(path: str) -> None:
     if not Path(path).is_file():
         raise FileNotFoundError(f"input file not found: {path}")
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return PipelineConfig.from_file(args.config)
     return PipelineConfig.empty()
+
+
+def _read(path: str, handle: Callable[[dict], Any] = CorpusRecord.from_dict,
+          on_bad: Callable[[int, str], Any] | None = None) -> Iterator:
+    """``handle(obj)`` for each object of the JSONL file ``path``, in order,
+    or ``on_bad(line_no, message)`` for a line that is not an object or on
+    which ``handle`` raises a PipelineError or an OSError; None results are
+    dropped.  Without ``on_bad`` a bad line is a usage error naming it.  The
+    file must exist when ``_read`` is called; its lines are read lazily."""
+    _require_file(path)
+
+    def items() -> Iterator:
+        for line_no, obj, err in iter_jsonl(path):
+            if err is None:
+                try:
+                    item = handle(obj)
+                except (PipelineError, OSError) as exc:
+                    err = str(exc)
+            if err is not None:
+                if on_bad is None:
+                    raise DomainError(f"line {line_no}: {err}")
+                item = on_bad(line_no, err)
+            if item is not None:
+                yield item
+    return items()
 
 
 # ── line-streaming commands ─────────────────────────────────────────
 
 def _stream(args: argparse.Namespace, handle: Callable[[dict], dict | None]) -> int:
-    """Run ``handle`` on each object of ``args.input`` and write the wire
-    form it returns, in input order; ``None`` drops the line.  A line that
-    is not a JSON object, or on which ``handle`` raises a PipelineError or
-    an OSError, becomes that line's ``error.v1`` record and makes the exit
-    code 1.  The output is written while the input is read, so an ``--out``
-    naming the input file is a usage error."""
-    _require_file(args.input)
-    if args.out not in (None, "-") and Path(args.out).exists() \
-            and os.path.samefile(args.input, args.out):
-        raise ValueError(f"--out {args.out} is the input file; it would be emptied")
-    had_error = False
+    """Write what ``_read`` gives for ``args.input`` as it reads, with each
+    bad line as its ``error.v1`` record, which makes the exit code 1."""
+    bad_lines = []
 
-    def rows() -> Iterator[dict]:
-        nonlocal had_error
-        for line_no, obj, err in iter_jsonl(args.input):
-            if err is None:
-                try:
-                    row = handle(obj)
-                except (PipelineError, OSError) as exc:
-                    err = str(exc)
-            if err is not None:
-                row = _error_record(line_no, err)
-                had_error = True
-            if row is not None:
-                yield row
+    def error_record(line_no: int, message: str) -> dict:
+        bad_lines.append(line_no)
+        return {"schema": "error.v1", "line": line_no, "error": message}
 
-    _write_jsonl(args.out, rows())
-    return 1 if had_error else 0
+    _write_jsonl(args.out, _read(args.input, handle, error_record))
+    return 1 if bad_lines else 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -190,31 +194,11 @@ def cmd_golden(args: argparse.Namespace) -> int:
 
 # ── whole-corpus commands ───────────────────────────────────────────
 
-def _read_records(path: str, from_dict: Callable[[dict], Any] = CorpusRecord.from_dict
-                  ) -> list:
-    """Every record of the input; the first bad line is a usage error."""
-    _require_file(path)
-    records = []
-    for line_no, obj, err in iter_jsonl(path):
-        try:
-            if err is not None:
-                raise DomainError(err)
-            records.append(from_dict(obj))
-        except DomainError as exc:
-            raise DomainError(f"line {line_no}: {exc}") from None
-    return records
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    _require_file(args.input)
-    reports: list[QualityReport] = []
-    for line_no, obj, err in iter_jsonl(args.input):
-        try:
-            if err is not None:
-                raise DomainError(err)
-            reports.append(QualityReport.from_dict(obj))
-        except DomainError as exc:
-            print(f"report: skipping line {line_no}: {exc}", file=sys.stderr)
+    def skip(line_no: int, message: str) -> None:
+        print(f"report: skipping line {line_no}: {message}", file=sys.stderr)
+
+    reports = list(_read(args.input, QualityReport.from_dict, skip))
     stats = score_corpus(reports, _pipeline_config(args).score_config())
 
     width = max(len(label) for label in _PROPERTY_LABELS.values()) + 2
@@ -230,7 +214,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_resample(args: argparse.Namespace) -> int:
-    labeled = _read_records(args.input, LabeledRecord.from_dict)
+    labeled = list(_read(args.input, LabeledRecord.from_dict))
     balanced = resample_balanced(labeled, args.seed)
     _write_jsonl(args.out, (item.to_dict() for item in balanced))
     return 0
@@ -240,7 +224,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     spec = _pipeline_config(args).split_spec(
         seed=args.seed, rl_three_way=True if args.rl else None
     )
-    records = _read_records(args.input)
+    records = list(_read(args.input))
     if args.dedupe:
         records = dedupe(records)
     splits = split_by_repository(records, spec)
@@ -264,7 +248,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_subsample(args: argparse.Namespace) -> int:
-    records = _read_records(args.input)
+    records = list(_read(args.input))
     chosen = subsample(records, args.n, args.seed)
     _write_jsonl(args.out, (record.to_dict() for record in chosen))
     return 0
@@ -336,8 +320,8 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     if args.init_policy:
         policy = _load_policy(args.init_policy)
     elif args.seed_corpus:
-        token_lists = _read_records(
-            args.seed_corpus, lambda obj: decode(dict, obj, _SEED_FIELDS)["tokens"])
+        token_lists = list(_read(
+            args.seed_corpus, lambda obj: decode(dict, obj, _SEED_FIELDS)["tokens"]))
         policy = bigram_policy_from_corpus(token_lists, vocabulary)
     else:
         policy = PolicyTable.uniform(vocabulary)
@@ -374,7 +358,74 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-# ── parser ──────────────────────────────────────────────────────────
+# ── command table ───────────────────────────────────────────────────
+
+class _Command(NamedTuple):
+    name: str
+    help: str
+    func: Callable[[argparse.Namespace], int]
+    options: tuple[tuple[str, dict], ...]  # (flag, add_argument keywords), in --help order
+    outputs: tuple[str, ...] = ("out",)  # the dests of the files it writes
+    streams: bool = False  # writes as it reads, so --out may not be the input
+    allow_abbrev: bool = True
+
+
+_INPUT = ("input", {})
+_CONFIG = ("--config", {"help": "flat key=value config file"})
+_OUT = ("--out", {"help": "output path (default stdout)"})
+_SEED = ("--seed", {"type": int})  # no default: a --seed left out leaves the config's in force
+_SEED_0 = ("--seed", {"type": int, "default": 0})  # for commands that read no config seed
+_STRATEGY = ("--strategy", {"choices": ["individual", "combined"]})
+_FOCAL = ("--focal", {"default": "Stop"})
+_MAX_TOKENS = ("--max-tokens", {"type": int})
+_IO = (_INPUT, _CONFIG, _OUT)
+
+_COMMANDS = {row.name: row for row in (
+    _Command("analyze", "quality reports for corpus records", cmd_analyze, _IO, streams=True),
+    _Command("report", "property frequency table for reports", cmd_report, _IO),
+    _Command("truncate", "cut completions at test boundaries", cmd_truncate, _IO, streams=True),
+    _Command("prompt", "build budgeted prompts from focal files", cmd_prompt, _IO, streams=True),
+    _Command("reward", "label corpus records with rewards", cmd_reward, (
+        _INPUT,
+        ("--properties", {"help": "comma-separated quality properties"}),
+        _STRATEGY, _CONFIG, _OUT,
+    ), streams=True),
+    _Command("resample", "class-balance labeled records", cmd_resample, _IO + (_SEED_0,)),
+    _Command("golden", "keep only golden-quality records", cmd_golden, _IO, streams=True),
+    # No abbreviations: ``--out`` would otherwise be taken for ``--out-dir``.
+    _Command("split", "leakage-free repository splits", cmd_split, (
+        _INPUT,
+        ("--out-dir", {"required": True}),
+        ("--rl", {"action": "store_true",
+                  "help": "three-way sft/rm/pm partition of the training repos"}),
+        ("--dedupe", {"action": "store_true"}),
+        _CONFIG, _SEED,
+    ), outputs=("out_dir",), allow_abbrev=False),
+    _Command("subsample", "seeded random subset", cmd_subsample,
+             (_INPUT, ("--n", {"type": int, "required": True}), _CONFIG, _OUT, _SEED_0)),
+    _Command("train-toy", "PPO on a tabular bigram policy", cmd_train_toy, (
+        ("--properties",
+         {"help": "comma-separated quality properties (default has_assertion)"}),
+        _STRATEGY,
+        _FOCAL,
+        ("--episodes", {"type": int}),
+        ("--beta", {"type": float}),
+        ("--epsilon", {"type": float}),
+        ("--learning-rate", {"type": float}),
+        _MAX_TOKENS,
+        ("--vocab-file", {}),
+        ("--init-policy", {"help": "policy JSON to start from"}),
+        ("--seed-corpus", {"help": "JSONL of {'tokens': [...]} for bigram init"}),
+        ("--metrics", {"help": "write metrics JSONL here"}),
+        _CONFIG, _OUT, _SEED,
+    ), outputs=("metrics", "out")),
+    _Command("sample", "draw completions from a policy", cmd_sample, (
+        ("--policy", {"required": True}),
+        ("--count", {"type": int, "default": 10}),
+        _MAX_TOKENS, _FOCAL, _CONFIG, _OUT, _SEED,
+    )),
+)}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -383,100 +434,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, seed: bool = True, out: bool = True) -> None:
-        p.add_argument("--config", help="flat key=value config file")
-        if out:
-            p.add_argument("--out", help="output path (default stdout)")
-        if seed:  # no default: a --seed left out leaves the config's seed in force
-            p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("analyze", help="quality reports for corpus records")
-    p.add_argument("input")
-    common(p, seed=False)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("report", help="property frequency table for reports")
-    p.add_argument("input")
-    common(p, seed=False)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("truncate", help="cut completions at test boundaries")
-    p.add_argument("input")
-    common(p, seed=False)
-    p.set_defaults(func=cmd_truncate)
-
-    p = sub.add_parser("prompt", help="build budgeted prompts from focal files")
-    p.add_argument("input")
-    common(p, seed=False)
-    p.set_defaults(func=cmd_prompt)
-
-    p = sub.add_parser("reward", help="label corpus records with rewards")
-    p.add_argument("input")
-    p.add_argument("--properties", help="comma-separated quality properties")
-    p.add_argument("--strategy", choices=["individual", "combined"])
-    common(p, seed=False)
-    p.set_defaults(func=cmd_reward)
-
-    p = sub.add_parser("resample", help="class-balance labeled records")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=cmd_resample, seed=0)
-
-    p = sub.add_parser("golden", help="keep only golden-quality records")
-    p.add_argument("input")
-    common(p, seed=False)
-    p.set_defaults(func=cmd_golden)
-
-    # No abbreviations: ``--out`` would otherwise be taken for ``--out-dir``.
-    p = sub.add_parser("split", help="leakage-free repository splits", allow_abbrev=False)
-    p.add_argument("input")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--rl", action="store_true",
-                   help="three-way sft/rm/pm partition of the training repos")
-    p.add_argument("--dedupe", action="store_true")
-    common(p, out=False)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("subsample", help="seeded random subset")
-    p.add_argument("input")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_subsample, seed=0)
-
-    p = sub.add_parser("train-toy", help="PPO on a tabular bigram policy")
-    p.add_argument("--properties",
-                   help="comma-separated quality properties (default has_assertion)")
-    p.add_argument("--strategy", choices=["individual", "combined"])
-    p.add_argument("--focal", default="Stop")
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--vocab-file")
-    p.add_argument("--init-policy", help="policy JSON to start from")
-    p.add_argument("--seed-corpus", help="JSONL of {'tokens': [...]} for bigram init")
-    p.add_argument("--metrics", help="write metrics JSONL here")
-    common(p)
-    p.set_defaults(func=cmd_train_toy)
-
-    p = sub.add_parser("sample", help="draw completions from a policy")
-    p.add_argument("--policy", required=True)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--focal", default="Stop")
-    common(p)
-    p.set_defaults(func=cmd_sample)
-
+    for row in _COMMANDS.values():
+        p = sub.add_parser(row.name, help=row.help, allow_abbrev=row.allow_abbrev)
+        for flag, kwargs in row.options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_paths(args: argparse.Namespace, row: _Command) -> None:
+    """Refuse two outputs of one command that name the same file, and an
+    output naming the input of a command that writes while it reads."""
+    outputs = [(f"--{dest.replace('_', '-')}", getattr(args, dest)) for dest in row.outputs]
+    outputs = [(flag, path) for flag, path in outputs if path not in (None, "-")]
+    if row.streams and Path(args.input).is_file():
+        for flag, path in outputs:
+            if _same_file(args.input, path):
+                raise ValueError(f"{flag} {path} is the input file; it would be emptied")
+    for (flag_a, a), (flag_b, b) in itertools.combinations(outputs, 2):
+        if _same_file(a, b):
+            raise ValueError(f"{flag_a} {a} and {flag_b} {b} name the same file")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    row = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        _check_paths(args, row)
+        code = row.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has stopped, as ``head`` does.  Point stdout
+        # at devnull so that the interpreter's last flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, DomainError, OSError) as exc:
         print(f"tqual: {exc}", file=sys.stderr)
         return 2

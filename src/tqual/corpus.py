@@ -7,12 +7,11 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from .errors import DomainError
 
-__all__ = ["REQUIRED", "CorpusRecord", "encode", "decode", "iter_jsonl", "write_jsonl",
-           "dump_line"]
+__all__ = ["REQUIRED", "CorpusRecord", "encode", "decode", "iter_jsonl", "dump_line"]
 
 # The default of a field that a record must carry.
 REQUIRED = object()
@@ -149,14 +148,3 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict | None, str | None]
                 yield n, None, "expected a JSON object"
                 continue
             yield n, obj, None
-
-
-def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
-    """Write dicts one per line; returns the number written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for obj in objs:
-            handle.write(dump_line(obj))
-            handle.write("\n")
-            count += 1
-    return count

@@ -15,13 +15,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .analyzer import QualityReport, analyze
+from .analyzer import QualityReport
 from .corpus import CorpusRecord
 from .errors import TooFewRepos
 
 __all__ = [
     "SplitSpec",
-    "filter_golden",
     "is_golden",
     "dedupe",
     "split_by_repository",
@@ -54,11 +53,6 @@ def is_golden(report: QualityReport) -> bool:
         and not report.duplicate_assertion
         and not report.conditional_or_exception
     )
-
-
-def filter_golden(records: Sequence[CorpusRecord]) -> list[CorpusRecord]:
-    """Keep records whose tests pass all five golden conditions."""
-    return [r for r in records if is_golden(analyze(r.test, r.focal_method))]
 
 
 def dedupe(records: Sequence[CorpusRecord]) -> list[CorpusRecord]:

@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from .analyzer import QualityReport, analyze
+from .analyzer import QualityReport
 from .corpus import REQUIRED, CorpusRecord, decode, encode
 from .errors import InsufficientData
 
@@ -25,7 +25,6 @@ __all__ = [
     "canonical_property",
     "property_score",
     "reward_for",
-    "label_dataset",
     "resample_balanced",
 ]
 
@@ -125,14 +124,6 @@ class LabeledRecord:
             "report": (QualityReport.from_dict, REQUIRED),
             "reward": (int, REQUIRED),
         })
-
-
-def label_dataset(records: Sequence[CorpusRecord], scheme: RewardScheme) -> list[LabeledRecord]:
-    out = []
-    for record in records:
-        report = analyze(record.test, record.focal_method)
-        out.append(LabeledRecord(record, report, reward_for(report, scheme)))
-    return out
 
 
 def resample_balanced(labeled: Sequence[LabeledRecord], seed: int) -> list[LabeledRecord]:

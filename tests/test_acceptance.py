@@ -29,7 +29,7 @@ from tqual.analyzer import PROPERTY_FIELDS, QualityReport, analyze
 from tqual.cli import main
 from tqual.completion import RawCompletion, prompt_hint_for, truncate_completion
 from tqual.corpus import CorpusRecord, dump_line
-from tqual.curation import SplitSpec, filter_golden, split_by_repository, split_manifest
+from tqual.curation import SplitSpec, split_by_repository, split_manifest
 from tqual.errors import PromptTooLong
 from tqual.lexer import TokenKind, tokenize
 from tqual.parser import parse_focal_file
@@ -122,7 +122,7 @@ def _perturb(base: str, kind: str) -> str:
     raise AssertionError(kind)
 
 
-def test_criterion_02_golden_filter_soundness():
+def test_criterion_02_golden_filter_soundness(tmp_path):
     kinds = (
         "identity", "break_syntax", "strip_assertion", "remove_focal",
         "duplicate_assertion", "wrap_conditional",
@@ -139,7 +139,13 @@ def test_criterion_02_golden_filter_soundness():
             )
         )
 
-    kept = {record.prompt for record in filter_golden(records)}
+    # Through the shipped command: ``tqual golden`` over a JSONL of the records.
+    corpus_path, golden_path = tmp_path / "perturbed.jsonl", tmp_path / "golden.jsonl"
+    corpus_path.write_text("".join(dump_line(r.to_dict()) + "\n" for r in records),
+                           encoding="utf-8")
+    assert main(["golden", str(corpus_path), "--out", str(golden_path)]) == 0
+    kept = {json.loads(line)["prompt"]
+            for line in golden_path.read_text(encoding="utf-8").splitlines()}
     for record in records:
         report = analyze(record.test, record.focal_method)
         satisfies = (

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tqual
 import tqual.cli as cli
 from tqual.cli import main
 from tqual.corpus import CorpusRecord, dump_line
@@ -277,6 +282,51 @@ def test_out_naming_the_input_of_a_per_line_command_is_usage_error(
     assert main(argv + (["--properties", "has_assertion"] if command == "reward" else [])) == 2
     assert path.read_bytes() == before
     assert str(out) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "hard-link"])
+def test_two_outputs_naming_one_file_is_usage_error(tmp_path, capsys, spelling):
+    # train-toy would write its metrics, then overwrite them with the policy.
+    metrics = tmp_path / "x.json"
+    out = {"same": metrics, "dotted": tmp_path / "." / "x.json",
+           "hard-link": tmp_path / "link.json"}[spelling]
+    if spelling == "hard-link":
+        metrics.write_text("kept\n")
+        os.link(metrics, out)
+    argv = ["train-toy", "--episodes", "40", "--metrics", str(metrics), "--out", str(out)]
+    assert main(argv) == 2
+    assert "name the same file" in capsys.readouterr().err
+    if spelling == "hard-link":
+        assert metrics.read_text() == "kept\n"
+    else:
+        assert not metrics.exists()
+
+
+def test_whole_input_commands_may_write_over_their_input(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "d.jsonl", [GOLDEN_TEST] * 30)
+    assert main(["subsample", str(corpus), "--n", "10", "--out", str(corpus)]) == 0
+    assert len(corpus.read_text().splitlines()) == 10
+    policy = tmp_path / "p.json"
+    assert main(["train-toy", "--episodes", "10", "--out", str(policy)]) == 0
+    assert main(["train-toy", "--episodes", "10", "--init-policy", str(policy),
+                 "--out", str(policy)]) == 0
+    assert json.loads(policy.read_text())["schema"] == "policy.v1"
+
+
+def test_closed_stdout_exits_0_without_a_message(tmp_path):
+    # Enough report lines to overflow the pipe, so writes go on after the close.
+    corpus = write_corpus(tmp_path / "c.jsonl", [GOLDEN_TEST] * 3000)
+    env = dict(os.environ)
+    paths = [str(Path(tqual.__file__).resolve().parent.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    proc = subprocess.Popen([sys.executable, "-m", "tqual.cli", "analyze", str(corpus)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["schema"] == "report.v1"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert stderr == b""
 
 
 def test_split_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
@@ -574,3 +624,167 @@ def test_bad_config_file_is_usage_error(tmp_path):
     corpus = write_corpus(tmp_path / "c.jsonl", [GOLDEN_TEST])
     assert main(["reward", str(corpus), "--config", str(cfg_path),
                  "--properties", "assertion"]) == 2
+
+
+# ── the names a tracer replaces ──────────────────────────────────────
+
+SPLIT = ["split", "corpus.jsonl", "--out-dir", "splits", "--dedupe"]
+TRAIN = ["train-toy", "--episodes", "10", "--max-tokens", "6", "--out", "policy.json"]
+
+# Each name perfbench/tracing.py swaps on tqual.cli, a command that calls it,
+# and how often on the 24-record corpus of ``write_pipeline_inputs``.
+PATCH_POINTS = [
+    ("analyze", ["golden", "corpus.jsonl"], 24),
+    ("analyze", ["reward", "corpus.jsonl", "--properties", "assertion"], 24),
+    ("is_golden", ["golden", "corpus.jsonl"], 24),
+    ("reward_for", ["reward", "corpus.jsonl", "--properties", "assertion"], 24),
+    ("score_corpus", ["report", "reports.jsonl"], 1),
+    ("resample_balanced", ["resample", "labeled.jsonl"], 1),
+    ("dedupe", SPLIT, 1),
+    ("split_by_repository", SPLIT, 1),
+    ("split_manifest", SPLIT, 1),
+    ("build_prompt", ["prompt", "wanted.jsonl"], 1),
+    ("parse_focal_file", ["prompt", "wanted.jsonl"], 1),
+    ("truncate_completion", ["truncate", "raw.jsonl"], 1),
+    ("iter_jsonl", ["analyze", "corpus.jsonl"], 1),
+    ("dump_line", ["analyze", "corpus.jsonl"], 24),
+    ("train_toy_policy", TRAIN, 1),
+    ("make_analyzer_reward", TRAIN, 1),
+]
+
+
+def write_pipeline_inputs(root) -> None:
+    tests = [GOLDEN_TEST, PLAIN_TEST, BROKEN_TEST] * 8
+    write_corpus(root / "corpus.jsonl", tests, repo=[f"repo{i % 8}" for i in range(24)])
+    assert main(["analyze", "corpus.jsonl", "--out", "reports.jsonl"]) == 0
+    assert main(["reward", "corpus.jsonl", "--properties", "assertion",
+                 "--out", "labeled.jsonl"]) == 0
+    focal = Path(__file__).parent / "fixtures" / "focal_files" / "InventoryService.cs"
+    (root / "wanted.jsonl").write_text(
+        dump_line({"focal_path": str(focal), "focal_method": "Reserve"}) + "\n")
+    (root / "raw.jsonl").write_text(
+        dump_line({"focal_method": "Stop", "completion": "()\n{\n}\nleftover"}) + "\n")
+
+
+@pytest.mark.parametrize("name, argv, calls", PATCH_POINTS,
+                         ids=[f"{name}-{argv[0]}" for name, argv, _ in PATCH_POINTS])
+def test_commands_look_up_each_traced_name_when_they_run(
+        tmp_path, monkeypatch, capsys, name, argv, calls):
+    monkeypatch.chdir(tmp_path)
+    write_pipeline_inputs(tmp_path)
+    original = getattr(cli, name)
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    assert main(argv) == 0
+    assert len(seen) == calls
+
+
+# ── the option surface ───────────────────────────────────────────────
+
+
+def option_surface(parser: argparse.ArgumentParser) -> dict:
+    """Per subcommand: its help, ``allow_abbrev`` and, for each action but
+    ``--help``, (flags, dest, default, type, choices, required, help)."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in commands._choices_actions}
+    return {name: (helps[name], sub.allow_abbrev, [
+        (" ".join(a.option_strings) or a.dest, a.dest, a.default,
+         getattr(a.type, "__name__", a.type), a.choices, a.required, a.help)
+        for a in sub._actions if not isinstance(a, argparse._HelpAction)])
+        for name, sub in commands.choices.items()}
+
+
+OPTION_SURFACE = {
+    "analyze": ("quality reports for corpus records", True, [
+        ("input", "input", None, None, None, True, None),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--out", "out", None, None, None, False, "output path (default stdout)"),
+    ]),
+    "report": ("property frequency table for reports", True, [
+        ("input", "input", None, None, None, True, None),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--out", "out", None, None, None, False, "output path (default stdout)"),
+    ]),
+    "truncate": ("cut completions at test boundaries", True, [
+        ("input", "input", None, None, None, True, None),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--out", "out", None, None, None, False, "output path (default stdout)"),
+    ]),
+    "prompt": ("build budgeted prompts from focal files", True, [
+        ("input", "input", None, None, None, True, None),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--out", "out", None, None, None, False, "output path (default stdout)"),
+    ]),
+    "reward": ("label corpus records with rewards", True, [
+        ("input", "input", None, None, None, True, None),
+        ("--properties", "properties", None, None, None, False,
+         "comma-separated quality properties"),
+        ("--strategy", "strategy", None, None, ["individual", "combined"], False, None),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--out", "out", None, None, None, False, "output path (default stdout)"),
+    ]),
+    "resample": ("class-balance labeled records", True, [
+        ("input", "input", None, None, None, True, None),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--out", "out", None, None, None, False, "output path (default stdout)"),
+        ("--seed", "seed", 0, "int", None, False, None),
+    ]),
+    "golden": ("keep only golden-quality records", True, [
+        ("input", "input", None, None, None, True, None),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--out", "out", None, None, None, False, "output path (default stdout)"),
+    ]),
+    "split": ("leakage-free repository splits", False, [
+        ("input", "input", None, None, None, True, None),
+        ("--out-dir", "out_dir", None, None, None, True, None),
+        ("--rl", "rl", False, None, None, False,
+         "three-way sft/rm/pm partition of the training repos"),
+        ("--dedupe", "dedupe", False, None, None, False, None),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--seed", "seed", None, "int", None, False, None),
+    ]),
+    "subsample": ("seeded random subset", True, [
+        ("input", "input", None, None, None, True, None),
+        ("--n", "n", None, "int", None, True, None),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--out", "out", None, None, None, False, "output path (default stdout)"),
+        ("--seed", "seed", 0, "int", None, False, None),
+    ]),
+    "train-toy": ("PPO on a tabular bigram policy", True, [
+        ("--properties", "properties", None, None, None, False,
+         "comma-separated quality properties (default has_assertion)"),
+        ("--strategy", "strategy", None, None, ["individual", "combined"], False, None),
+        ("--focal", "focal", "Stop", None, None, False, None),
+        ("--episodes", "episodes", None, "int", None, False, None),
+        ("--beta", "beta", None, "float", None, False, None),
+        ("--epsilon", "epsilon", None, "float", None, False, None),
+        ("--learning-rate", "learning_rate", None, "float", None, False, None),
+        ("--max-tokens", "max_tokens", None, "int", None, False, None),
+        ("--vocab-file", "vocab_file", None, None, None, False, None),
+        ("--init-policy", "init_policy", None, None, None, False, "policy JSON to start from"),
+        ("--seed-corpus", "seed_corpus", None, None, None, False,
+         "JSONL of {'tokens': [...]} for bigram init"),
+        ("--metrics", "metrics", None, None, None, False, "write metrics JSONL here"),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--out", "out", None, None, None, False, "output path (default stdout)"),
+        ("--seed", "seed", None, "int", None, False, None),
+    ]),
+    "sample": ("draw completions from a policy", True, [
+        ("--policy", "policy", None, None, None, True, None),
+        ("--count", "count", 10, "int", None, False, None),
+        ("--max-tokens", "max_tokens", None, "int", None, False, None),
+        ("--focal", "focal", "Stop", None, None, False, None),
+        ("--config", "config", None, None, None, False, "flat key=value config file"),
+        ("--out", "out", None, None, None, False, "output path (default stdout)"),
+        ("--seed", "seed", None, "int", None, False, None),
+    ]),
+}
+
+
+def test_option_surface_is_pinned():
+    assert option_surface(cli.build_parser()) == OPTION_SURFACE

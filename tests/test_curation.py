@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from tqual import curation
 from tqual.analyzer import PROPERTY_FIELDS, QualityReport
-from tqual.corpus import CorpusRecord
+from tqual.cli import main
+from tqual.corpus import CorpusRecord, dump_line
 from tqual.curation import (
     RL_STAGES,
     SplitSpec,
     dedupe,
-    filter_golden,
     is_golden,
     split_by_repository,
     split_manifest,
@@ -69,7 +69,7 @@ def test_golden_ignores_documentation_properties():
     assert is_golden(make_report(has_comment=False, descriptive_name=False))
 
 
-def test_filter_golden_end_to_end():
+def test_filter_golden_end_to_end(tmp_path, capsys):
     good = make_record("r", 0)
     no_assert = make_record(
         "r", 1, test="[TestMethod]\npublic void TestStop()\n{\n    c.Stop();\n}"
@@ -77,21 +77,12 @@ def test_filter_golden_end_to_end():
     broken = make_record(
         "r", 2, test="[TestMethod]\npublic void TestStop()\n{\n    c.Stop()\n}"
     )
-    kept = filter_golden([good, no_assert, broken])
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(dump_line(r.to_dict()) + "\n" for r in (good, no_assert, broken)))
+    assert main(["golden", str(path)]) == 0
+    kept = [CorpusRecord.from_dict(json.loads(line))
+            for line in capsys.readouterr().out.splitlines()]
     assert kept == [good]
-
-
-def test_filter_golden_accepts_injected_analyzer(monkeypatch):
-    records = [make_record("r", i) for i in range(4)]
-    calls = []
-
-    def fake_analyze(test, focal):
-        calls.append(focal)
-        return make_report(has_assertion=len(calls) % 2 == 1)
-
-    monkeypatch.setattr(curation, "analyze", fake_analyze)
-    kept = filter_golden(records)
-    assert [r.prompt for r in kept] == [records[0].prompt, records[2].prompt]
 
 
 # ── dedup ────────────────────────────────────────────────────────────

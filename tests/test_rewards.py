@@ -1,4 +1,4 @@
-"""Reward scheme tests: property algebra, labeling, balanced resampling."""
+"""Reward scheme tests: property algebra, labeled records, balanced resampling."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqual import rewards
 from tqual.analyzer import PROPERTY_FIELDS, QualityReport
 from tqual.corpus import CorpusRecord
 from tqual.errors import DomainError, InsufficientData
@@ -16,7 +15,6 @@ from tqual.rewards import (
     LabeledRecord,
     RewardScheme,
     canonical_property,
-    label_dataset,
     property_score,
     resample_balanced,
     reward_for,
@@ -149,22 +147,7 @@ def test_reward_range_combined(report):
         assert reward == -1
 
 
-# ── dataset labeling ─────────────────────────────────────────────────
-
-
-def test_label_dataset_uses_injected_analyzer(monkeypatch):
-    records = [
-        CorpusRecord(repo="r", focal_class="C", focal_method="Stop", prompt="p", test=t)
-        for t in ("good", "bad")
-    ]
-
-    def fake_analyze(test, focal):
-        return make_report(has_assertion=(test == "good"))
-
-    monkeypatch.setattr(rewards, "analyze", fake_analyze)
-    labeled = label_dataset(records, RewardScheme.individual("assertion"))
-    assert [l.reward for l in labeled] == [1, 0]
-    assert labeled[0].record is records[0]
+# ── labeled records ──────────────────────────────────────────────────
 
 
 def test_labeled_record_dict_round_trip():
