@@ -30,4 +30,5 @@ class LengthMismatch(PipelineError):
 
 
 class DomainError(PipelineError):
-    """A numeric argument lies outside the mathematical domain."""
+    """An input the operation does not accept: a value outside its domain,
+    a malformed record field, or an unreadable or invalid file."""

@@ -5,6 +5,11 @@ distribution after token i.  Completions start from the stop-token row and
 end when the stop token is drawn again.  A frozen copy of the logits serves
 as the pre-training reference for the KL penalty.
 
+One softmax, one log-softmax and one KL formula reduce over the last axis,
+so they serve a single row (``log_probs``, ``kl_from_reference``) and the
+whole table at once (``log_prob_table``, ``kl_table``) with the same
+arithmetic: row ``s`` of a table equals the row call for ``s`` bit for bit.
+
 Sampling applies the decoding pipeline in a fixed order: temperature
 scaling, then a per-completion frequency penalty, then nucleus truncation.
 The log-probabilities used for policy-gradient ratios come from the plain
@@ -122,13 +127,18 @@ class PolicyTable:
     def log_probs(self, state: int) -> np.ndarray:
         return _log_softmax(self.logits[state])
 
+    def log_prob_table(self) -> np.ndarray:
+        """Every row's log-probabilities; row ``s`` equals ``log_probs(s)``."""
+        return _log_softmax(self.logits)
+
     def kl_from_reference(self, state: int) -> float:
-        """KL(reference row || current row).  Softmax rows are strictly
-        positive, so no zero-mass handling is needed."""
-        p = _softmax(self.ref_logits[state])
-        log_p = _log_softmax(self.ref_logits[state])
-        log_q = _log_softmax(self.logits[state])
-        return float(np.sum(p * (log_p - log_q)))
+        """KL(reference row || current row)."""
+        return float(_kl(self.ref_logits[state], self.logits[state]))
+
+    def kl_table(self) -> np.ndarray:
+        """Every row's KL from the reference; entry ``s`` equals
+        ``kl_from_reference(s)``."""
+        return _kl(self.ref_logits, self.logits)
 
     def refreeze_reference(self) -> None:
         """Make the current weights the new KL anchor."""
@@ -149,14 +159,22 @@ class PolicyTable:
         }, schema="policy.v1")
 
 
-def _softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+def _kl(ref_logits: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """KL(softmax(ref_logits) || softmax(logits)) over the last axis.
+    Softmax rows are strictly positive, so no zero-mass handling is needed;
+    nearly equal rows can round the sum just below zero, so it is clamped."""
+    log_p = _log_softmax(ref_logits)
+    kl = np.sum(_softmax(ref_logits) * (log_p - _log_softmax(logits)), axis=-1)
+    return np.maximum(kl, 0.0)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ Each piece of work is done once.  ``analyze`` is pure, so the analyzer
 reward memoises reports per run in a bounded dict keyed by the rendered
 text, and its reward and report functions share it: sampled texts repeat
 often, and evaluation's quality pass only reads back what its reward pass
-stored.  The policy is frozen while a batch is collected and while an
-evaluation runs, so each visited row's reference KL (and, in a batch, its
-log-probabilities) is computed once and reused by every episode in it.
-For the same reason ``_sample`` draws each collected batch, and each
+stored.  The policy is frozen while a batch is collected, while an
+evaluation runs and during each PPO pass, so each of these reads its
+reference KL and log-probabilities from whole tables built once
+(``kl_table``, ``log_prob_table``) instead of row by row.  For the same
+reason ``_sample`` draws each collected batch, and each
 ``generate_completions`` call, with one draw table shared across its
 completions: a nucleus is built once per (state, token counts) key and later
 draws from it are lookups.  A table holds at most ``DRAW_TABLE_SIZE`` (512)
@@ -209,30 +210,6 @@ def generate_completions(
     return _sample(policy, cfg, np.random.default_rng(seed), count)
 
 
-class _FrozenRows:
-    """Per-row values of a policy that does not change while they are read:
-    each visited row's reference KL and log-probabilities, computed once by
-    the policy's own per-row code and reused."""
-
-    def __init__(self, policy: PolicyTable) -> None:
-        self.policy = policy
-        self._kl: dict[int, float] = {}
-        self._log_probs: dict[int, np.ndarray] = {}
-
-    def episode_kl(self, states: Sequence[int]) -> float:
-        kl = self._kl
-        for state in states:
-            if state not in kl:
-                kl[state] = self.policy.kl_from_reference(state)
-        return float(np.mean([kl[s] for s in states]))
-
-    def log_prob(self, state: int, action: int) -> float:
-        row = self._log_probs.get(state)
-        if row is None:
-            row = self._log_probs[state] = self.policy.log_probs(state)
-        return float(row[action])
-
-
 def _evaluate(
     policy: PolicyTable,
     cfg: TrainConfig,
@@ -247,9 +224,9 @@ def _evaluate(
     completions = generate_completions(
         policy, cfg, seed=cfg.seed + _VAL_SEED_OFFSET, count=cfg.eval_samples
     )
-    rows = _FrozenRows(policy)
+    kl = policy.kl_table()
     rewards = [reward_fn(c.tokens) for c in completions]
-    kls = [rows.episode_kl(c.states) for c in completions]
+    kls = [float(np.mean(kl[list(c.states)])) for c in completions]
     mean_reward = float(np.mean(rewards))
     mean_kl = float(np.mean(kls))
 
@@ -306,19 +283,21 @@ def train_toy_policy(
 
     while episodes_done < cfg.episodes:
         batch_size = min(cfg.batch_size, cfg.episodes - episodes_done)
-        rows = _FrozenRows(work)
+        completions = _sample(work, cfg, rng, batch_size)
+        log_probs = work.log_prob_table()
+        kl = work.kl_table()
         batch: _Batch = {}
         totals: list[float] = []
         steps = 0
-        for completion in _sample(work, cfg, rng, batch_size):
+        for completion in completions:
             raw = float(reward_fn(completion.tokens))
-            kl = rows.episode_kl(completion.states)
-            total = kl_penalized_reward(raw, kl, cfg.beta)
+            episode_kl = float(np.mean(kl[list(completion.states)]))
+            total = kl_penalized_reward(raw, episode_kl, cfg.beta)
             totals.append(total)
             advantage = total - baseline
             for state, action in zip(completion.states, completion.actions):
                 batch.setdefault(state, []).append(
-                    (action, rows.log_prob(state, action), advantage)
+                    (action, float(log_probs[state, action]), advantage)
                 )
             steps += len(completion.actions)
         episodes_done += batch_size
@@ -350,17 +329,17 @@ def _ascend(policy: PolicyTable, batch: _Batch, steps: int, cfg: TrainConfig) ->
     if not steps:
         return
     grad = np.zeros_like(policy.logits)
+    log_probs = policy.log_prob_table()
+    probs = np.exp(log_probs)
     for state, group in batch.items():
-        log_row = policy.log_probs(state)
-        prob_row = np.exp(log_row)
         for action, logprob_old, advantage in group:
             current = TrajectoryStep(
-                state, action, float(log_row[action]), logprob_old, advantage
+                state, action, float(log_probs[state, action]), logprob_old, advantage
             )
             g = clipped_surrogate_grad(current, cfg.epsilon)
             if g == 0.0:
                 continue
-            grad[state] -= g * prob_row
+            grad[state] -= g * probs[state]
             grad[state, action] += g
 
     policy.logits = policy.logits + cfg.learning_rate * grad / steps

@@ -454,6 +454,17 @@ def test_train_toy_and_sample_round_trip(tmp_path, capsys):
     assert all("[TestMethod]" in r["test"] for r in rows)
 
 
+def test_train_toy_with_a_tiny_learning_rate_succeeds(tmp_path, capsys):
+    # Rows a few ulps from the reference once rounded the KL below zero,
+    # which stopped the run with exit 2.
+    policy_path = tmp_path / "policy.json"
+    argv = ["train-toy", "--episodes", "100", "--learning-rate", "1e-9",
+            "--out", str(policy_path)]
+    assert main(argv) == 0
+    assert "KL divergence" not in capsys.readouterr().err
+    assert json.loads(policy_path.read_text())["schema"] == "policy.v1"
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_sample_count_below_one_is_usage_error(tmp_path, capsys, count):
     policy_path = tmp_path / "policy.json"

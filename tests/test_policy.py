@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqual.errors import DomainError
 from tqual.rlcore import policy as policy_module
@@ -82,6 +84,46 @@ def test_kl_from_reference_zero_then_positive():
     assert policy.kl_from_reference(0) > 0
     policy.refreeze_reference()
     assert policy.kl_from_reference(0) == pytest.approx(0.0)
+
+
+@st.composite
+def _logit_pairs(draw):
+    """Finite ``(logits, ref_logits)`` of one size in 1..60 and scale up to
+    1e3.  Rounding to whole numbers gives rows with tied entries; the
+    reference is the same table, a copy nudged by a few ulps (where the KL
+    sum rounds near zero) or an independent table."""
+    size = draw(st.integers(min_value=1, max_value=60))
+    scale = draw(st.floats(min_value=0.0, max_value=1e3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    logits = rng.normal(size=(size, size)) * scale
+    if draw(st.booleans()):
+        logits = np.round(logits)
+    reference = draw(st.sampled_from(["same", "nudged", "independent"]))
+    if reference == "same":
+        ref_logits = logits.copy()
+    elif reference == "nudged":
+        ref_logits = logits + rng.normal(size=(size, size)) * 1e-15
+    else:
+        ref_logits = rng.normal(size=(size, size)) * scale
+    return logits, ref_logits
+
+
+@given(_logit_pairs())
+@settings(max_examples=300, deadline=None)
+def test_tables_equal_their_rows_bit_for_bit(pair):
+    logits, ref_logits = pair
+    size = len(logits)
+    policy = PolicyTable(
+        vocabulary=("</s>",) + tuple(f"t{i}" for i in range(1, size)),
+        logits=logits,
+        ref_logits=ref_logits,
+    )
+    log_probs, kl = policy.log_prob_table(), policy.kl_table()
+    assert log_probs.shape == (size, size) and kl.shape == (size,)
+    for state in range(size):
+        assert np.array_equal(log_probs[state], policy.log_probs(state))
+        assert kl[state] == policy.kl_from_reference(state)
+    assert np.all(kl >= 0.0)
 
 
 def test_dict_round_trip():
