@@ -26,6 +26,7 @@ whatever statements were recovered and the report is marked
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import REQUIRED, decode, encode
 from .errors import EmptyCorpus
@@ -35,7 +36,9 @@ from .parser import parse_test_method
 __all__ = [
     "ASSERTION_CLASSES",
     "CONDITIONAL_KINDS",
+    "PROPERTIES",
     "PROPERTY_FIELDS",
+    "QualityProperty",
     "QualityReport",
     "ScoreConfig",
     "CorpusStats",
@@ -47,16 +50,30 @@ ASSERTION_CLASSES = frozenset({"Assert", "StringAssert", "CollectionAssert"})
 
 CONDITIONAL_KINDS = frozenset({"if", "switch", "while", "do", "for", "foreach", "try"})
 
-# The seven properties, in report order.
-PROPERTY_FIELDS = (
-    "correct_syntax",
-    "has_assertion",
-    "invokes_focal",
-    "has_comment",
-    "descriptive_name",
-    "duplicate_assertion",
-    "conditional_or_exception",
+
+class QualityProperty(NamedTuple):
+    name: str
+    label: str  # its row in ``tqual report``
+    short_names: tuple[str, ...]  # what a reward scheme accepts besides ``name``
+    desirable: bool | None  # present (True), absent (False: a smell), or neither
+    documentation: bool = False  # style rather than functional quality
+
+
+# Every fact about the seven properties, in report order.  Rewards, the
+# golden filter, the default quality score and the report table read it.
+PROPERTIES = (
+    QualityProperty("correct_syntax", "Correct Syntax", (), None),
+    QualityProperty("has_assertion", "Has Assertion", ("assert", "assertion"), True),
+    QualityProperty("invokes_focal", "Invokes Focal Method", ("focal",), True),
+    QualityProperty("has_comment", "Has Comment", ("comment",), True, documentation=True),
+    QualityProperty("descriptive_name", "Descriptive Name", ("descriptive",), True,
+                    documentation=True),
+    QualityProperty("duplicate_assertion", "Duplicate Assertion", ("dup", "duplicate"), False),
+    QualityProperty("conditional_or_exception", "Conditional Or Exception",
+                    ("cond", "conditional"), False),
 )
+
+PROPERTY_FIELDS = tuple(p.name for p in PROPERTIES)
 
 _SCHEMA = "report.v1"
 
@@ -180,8 +197,10 @@ class ScoreConfig:
     different config to include them.
     """
 
-    positive_properties: tuple[str, ...] = ("has_assertion", "invokes_focal")
-    smell_properties: tuple[str, ...] = ("duplicate_assertion", "conditional_or_exception")
+    positive_properties: tuple[str, ...] = tuple(
+        p.name for p in PROPERTIES if p.desirable and not p.documentation)
+    smell_properties: tuple[str, ...] = tuple(
+        p.name for p in PROPERTIES if p.desirable is False)
 
     def __post_init__(self):
         for prop in self.positive_properties + self.smell_properties:
@@ -196,12 +215,7 @@ class CorpusStats:
     quality_score: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "stats.v1",
-            "count": self.count,
-            "frequencies": dict(self.frequencies),
-            "quality_score": self.quality_score,
-        }
+        return encode(self, "stats.v1")
 
 
 def score_corpus(reports: list[QualityReport],

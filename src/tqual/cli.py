@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import __version__
-from .analyzer import PROPERTY_FIELDS, QualityReport, analyze, score_corpus
+from .analyzer import PROPERTIES, QualityReport, analyze, score_corpus
 from .completion import RawCompletion, prompt_hint_for, truncate_completion
 from .config import PipelineConfig
 from .corpus import REQUIRED, CorpusRecord, decode, dump_line, iter_jsonl
@@ -46,17 +46,6 @@ from .prompting import build_prompt
 from .rewards import LabeledRecord, resample_balanced, reward_for
 
 __all__ = ["main", "build_parser"]
-
-_PROPERTY_LABELS = {
-    "correct_syntax": "Correct Syntax",
-    "has_assertion": "Has Assertion",
-    "invokes_focal": "Invokes Focal Method",
-    "has_comment": "Has Comment",
-    "descriptive_name": "Descriptive Name",
-    "duplicate_assertion": "Duplicate Assertion",
-    "conditional_or_exception": "Conditional Or Exception",
-}
-
 
 def _write_lines(path: str | Path | None, lines: Iterable[str]) -> None:
     """Write each line and a newline to ``path``, or to stdout when ``path``
@@ -201,15 +190,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     reports = list(_read(args.input, QualityReport.from_dict, skip))
     stats = score_corpus(reports, _pipeline_config(args).score_config())
 
-    width = max(len(label) for label in _PROPERTY_LABELS.values()) + 2
+    width = max(len(prop.label) for prop in PROPERTIES) + 2
     print(f"{'Property':<{width}}Frequency")
-    for prop in PROPERTY_FIELDS:
-        pct = stats.frequencies[prop] * 100
-        print(f"{_PROPERTY_LABELS[prop]:<{width}}{pct:5.1f}%")
+    for prop in PROPERTIES:
+        pct = stats.frequencies[prop.name] * 100
+        print(f"{prop.label:<{width}}{pct:5.1f}%")
     print(f"\nTests analyzed: {stats.count}")
     print(f"Quality score: {stats.quality_score:.3f}")
 
-    _write_lines(args.out, [json.dumps(stats.to_dict(), sort_keys=True, ensure_ascii=False)])
+    _write_jsonl(args.out, [stats.to_dict()])
     return 0
 
 

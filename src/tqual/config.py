@@ -183,7 +183,7 @@ class PipelineConfig:
         raw_props = properties if properties is not None else self.values.get("reward.properties")
         if raw_props is None:
             return None
-        props = tuple(p.strip() for p in raw_props.split(",") if p.strip())
+        props = _coerce(raw_props, ())
         chosen = strategy or self.values.get("reward.strategy")
         if chosen is None:
             chosen = "individual" if len(props) == 1 else "combined"

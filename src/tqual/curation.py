@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .analyzer import QualityReport
+from .analyzer import PROPERTIES, QualityReport
 from .corpus import CorpusRecord
 from .errors import TooFewRepos
 
@@ -45,13 +45,15 @@ class SplitSpec:
             raise ValueError("test and validation fractions leave no training data")
 
 
+# Each functional property with its desirable value: present, or a smell absent.
+_GOLDEN_STATES = tuple(
+    (p.name, p.desirable) for p in PROPERTIES if p.desirable is not None and not p.documentation
+)
+
+
 def is_golden(report: QualityReport) -> bool:
-    return (
-        report.correct_syntax
-        and report.has_assertion
-        and report.invokes_focal
-        and not report.duplicate_assertion
-        and not report.conditional_or_exception
+    return report.correct_syntax and all(
+        getattr(report, name) == desirable for name, desirable in _GOLDEN_STATES
     )
 
 

@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from .analyzer import QualityReport
+from .analyzer import PROPERTIES, QualityReport
 from .corpus import REQUIRED, CorpusRecord, decode, encode
 from .errors import InsufficientData
 
@@ -28,27 +28,15 @@ __all__ = [
     "resample_balanced",
 ]
 
-POSITIVE_PROPERTIES = frozenset(
-    {"has_assertion", "invokes_focal", "has_comment", "descriptive_name"}
-)
-NEGATIVE_PROPERTIES = frozenset({"duplicate_assertion", "conditional_or_exception"})
+POSITIVE_PROPERTIES = frozenset(p.name for p in PROPERTIES if p.desirable)
+NEGATIVE_PROPERTIES = frozenset(p.name for p in PROPERTIES if p.desirable is False)
 
+# Every name a scheme accepts, lower case, to its property; correct_syntax
+# is neither desirable nor undesirable on its own, so it has none.
 _ALIASES = {
-    "assertion": "has_assertion",
-    "assert": "has_assertion",
-    "has_assertion": "has_assertion",
-    "focal": "invokes_focal",
-    "invokes_focal": "invokes_focal",
-    "comment": "has_comment",
-    "has_comment": "has_comment",
-    "descriptive": "descriptive_name",
-    "descriptive_name": "descriptive_name",
-    "dup": "duplicate_assertion",
-    "duplicate": "duplicate_assertion",
-    "duplicate_assertion": "duplicate_assertion",
-    "cond": "conditional_or_exception",
-    "conditional": "conditional_or_exception",
-    "conditional_or_exception": "conditional_or_exception",
+    alias: p.name
+    for p in PROPERTIES if p.desirable is not None
+    for alias in (p.name, *p.short_names)
 }
 
 

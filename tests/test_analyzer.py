@@ -244,6 +244,15 @@ def test_score_config_can_include_documentation_properties():
     assert custom.quality_score == pytest.approx(2.0)
 
 
+def test_default_score_config_is_the_literal_property_tuples_in_order():
+    # The quality score is a float sum taken in this order.
+    config = ScoreConfig()
+    assert config.positive_properties == ("has_assertion", "invokes_focal")
+    assert config.smell_properties == ("duplicate_assertion", "conditional_or_exception")
+    assert config == ScoreConfig(("has_assertion", "invokes_focal"),
+                                 ("duplicate_assertion", "conditional_or_exception"))
+
+
 def test_score_config_rejects_unknown_property():
     with pytest.raises(ValueError):
         ScoreConfig(positive_properties=("made_up",))

@@ -176,6 +176,69 @@ def test_reward_without_properties_is_usage_error(tmp_path):
     assert main(["reward", str(path)]) == 2
 
 
+# Every name a reward scheme accepts, spelled out, to the property it names.
+REWARD_NAMES = {
+    "has_assertion": "has_assertion", "assertion": "has_assertion", "assert": "has_assertion",
+    "invokes_focal": "invokes_focal", "focal": "invokes_focal",
+    "has_comment": "has_comment", "comment": "has_comment",
+    "descriptive_name": "descriptive_name", "descriptive": "descriptive_name",
+    "duplicate_assertion": "duplicate_assertion", "duplicate": "duplicate_assertion",
+    "dup": "duplicate_assertion",
+    "conditional_or_exception": "conditional_or_exception",
+    "conditional": "conditional_or_exception", "cond": "conditional_or_exception",
+}
+
+# A corpus on which each rewardable property gives its own labels.
+REWARD_CORPUS = [
+    GOLDEN_TEST,
+    PLAIN_TEST,
+    BROKEN_TEST,
+    "[TestMethod]\npublic void TestRunKeepsGoing()\n{\n    // runs\n    c.Run();\n"
+    "    Assert.IsTrue(c.IsRunning());\n    Assert.IsTrue(c.IsRunning());\n}",
+    "[TestMethod]\npublic void StopWorksTwice()\n{\n    c.Stop();\n    c.Stop();\n}",
+    "[TestMethod]\npublic void TestStop()\n{\n    if (c.Ready) { c.Stop(); }\n"
+    "    Assert.IsTrue(c.IsStopped());\n}",
+    "[TestMethod]\npublic void TestStop()\n{\n    c.Run();\n}",
+]
+
+
+def reward_output(capsys, argv) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_reward_corpus_tells_the_properties_apart(tmp_path, capsys):
+    corpus = str(write_corpus(tmp_path / "c.jsonl", REWARD_CORPUS))
+    labels = {
+        prop: tuple(json.loads(line)["reward"] for line in
+                    reward_output(capsys, ["reward", corpus, "--properties", prop]).splitlines())
+        for prop in set(REWARD_NAMES.values())
+    }
+    assert len(set(labels.values())) == len(labels) == 6
+
+
+@pytest.mark.parametrize("name", sorted(REWARD_NAMES))
+def test_every_reward_name_labels_as_its_canonical_name(tmp_path, capsys, name):
+    corpus = str(write_corpus(tmp_path / "c.jsonl", REWARD_CORPUS))
+    want = reward_output(capsys, ["reward", corpus, "--properties", REWARD_NAMES[name]])
+    cfg = tmp_path / "reward.cfg"
+    for spelling in (name, name.upper(), name.title(), name.capitalize()):
+        got = reward_output(capsys, ["reward", corpus, "--properties", spelling])
+        assert got == want, spelling
+        cfg.write_text(f"reward.properties = {spelling}\n")
+        assert reward_output(capsys, ["reward", corpus, "--config", str(cfg)]) == want, spelling
+
+
+@pytest.mark.parametrize("name", ["correct_syntax", "Correct_Syntax", "syntax", "made_up"])
+def test_a_name_no_scheme_accepts_is_usage_error(tmp_path, capsys, name):
+    corpus = str(write_corpus(tmp_path / "c.jsonl", [GOLDEN_TEST]))
+    assert main(["reward", corpus, "--properties", name]) == 2
+    cfg = tmp_path / "reward.cfg"
+    cfg.write_text(f"reward.properties = {name}\n")
+    assert main(["reward", corpus, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_resample_balances_classes_deterministically(tmp_path, capsys):
     corpus = write_corpus(
         tmp_path / "c.jsonl",

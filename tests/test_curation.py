@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -62,6 +63,19 @@ def test_is_golden_requires_all_five_conditions():
     assert not is_golden(make_report(invokes_focal=False))
     assert not is_golden(make_report(duplicate_assertion=True))
     assert not is_golden(make_report(conditional_or_exception=True))
+
+
+def test_is_golden_equals_the_five_conditions_on_all_128_reports():
+    names = ("correct_syntax", "has_assertion", "invokes_focal", "has_comment",
+             "descriptive_name", "duplicate_assertion", "conditional_or_exception")
+    kept = 0
+    for bits in itertools.product((False, True), repeat=7):
+        r = QualityReport(focal_method_name="Stop", **dict(zip(names, bits)))
+        want = (r.correct_syntax and r.has_assertion and r.invokes_focal
+                and not r.duplicate_assertion and not r.conditional_or_exception)
+        assert is_golden(r) is want, bits
+        kept += want
+    assert kept == 4  # the two documentation properties are free
 
 
 def test_golden_ignores_documentation_properties():

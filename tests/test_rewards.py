@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,32 @@ def test_polarities_partition_the_rewardable_properties():
     }
     assert RewardScheme.polarity("has_assertion") == "positive"
     assert RewardScheme.polarity("duplicate_assertion") == "negative"
+
+
+# Each rewardable property, spelled out, with whether its presence is desirable.
+LITERAL_POLARITY = {
+    "has_assertion": True,
+    "invokes_focal": True,
+    "has_comment": True,
+    "descriptive_name": True,
+    "duplicate_assertion": False,
+    "conditional_or_exception": False,
+}
+
+
+@pytest.mark.parametrize("prop", sorted(LITERAL_POLARITY))
+def test_single_property_reward_is_its_literal_polarity_on_all_128_reports(prop):
+    names = ("correct_syntax",) + tuple(LITERAL_POLARITY)
+    scheme = RewardScheme.individual(prop)
+    for bits in itertools.product((False, True), repeat=7):
+        values = dict(zip(names, bits))
+        report = QualityReport(focal_method_name="Stop", **values)
+        if not values["correct_syntax"]:
+            want = -1
+        else:
+            want = 1 if values[prop] == LITERAL_POLARITY[prop] else 0
+        assert reward_for(report, scheme) == want, bits
+    assert RewardScheme.polarity(prop) == ("positive" if LITERAL_POLARITY[prop] else "negative")
 
 
 # ── scheme construction ──────────────────────────────────────────────
