@@ -150,7 +150,7 @@ def cmd_prompt(args: argparse.Namespace) -> int:
         path = fields["focal_path"]
         if path not in trees:
             try:
-                source = Path(path).read_text(encoding="utf-8")
+                source = Path(path).read_text(encoding="utf-8-sig")
             except ValueError as exc:  # a NUL byte in the path, or a file that is not UTF-8
                 raise DomainError(f"cannot read focal file {path!r}: {exc}") from None
             trees[path] = parse_focal_file(source)
@@ -275,7 +275,7 @@ def __getattr__(name: str) -> Any:
 def _load_vocabulary(path: str | None) -> tuple[str, ...]:
     if path is None:
         return DEFAULT_VOCAB
-    tokens = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    tokens = [line.strip() for line in Path(path).read_text(encoding="utf-8-sig").splitlines()]
     vocab = tuple(t for t in tokens if t)
     if "</s>" not in vocab:
         raise DomainError("vocabulary file must include the stop token </s>")
@@ -284,7 +284,7 @@ def _load_vocabulary(path: str | None) -> tuple[str, ...]:
 
 def _load_policy(path: str) -> PolicyTable:
     _require_file(path)
-    return PolicyTable.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return PolicyTable.from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig")))
 
 
 _SEED_FIELDS = {"tokens": ([str], REQUIRED)}
@@ -309,8 +309,13 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     if args.init_policy:
         policy = _load_policy(args.init_policy)
     elif args.seed_corpus:
-        token_lists = list(_read(
-            args.seed_corpus, lambda obj: decode(dict, obj, _SEED_FIELDS)["tokens"]))
+        def seed_tokens(obj: dict) -> list[str]:
+            tokens = decode(dict, obj, _SEED_FIELDS)["tokens"]
+            for token in tokens:
+                if token not in vocabulary:
+                    raise DomainError(f"token {token!r} not in vocabulary")
+            return tokens
+        token_lists = list(_read(args.seed_corpus, seed_tokens))
         policy = bigram_policy_from_corpus(token_lists, vocabulary)
     else:
         policy = PolicyTable.uniform(vocabulary)

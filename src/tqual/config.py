@@ -117,7 +117,7 @@ def _check_key(key: str, line_number: int) -> None:
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _coerce(raw: str, template: Any) -> Any:

@@ -129,9 +129,10 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict | None, str | None]
     Blank lines are skipped.  A line that fails to parse, or parses to
     something other than an object, yields (n, None, message) so callers
     can keep their output aligned with the input; the message does not
-    repeat the line number.  Bytes that are not UTF-8 are read as lone
-    surrogates, which ``decode`` rejects in any field it reads."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    repeat the line number.  A leading byte-order mark is skipped.  Bytes
+    that are not UTF-8 are read as lone surrogates, which ``decode`` rejects
+    in any field it reads."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for n, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped:

@@ -1,4 +1,10 @@
-"""Syntax tree types produced by the C# subset parsers."""
+"""Parse results of the C# subset parsers.
+
+A test-method tree holds its statements as spans into the source.  A focal
+file tree holds each class's name and span and the spans of its members,
+which the prompt levels delete or shrink.  A diagnostic is a message and a
+character offset; every one is fatal.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +13,11 @@ from dataclasses import dataclass, field
 
 from .lexer import Token
 
-FATAL = "fatal"
-
 
 @dataclass(frozen=True)
 class SyntaxDiagnostic:
     message: str
     offset: int  # character offset into the source
-    severity: str  # FATAL, the only severity the parsers emit
-
-    @property
-    def is_fatal(self) -> bool:
-        return self.severity == FATAL
 
 
 @dataclass(frozen=True)
@@ -56,11 +55,10 @@ class TestSyntaxTree:
     """Parse result for a single attribute-decorated test method.
 
     ``partial_body`` holds every statement recovered, even from broken
-    input, so the analyzer can still run best-effort; ``body`` is the same
-    list when parsing produced no fatal diagnostic, else None.  Statement
-    spans index into ``source``.  ``comments`` holds the lexer's comment
-    tokens: ``//`` and ``/* */`` comments and preprocessor lines, in source
-    order.
+    input, so the analyzer can still run best-effort; ``statements()``
+    returns it.  Statement spans index into ``source``.  ``comments`` holds
+    the lexer's comment tokens: ``//`` and ``/* */`` comments and
+    preprocessor lines, in source order.
     """
 
     method_name: str
@@ -71,11 +69,7 @@ class TestSyntaxTree:
 
     @property
     def has_fatal(self) -> bool:
-        return any(d.is_fatal for d in self.diagnostics)
-
-    @property
-    def body(self) -> list[Statement] | None:
-        return None if self.has_fatal else self.partial_body
+        return bool(self.diagnostics)
 
     def statements(self) -> list[Statement]:
         return self.partial_body
@@ -88,25 +82,17 @@ class SyntaxVerdict:
 
 
 @dataclass
-class FieldNode:
-    name: str
-    span: Span
-
-
-@dataclass
 class MethodNode:
     name: str
     span: Span
     sig_end: int  # offset just past the closing ')' of the parameter list
-    body_span: Span
 
 
 @dataclass
 class ClassNode:
     name: str
-    decl_span: Span
     span: Span
-    fields: list[FieldNode] = field(default_factory=list)
+    fields: list[Span] = field(default_factory=list)
     methods: list[MethodNode] = field(default_factory=list)
     others: list[Span] = field(default_factory=list)  # properties etc., kept raw
     nested: list["ClassNode"] = field(default_factory=list)

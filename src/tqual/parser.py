@@ -6,7 +6,9 @@ recovery-oriented: constructs outside the subset become unknown statements
 or raw member spans instead of hard failures, and ``check_syntax`` answers
 the one question the pipeline needs, "would a C# compiler plausibly accept
 this test".  Soundness rule: unbalanced delimiters outside literals and
-comments are always fatal.
+comments are always fatal, as is every other diagnostic.  A focal file
+yields names and spans only: of its classes, methods and their signatures,
+fields and other members.
 
 Every skip over a run of tokens goes through one of two primitives:
 ``_Parser.scan`` walks forward counting depth over a chosen set of
@@ -32,9 +34,7 @@ from bisect import bisect_left, bisect_right
 from .lexer import Token, TokenKind
 from .lexer import scan as tokenize  # the lexer call, by the name tracers patch
 from .nodes import (
-    FATAL,
     ClassNode,
-    FieldNode,
     FocalFileTree,
     Invocation,
     MethodNode,
@@ -202,7 +202,7 @@ class _Parser:
         self.accept(";")
 
     def fatal(self, message: str) -> None:
-        self.diags.append(SyntaxDiagnostic(message, self.offset(), FATAL))
+        self.diags.append(SyntaxDiagnostic(message, self.offset()))
 
     def too_deep(self) -> bool:
         """True at the nesting cap, where the caller skips the construct
@@ -288,7 +288,7 @@ def _token_diagnostics(significant: list[Token]) -> tuple[
     for i, tok in enumerate(significant):
         kind, text, offset = tok
         if kind is _ERROR:
-            diags.append(SyntaxDiagnostic(_ERROR_TOKEN_MESSAGE, offset, FATAL))
+            diags.append(SyntaxDiagnostic(_ERROR_TOKEN_MESSAGE, offset))
         elif kind is _PUNCTUATION:
             if text == "(":
                 parens.append(i)
@@ -314,9 +314,9 @@ def _token_diagnostics(significant: list[Token]) -> tuple[
                 if stack and stack[-1].text == _CLOSERS[text]:
                     stack.pop()
                 else:
-                    fault = SyntaxDiagnostic(f"unmatched '{text}'", offset, FATAL)
+                    fault = SyntaxDiagnostic(f"unmatched '{text}'", offset)
     if fault is None and stack:
-        fault = SyntaxDiagnostic(f"unclosed '{stack[-1].text}'", stack[-1].offset, FATAL)
+        fault = SyntaxDiagnostic(f"unclosed '{stack[-1].text}'", stack[-1].offset)
     if fault is not None:
         diags.append(fault)
     return diags, parens, questions, angles
@@ -647,11 +647,10 @@ class _FocalParser(_Parser):
         super().__init__(source)
         self.identifiers = [i for i, t in enumerate(self.toks) if t.kind is _IDENTIFIER]
 
-    def last_identifier(self, lo: int, hi: int) -> str:
-        """Text of the last identifier in ``toks[lo .. hi]``, or ""."""
+    def last_identifier(self, hi: int) -> str:
+        """Text of the last identifier in ``toks[0 .. hi]``, or ""."""
         k = bisect_right(self.identifiers, hi) - 1
-        i = self.identifiers[k] if k >= 0 else -1
-        return self.toks[i].text if i >= lo else ""
+        return self.toks[self.identifiers[k]].text if k >= 0 else ""
 
     def _at_type_declaration(self) -> bool:
         k = 0
@@ -708,8 +707,7 @@ class _FocalParser(_Parser):
         name = self.advance().text
         # Generic parameters, base list, constraints: up to '{' or ';'.
         body = self.scan(_TYPE_BODY, pairs=_FLAT)
-        decl_span = self.char_span(start, self.pos - 1)
-        node = ClassNode(name=name, decl_span=decl_span, span=decl_span)
+        node = ClassNode(name=name, span=self.char_span(start, self.pos - 1))
         if not body:
             self.fatal("type body missing")
             return node
@@ -755,7 +753,6 @@ class _FocalParser(_Parser):
             else:
                 # Only looked ahead: fields and '=>' members are consumed
                 # again from their start.
-                end = self.pos - 1
                 self.pos = start
                 self.to_semicolon()
                 if self.pos == member_start:
@@ -763,31 +760,26 @@ class _FocalParser(_Parser):
                     # token raw so the loop always makes progress.
                     self.advance()
                     node.others.append(self.char_span(member_start, member_start))
-                elif terminator == "=>":
-                    node.others.append(self.char_span(member_start, self.pos - 1))
                 else:
-                    name = self.last_identifier(start, end)
-                    node.fields.append(FieldNode(name, self.char_span(member_start, self.pos - 1)))
+                    members = node.others if terminator == "=>" else node.fields
+                    members.append(self.char_span(member_start, self.pos - 1))
 
     def parse_method_member(self, node: ClassNode, member_start: int) -> None:
         """The method whose parameter list opens at the cursor."""
         j = self.pos - 1
         if j >= 0 and self.toks[j].text in (">", ">>"):
             j = self.angles.get(j, 0) - 1
-        name = self.last_identifier(0, j)
+        name = self.last_identifier(j)
         self.scan(pairs=_PARENS, close=")")
         sig_char_end = self.char_span(self.pos - 1, self.pos - 1)[1]
 
         # Constraints or nothing until the body.
         body = self.scan(_METHOD_BODY, pairs=_FLAT)
-        body_start = self.pos
         if body == "{":
             self.scan(pairs=_BRACES, close="}")
         elif body == "=>":
             self.to_semicolon()
         else:
             self.accept(";")
-        body_span = (self.char_span(body_start, self.pos - 1) if body in ("{", "=>")
-                     else (sig_char_end, sig_char_end))
         span = self.char_span(member_start, self.pos - 1)
-        node.methods.append(MethodNode(name, span, sig_char_end, body_span))
+        node.methods.append(MethodNode(name, span, sig_char_end))

@@ -153,9 +153,7 @@ def render_level(tree: FocalFileTree, focal: str, level: int) -> str:
             edits.append((start, end, ";"))
 
     if level >= 3:
-        for fld in cls.fields:
-            delete(fld.span)
-        for span in tree.comments_within(cls.span):
+        for span in cls.fields + tree.comments_within(cls.span):
             delete(span)
 
     if level == 4:

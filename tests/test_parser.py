@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tqual import parser
 from tqual.analyzer import analyze
 from tqual.lexer import TokenKind, scan
-from tqual.nodes import FATAL, Invocation, SyntaxDiagnostic
+from tqual.nodes import Invocation, SyntaxDiagnostic
 from tqual.parser import (
     MAX_NESTING,
     check_syntax,
@@ -43,7 +43,7 @@ def test_simple_method_header():
     )
     assert tree.method_name == "TestStop"
     assert not tree.has_fatal
-    assert [s.kind for s in tree.body] == ["local-declaration"]
+    assert [s.kind for s in tree.statements()] == ["local-declaration"]
 
 
 def test_statement_kinds():
@@ -65,7 +65,7 @@ public void TestRun()
 }"""
     )
     assert not tree.has_fatal
-    kinds = [s.kind for s in tree.body]
+    kinds = [s.kind for s in tree.statements()]
     assert kinds == [
         "local-declaration", "expression-statement", "if", "while",
         "foreach", "try", "using-statement", "do", "for", "switch", "return",
@@ -76,7 +76,7 @@ def test_nested_statements_are_children():
     tree = parse_test_method(
         "[TestMethod]\npublic void T()\n{\n    if (x) { a.Run(); b.Stop(); }\n}"
     )
-    (if_stmt,) = tree.body
+    (if_stmt,) = tree.statements()
     assert if_stmt.kind == "if"
 
     def descendant_kinds(stmt):
@@ -97,21 +97,21 @@ def test_expression_bodied_method():
 def test_bodiless_method_declaration():
     tree = parse_test_method("[TestMethod]\npublic void TestRun();")
     assert not tree.has_fatal
-    assert tree.body == []
+    assert tree.statements() == []
 
 
 def test_ternary_sets_flag():
     tree = parse_test_method(
         "[TestMethod]\npublic void T()\n{\n    var x = flag ? 1 : 0;\n}"
     )
-    assert tree.body[0].has_ternary
+    assert tree.statements()[0].has_ternary
 
 
 def test_statement_spans_index_the_source():
     source = "[TestMethod]\npublic void T()\n{\n    if (x) { a.Run(); }\n    b.Stop();\n}"
     tree = parse_test_method(source)
     assert tree.source == source
-    if_stmt, stop = tree.body
+    if_stmt, stop = tree.statements()
     assert source[slice(*if_stmt.span)] == "if (x) { a.Run(); }"
     (block,) = if_stmt.children
     assert source[slice(*block.span)] == "{ a.Run(); }"
@@ -124,7 +124,6 @@ def test_partial_body_survives_fatal_parse():
         "[TestMethod]\npublic void T()\n{\n    Assert.IsTrue(x)\n}"
     )
     assert tree.has_fatal
-    assert tree.body is None
     assert tree.statements(), "recovered statements should be available"
 
 
@@ -187,7 +186,6 @@ def test_balanced_method_is_correct():
 def test_missing_close_brace_is_fatal():
     verdict = check_syntax("[TestMethod]\npublic void T()\n{\n    x.Run();")
     assert not verdict.correct
-    assert any(d.is_fatal for d in verdict.diagnostics)
 
 
 def test_missing_semicolon_is_fatal():
@@ -269,7 +267,6 @@ def outline(statements) -> list:
 
 
 def diagnostics(tree) -> list[tuple[str, int]]:
-    assert all(d.is_fatal for d in tree.diagnostics)
     return [(d.message, d.offset) for d in tree.diagnostics]
 
 
@@ -344,7 +341,7 @@ _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
 def reference_lex_diagnostics(significant):
     return [SyntaxDiagnostic("unterminated literal, comment, or unsupported character",
-                             t.offset, FATAL)
+                             t.offset)
             for t in significant if t.kind is TokenKind.ERROR]
 
 
@@ -357,11 +354,11 @@ def reference_balance_diagnostics(significant):
             stack.append((tok.text, tok.offset))
         elif tok.text in _CLOSERS:
             if not stack or stack[-1][0] != _CLOSERS[tok.text]:
-                return [SyntaxDiagnostic(f"unmatched '{tok.text}'", tok.offset, FATAL)]
+                return [SyntaxDiagnostic(f"unmatched '{tok.text}'", tok.offset)]
             stack.pop()
     if stack:
         opener, offset = stack[-1]
-        return [SyntaxDiagnostic(f"unclosed '{opener}'", offset, FATAL)]
+        return [SyntaxDiagnostic(f"unclosed '{opener}'", offset)]
     return []
 
 
@@ -534,10 +531,10 @@ def test_indexed_extraction_matches_the_slice_and_two_walks(fragments, data):
 # ── focal file parsing ───────────────────────────────────────────────
 
 
-def reference_last_identifier(toks, lo, hi):
-    """Text of the last identifier in ``toks[lo .. hi]``, or "", by a walk
+def reference_last_identifier(toks, hi):
+    """Text of the last identifier in ``toks[0 .. hi]``, or "", by a walk
     back from ``hi``."""
-    for j in range(hi, lo - 1, -1):
+    for j in range(hi, -1, -1):
         if toks[j].kind is TokenKind.IDENTIFIER:
             return toks[j].text
     return ""
@@ -551,8 +548,7 @@ def test_last_identifier_matches_the_walk_on_every_range(fragments):
     fp = parser._FocalParser(" ".join(fragments))
     toks = fp.toks
     for hi in range(-1, len(toks)):
-        for lo in range(hi + 2):
-            assert fp.last_identifier(lo, hi) == reference_last_identifier(toks, lo, hi)
+        assert fp.last_identifier(hi) == reference_last_identifier(toks, hi)
 
 
 
@@ -570,8 +566,8 @@ def test_upload_command_members(upload_source):
     upload = next(c for c in tree.walk_classes() if c.name == "UploadCommand")
     method_names = {m.name for m in upload.methods}
     assert {"Start", "Stop", "IsStopped"} <= method_names
-    field_names = {f.name for f in upload.fields}
-    assert {"_log", "_stopped"} <= field_names
+    fields = [upload_source[slice(*span)] for span in upload.fields]
+    assert {"private readonly ILogger _log;", "private bool _stopped;"} <= set(fields)
     assert tree.comments_within(upload.span), "comment spans should be recorded"
 
 
@@ -614,7 +610,7 @@ def test_member_run_without_terminator_is_one_raw_span(run):
     # scanned once and kept as one raw member.
     source = "class C { int f; " + run + "}"
     (cls,) = parse_focal_file(source).classes
-    assert [f.name for f in cls.fields] == ["f"]
+    assert cls.fields == [(10, 16)]
     assert cls.others == [(17, len(source) - 2)]
     assert cls.span == (0, len(source))
 
@@ -639,43 +635,41 @@ def test_focal_file_parse_is_total_on_test_snippets():
 
 def members(tree) -> list:
     src = tree.source
-    return [(c.name, src[c.decl_span[0]:c.decl_span[1]], c.span,
-             [(m.name, src[m.span[0]:m.sig_end] + ";", m.span, m.body_span)
-              for m in c.methods],
-             [(f.name, f.span) for f in c.fields], c.others)
+    return [(c.name, c.span,
+             [(m.name, src[m.span[0]:m.sig_end] + ";", m.span) for m in c.methods],
+             c.fields, c.others)
             for c in tree.walk_classes()]
 
 
 @pytest.mark.parametrize("source, classes, diags", [
     ("namespace N {\n enum E { A, B = 2, C }\n public enum F : byte { X }\n"
      " class C { int f; }\n}",
-     [("E", "enum E", (15, 37), [], [], []),
-      ("F", "public enum F : byte", (39, 65), [], [], []),
-      ("C", "class C", (67, 85), [], [("f", (77, 83))], [])], []),
+     [("E", (15, 37), [], [], []),
+      ("F", (39, 65), [], [], []),
+      ("C", (67, 85), [], [(77, 83)], [])], []),
     # Property initializers after the accessor block.
     ("class C {\n public int P { get; } = 5;\n"
      " public List<int> Q { get; set; } = new List<int> { 1 };\n int f = 1;\n}",
-     [("C", "class C", (0, 108), [], [("f", (96, 106))], [(11, 37), (39, 94)])], []),
+     [("C", (0, 108), [], [(96, 106)], [(11, 37), (39, 94)])], []),
     # Expression-bodied property and methods.
     ("class C {\n public int P => _p + 1;\n public int M() => _p * 2;\n"
      " public override string ToString() => $\"x\";\n}",
-     [("C", "class C", (0, 107),
-       [("M", "public int M();", (36, 61), (51, 61)),
-        ("ToString", "public override string ToString();", (63, 105), (97, 105))],
+     [("C", (0, 107),
+       [("M", "public int M();", (36, 61)),
+        ("ToString", "public override string ToString();", (63, 105))],
        [], [(11, 34)])], []),
     # Constraints between the parameter list and the body.
     ("class C {\n public T Make<T>() where T : new() { return new T(); }\n"
      " public void G<T>(T x) where T : class, IFoo;\n}",
-     [("C", "class C", (0, 113),
-       [("Make", "public T Make<T>();", (11, 65), (46, 65)),
-        ("G", "public void G<T>(T x);", (67, 111), (88, 88))], [], [])], []),
+     [("C", (0, 113),
+       [("Make", "public T Make<T>();", (11, 65)),
+        ("G", "public void G<T>(T x);", (67, 111))], [], [])], []),
     # Members without a terminator at end of file.
     ("class C {\n int f;\n public void M() { }\n public int Tail",
-     [("C", "class C", (0, 55), [("M", "public void M();", (19, 38), (35, 38))],
-       [("f", (11, 17))], [(40, 55)])],
+     [("C", (0, 55), [("M", "public void M();", (19, 38))], [(11, 17)], [(40, 55)])],
      [("unclosed '{'", 8), ("type 'C' not closed", 51)]),
     ("class C {\n public void M(int a",
-     [("C", "class C", (0, 30), [("M", "public void M(int a;", (11, 30), (30, 30))], [], [])],
+     [("C", (0, 30), [("M", "public void M(int a;", (11, 30))], [], [])],
      [("unclosed '('", 24), ("type 'C' not closed", 29)]),
 ])
 def test_focal_members_are_pinned(source, classes, diags):
@@ -698,7 +692,7 @@ def test_depth_200_if_nest_parses_clean():
     # Its innermost statements sit at statement level 401.
     tree = parse_test_method(nested_test(200))
     assert tree.diagnostics == []
-    level, stmts = 0, tree.body
+    level, stmts = 0, tree.statements()
     while stmts:
         level += 1
         stmts = stmts[0].children

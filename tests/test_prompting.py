@@ -86,6 +86,21 @@ def test_level_3_drops_fields_and_comments(inventory_tree):
     assert "//" not in level3
 
 
+def test_a_field_with_several_declarators_is_one_span():
+    source = ("class C {\n"
+              "    int a, b;\n"
+              "    int c = F(x, y), d = 2;\n"
+              "    public void Run() { a = c; }\n"
+              "}")
+    tree = parse_focal_file(source)
+    (cls,) = tree.classes
+    assert [source[slice(*span)] for span in cls.fields] == [
+        "int a, b;", "int c = F(x, y), d = 2;"]
+    level2 = render_level(tree, "Run", 2)
+    assert "    int a, b;\n    int c = F(x, y), d = 2;\n" in level2
+    assert render_level(tree, "Run", 3) == "class C {\n    public void Run() { a = c; }\n}"
+
+
 def test_level_4_keeps_only_declaration_and_focal_method(inventory_tree):
     text = render_level(inventory_tree, "Reserve", 4)
     assert "class InventoryService" in text

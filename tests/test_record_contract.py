@@ -167,6 +167,12 @@ def test_train_toy_seed_tokens_must_be_strings(tmp_path, capsys):
     assert "line 1: record needs a string 'tokens[1]' field" in capsys.readouterr().err
 
 
+def test_train_toy_seed_token_outside_the_vocabulary_names_its_line(tmp_path, capsys):
+    seed = write_lines(tmp_path / "seed.jsonl", [{"tokens": ["x"]}, {"tokens": ["Bogus"]}])
+    assert main(["train-toy", "--seed-corpus", str(seed), "--episodes", "10"]) == 2
+    assert "tqual: line 2: token 'Bogus' not in vocabulary" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["sample", "train-toy"])
 def test_policy_file_missing_a_key_is_usage_error(tmp_path, capsys, command):
     path = tmp_path / "policy.json"
@@ -176,6 +182,72 @@ def test_policy_file_missing_a_key_is_usage_error(tmp_path, capsys, command):
             else ["train-toy", "--init-policy", str(path), "--episodes", "10"])
     assert main(argv) == 2
     assert "record needs a list 'ref_logits' field" in capsys.readouterr().err
+
+
+# ── byte-order marks: every input file may start with one ───────────
+
+
+def with_bom(path: Path) -> Path:
+    """A copy of ``path``, under the same name in a ``bom`` folder beside
+    it, that starts with a UTF-8 byte-order mark."""
+    copy = path.parent / "bom" / path.name
+    copy.parent.mkdir(exist_ok=True)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+def output_of(argv: list[str], capsys) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_corpus_with_a_bom_reads_like_one_without(tmp_path, capsys):
+    path = write_lines(tmp_path / "c.jsonl", [GOOD, GOOD])
+    plain = output_of(["analyze", str(path)], capsys)
+    assert output_of(["analyze", str(with_bom(path))], capsys) == plain
+    assert "error.v1" not in plain
+
+
+def test_config_with_a_bom_reads_like_one_without(tmp_path, capsys):
+    prompts = write_lines(tmp_path / "p.jsonl", [{
+        "focal_path": str(FOCAL_FILES / "UploadCommand.cs"), "focal_method": "Stop"}])
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("budget.prompt_token_budget = 150\n", encoding="utf-8")
+    plain = output_of(["prompt", str(prompts), "--config", str(cfg)], capsys)
+    assert json.loads(plain)["context_level"] > 1
+    bom = output_of(["prompt", str(prompts), "--config", str(with_bom(cfg))], capsys)
+    assert bom == plain
+
+
+def test_focal_file_with_a_bom_renders_like_one_without(tmp_path, capsys):
+    focal = tmp_path / "Upload.cs"
+    focal.write_bytes((FOCAL_FILES / "UploadCommand.cs").read_bytes())
+    rows = [{"focal_path": str(path), "focal_method": "Stop"} for path in (focal, with_bom(focal))]
+    path = write_lines(tmp_path / "p.jsonl", rows)
+    plain, bom = map(json.loads, output_of(["prompt", str(path)], capsys).splitlines())
+    assert plain["context_level"] == bom["context_level"] == 1
+    assert bom["prompt_text"] == plain["prompt_text"].replace(str(tmp_path), str(tmp_path / "bom"))
+    assert "\ufeff" not in bom["prompt_text"]
+
+
+def test_vocabulary_file_with_a_bom_reads_like_one_without(tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("</s>\nAssert\n(\n)\n;\nx\n", encoding="utf-8")
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    for path, out in ((vocab, plain), (with_bom(vocab), bom)):
+        assert main(["train-toy", "--vocab-file", str(path), "--episodes", "10",
+                     "--out", str(out)]) == 0
+    assert json.loads(bom.read_text())["vocabulary"][0] == "</s>"
+    assert bom.read_bytes() == plain.read_bytes()
+
+
+def test_policy_file_with_a_bom_reads_like_one_without(tmp_path, capsys):
+    policy = tmp_path / "policy.json"
+    assert main(["train-toy", "--episodes", "10", "--out", str(policy)]) == 0
+    capsys.readouterr()
+    plain = output_of(["sample", "--policy", str(policy), "--count", "3"], capsys)
+    assert output_of(["sample", "--policy", str(with_bom(policy)), "--count", "3"],
+                     capsys) == plain
 
 
 # ── report: skip with a note ────────────────────────────────────────

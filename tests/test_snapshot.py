@@ -96,10 +96,10 @@ def _digest(values: list) -> str:
 
 PINNED = {
     "cuts": "5dc2235763ce344acf20eb77db2a2e29ad8f50288cc9880b4ded77e569eb34dd",
-    "focal_trees": "da0bf004021754f47bd5317c3069b80e426001e3576daffc1e63cde0c0998784",
+    "focal_trees": "1119094d012394a19b5fa275d5c0aaf2329f33ef9f617cebfd1b88995f25801a",
     "renders": "074b8391abe549866b1131946f03ab408a8625375e36122b1dafb40e1a42d55f",
     "reports": "0dca2afb1903724c70429f0019dd581486f7fa5909d36f373059dcaf9c7faa4e",
-    "test_trees": "e79d04861d407742b8df4ca54eb48dc6e5c59364d9d0ac26ad33600159003f4c",
+    "test_trees": "afbce26b530c43fcf7e211a69a5ad731412eb53b8e21deda43f2932e87361d87",
     "tokens": "0042ee6646821ed77c43dd9eba93a27bdc730fd40f1f14e5968f0cc758321b9c",
 }
 
