@@ -1,7 +1,10 @@
 """Command-line pipeline over JSONL files.
 
 Each subcommand wraps one pipeline stage and is one row of ``_COMMANDS``,
-from which the parser and the path check are built.  Every input goes
+from which the parser and the path check are built.  Only the rows whose
+commands read settings take ``--config``; ``main`` loads and checks that
+file once, after the path check, and hands the command a ``PipelineConfig``
+as ``args.config`` (empty without the flag).  Every input goes
 through ``_read``.  A bad line becomes an ``error.v1`` record and exit code
 1 in a per-line stage (``_stream``), stops a whole-input stage with a usage
 error naming it, and is skipped with a note by ``report``.
@@ -63,12 +66,6 @@ def _write_jsonl(path: str | Path | None, rows: Iterable[dict]) -> None:
 def _require_file(path: str) -> None:
     if not Path(path).is_file():
         raise FileNotFoundError(f"input file not found: {path}")
-
-
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    if args.config:
-        return PipelineConfig.from_file(args.config)
-    return PipelineConfig.empty()
 
 
 def _read(path: str, handle: Callable[[dict], Any] = CorpusRecord.from_dict,
@@ -142,7 +139,7 @@ _PROMPT_FIELDS = {"focal_path": (str, REQUIRED), "focal_method": (str, REQUIRED)
 
 
 def cmd_prompt(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args).budget()
+    cfg = args.config.budget()
     trees: dict[str, Any] = {}
 
     def handle(obj: dict) -> dict:
@@ -159,7 +156,7 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 
 
 def cmd_reward(args: argparse.Namespace) -> int:
-    scheme = _pipeline_config(args).reward_scheme(args.properties, args.strategy)
+    scheme = args.config.reward_scheme(args.properties, args.strategy)
     if scheme is None:
         print("reward: no properties given (use --properties or reward.properties)",
               file=sys.stderr)
@@ -188,7 +185,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"report: skipping line {line_no}: {message}", file=sys.stderr)
 
     reports = list(_read(args.input, QualityReport.from_dict, skip))
-    stats = score_corpus(reports, _pipeline_config(args).score_config())
+    stats = score_corpus(reports, args.config.score_config())
 
     width = max(len(prop.label) for prop in PROPERTIES) + 2
     print(f"{'Property':<{width}}Frequency")
@@ -210,9 +207,7 @@ def cmd_resample(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    spec = _pipeline_config(args).split_spec(
-        seed=args.seed, rl_three_way=True if args.rl else None
-    )
+    spec = args.config.split_spec(seed=args.seed, rl_three_way=True if args.rl else None)
     records = list(_read(args.input))
     if args.dedupe:
         records = dedupe(records)
@@ -291,9 +286,12 @@ _SEED_FIELDS = {"tokens": ([str], REQUIRED)}
 
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
+    if args.init_policy and (args.vocab_file or args.seed_corpus):
+        flag = "--vocab-file" if args.vocab_file else "--seed-corpus"
+        raise ValueError(f"--init-policy and {flag} cannot be combined: "
+                         "the policy file brings its own vocabulary and weights")
     _bind_rlcore()
-    pipeline = _pipeline_config(args)
-    cfg = pipeline.train_config(
+    cfg = args.config.train_config(
         beta=args.beta,
         epsilon=args.epsilon,
         learning_rate=args.learning_rate,
@@ -302,13 +300,13 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     # has_assertion only when neither the flag nor the config names properties.
-    scheme = (pipeline.reward_scheme(args.properties, args.strategy)
-              or pipeline.reward_scheme("has_assertion", args.strategy))
+    scheme = (args.config.reward_scheme(args.properties, args.strategy)
+              or args.config.reward_scheme("has_assertion", args.strategy))
 
-    vocabulary = _load_vocabulary(args.vocab_file)
     if args.init_policy:
         policy = _load_policy(args.init_policy)
     elif args.seed_corpus:
+        vocabulary = _load_vocabulary(args.vocab_file)
         def seed_tokens(obj: dict) -> list[str]:
             tokens = decode(dict, obj, _SEED_FIELDS)["tokens"]
             for token in tokens:
@@ -318,11 +316,11 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         token_lists = list(_read(args.seed_corpus, seed_tokens))
         policy = bigram_policy_from_corpus(token_lists, vocabulary)
     else:
-        policy = PolicyTable.uniform(vocabulary)
+        policy = PolicyTable.uniform(_load_vocabulary(args.vocab_file))
 
     reward_fn, report_fn = make_analyzer_reward(scheme, args.focal)
     trained, metrics = train_toy_policy(policy, reward_fn, cfg, report_fn,
-                                        pipeline.score_config())
+                                        args.config.score_config())
 
     if args.metrics:
         _write_jsonl(args.metrics, (entry.to_dict() for entry in metrics))
@@ -341,7 +339,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     policy = _load_policy(args.policy)
-    cfg = _pipeline_config(args).train_config(seed=args.seed, max_tokens=args.max_tokens)
+    cfg = args.config.train_config(seed=args.seed, max_tokens=args.max_tokens)
     completions = generate_completions(policy, cfg, seed=cfg.seed, count=args.count)
     _write_jsonl(args.out, ({
         "schema": "sample.v1",
@@ -372,13 +370,15 @@ _SEED_0 = ("--seed", {"type": int, "default": 0})  # for commands that read no c
 _STRATEGY = ("--strategy", {"choices": ["individual", "combined"]})
 _FOCAL = ("--focal", {"default": "Stop"})
 _MAX_TOKENS = ("--max-tokens", {"type": int})
-_IO = (_INPUT, _CONFIG, _OUT)
+_IO = (_INPUT, _OUT)
+_CONFIG_IO = (_INPUT, _CONFIG, _OUT)
 
 _COMMANDS = {row.name: row for row in (
     _Command("analyze", "quality reports for corpus records", cmd_analyze, _IO, streams=True),
-    _Command("report", "property frequency table for reports", cmd_report, _IO),
+    _Command("report", "property frequency table for reports", cmd_report, _CONFIG_IO),
     _Command("truncate", "cut completions at test boundaries", cmd_truncate, _IO, streams=True),
-    _Command("prompt", "build budgeted prompts from focal files", cmd_prompt, _IO, streams=True),
+    _Command("prompt", "build budgeted prompts from focal files", cmd_prompt, _CONFIG_IO,
+             streams=True),
     _Command("reward", "label corpus records with rewards", cmd_reward, (
         _INPUT,
         ("--properties", {"help": "comma-separated quality properties"}),
@@ -396,7 +396,7 @@ _COMMANDS = {row.name: row for row in (
         _CONFIG, _SEED,
     ), outputs=("out_dir",), allow_abbrev=False),
     _Command("subsample", "seeded random subset", cmd_subsample,
-             (_INPUT, ("--n", {"type": int, "required": True}), _CONFIG, _OUT, _SEED_0)),
+             (_INPUT, ("--n", {"type": int, "required": True}), _OUT, _SEED_0)),
     _Command("train-toy", "PPO on a tabular bigram policy", cmd_train_toy, (
         ("--properties",
          {"help": "comma-separated quality properties (default has_assertion)"}),
@@ -460,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     row = _COMMANDS[args.command]
     try:
         _check_paths(args, row)
+        if _CONFIG in row.options:  # the command gets the checked settings, not the path
+            args.config = (PipelineConfig.from_file(args.config) if args.config
+                           else PipelineConfig.empty())
         code = row.func(args)
         sys.stdout.flush()
         return code

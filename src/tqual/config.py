@@ -4,8 +4,11 @@ The format is one ``section.key = value`` pair per line, with ``#`` comments
 and blank lines ignored.  Each section mirrors one of the typed configs:
 ``budget.*`` for prompt budgets, ``split.*`` for dataset splitting,
 ``reward.*`` for the reward scheme, ``train.*`` for the RL loop and
-``score.*`` for corpus scoring.  Unknown keys are rejected so typos fail
-loudly instead of silently falling back to defaults.
+``score.*`` for corpus scoring.  One table, ``_DEFAULTS``, maps every
+settable key to its default.  Loading a file checks every line against it:
+an unknown key or a value that does not parse as its default's type is an
+error naming the line, whichever sections the caller goes on to read.
+Range checks run when a section is built, after command-line overrides.
 
 ``TrainConfig``, the RL loop's settings, is defined here rather than in
 ``rlcore.trainer`` (which re-exports it): it is plain data, and reading a
@@ -69,23 +72,25 @@ class TrainConfig:
                 raise DomainError(f"{name} must be at least 1")
         if not (0 <= self.baseline_decay < 1):
             raise DomainError("baseline_decay must lie in [0, 1)")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
 
-_SECTIONS = {
-    "budget": BudgetConfig,
-    "split": SplitSpec,
-    "train": TrainConfig,
-    "score": ScoreConfig,
-    "reward": None,  # handled by hand: properties list + strategy
-}
-_REWARD_KEYS = {"properties", "strategy"}
+# Every settable key, with the default that gives its value's type.
+_DEFAULTS: dict[str, Any] = {
+    f"{section}.{f.name}": f.default
+    for section, factory in (("budget", BudgetConfig), ("split", SplitSpec),
+                             ("train", TrainConfig), ("score", ScoreConfig))
+    for f in dataclasses.fields(factory)
+} | {"reward.properties": (), "reward.strategy": ""}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines into a flat string map."""
+    """Parse ``key = value`` lines into a flat string map, checking each key
+    against ``_DEFAULTS`` and each value against its default's type."""
     values: dict[str, str] = {}
     for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -94,26 +99,15 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {number}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ValueError(f"config line {number}: empty key")
-        _check_key(key, number)
+        key, value = key.strip(), value.strip()
+        if key not in _DEFAULTS:
+            raise ValueError(f"config line {number}: unknown key {key!r}")
+        try:
+            _coerce(value, _DEFAULTS[key])
+        except ValueError as exc:
+            raise ValueError(f"config line {number}: {key}: {exc}") from None
         values[key] = value
     return values
-
-
-def _check_key(key: str, line_number: int) -> None:
-    section, _, name = key.partition(".")
-    if section not in _SECTIONS or not name:
-        raise ValueError(f"config line {line_number}: unknown key {key!r}")
-    if section == "reward":
-        if name not in _REWARD_KEYS:
-            raise ValueError(f"config line {line_number}: unknown key {key!r}")
-        return
-    known = {f.name for f in dataclasses.fields(_SECTIONS[section])}
-    if name not in known:
-        raise ValueError(f"config line {line_number}: unknown key {key!r}")
 
 
 def load_config(path: str | Path) -> dict[str, str]:
@@ -152,14 +146,13 @@ class PipelineConfig:
         return cls({})
 
     def _build(self, section: str, factory: type, overrides: dict[str, Any]) -> Any:
-        defaults = factory()
         kwargs: dict[str, Any] = {}
         for f in dataclasses.fields(factory):
             key = f"{section}.{f.name}"
-            if f.name in overrides and overrides[f.name] is not None:
+            if overrides.get(f.name) is not None:
                 kwargs[f.name] = overrides[f.name]
             elif key in self.values:
-                kwargs[f.name] = _coerce(self.values[key], getattr(defaults, f.name))
+                kwargs[f.name] = _coerce(self.values[key], _DEFAULTS[key])
         return factory(**kwargs)
 
     def budget(self, **overrides: Any) -> BudgetConfig:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -776,7 +777,6 @@ def option_surface(parser: argparse.ArgumentParser) -> dict:
 OPTION_SURFACE = {
     "analyze": ("quality reports for corpus records", True, [
         ("input", "input", None, None, None, True, None),
-        ("--config", "config", None, None, None, False, "flat key=value config file"),
         ("--out", "out", None, None, None, False, "output path (default stdout)"),
     ]),
     "report": ("property frequency table for reports", True, [
@@ -786,7 +786,6 @@ OPTION_SURFACE = {
     ]),
     "truncate": ("cut completions at test boundaries", True, [
         ("input", "input", None, None, None, True, None),
-        ("--config", "config", None, None, None, False, "flat key=value config file"),
         ("--out", "out", None, None, None, False, "output path (default stdout)"),
     ]),
     "prompt": ("build budgeted prompts from focal files", True, [
@@ -804,13 +803,11 @@ OPTION_SURFACE = {
     ]),
     "resample": ("class-balance labeled records", True, [
         ("input", "input", None, None, None, True, None),
-        ("--config", "config", None, None, None, False, "flat key=value config file"),
         ("--out", "out", None, None, None, False, "output path (default stdout)"),
         ("--seed", "seed", 0, "int", None, False, None),
     ]),
     "golden": ("keep only golden-quality records", True, [
         ("input", "input", None, None, None, True, None),
-        ("--config", "config", None, None, None, False, "flat key=value config file"),
         ("--out", "out", None, None, None, False, "output path (default stdout)"),
     ]),
     "split": ("leakage-free repository splits", False, [
@@ -825,7 +822,6 @@ OPTION_SURFACE = {
     "subsample": ("seeded random subset", True, [
         ("input", "input", None, None, None, True, None),
         ("--n", "n", None, "int", None, True, None),
-        ("--config", "config", None, None, None, False, "flat key=value config file"),
         ("--out", "out", None, None, None, False, "output path (default stdout)"),
         ("--seed", "seed", 0, "int", None, False, None),
     ]),
@@ -862,3 +858,171 @@ OPTION_SURFACE = {
 
 def test_option_surface_is_pinned():
     assert option_surface(cli.build_parser()) == OPTION_SURFACE
+
+
+# ── settings ─────────────────────────────────────────────────────────
+
+# One run of each command on the files of ``write_pipeline_inputs`` (plus
+# ``policy.json`` for ``sample``), writing only ``out``.
+RUNS = {
+    "analyze": ["analyze", "corpus.jsonl", "--out", "out"],
+    "report": ["report", "reports.jsonl", "--out", "out"],
+    "truncate": ["truncate", "raw.jsonl", "--out", "out"],
+    "prompt": ["prompt", "wanted.jsonl", "--out", "out"],
+    "reward": ["reward", "corpus.jsonl", "--properties", "assertion", "--out", "out"],
+    "resample": ["resample", "labeled.jsonl", "--out", "out"],
+    "golden": ["golden", "corpus.jsonl", "--out", "out"],
+    "split": ["split", "corpus.jsonl", "--out-dir", "out"],
+    "subsample": ["subsample", "corpus.jsonl", "--n", "5", "--out", "out"],
+    "train-toy": ["train-toy", "--episodes", "10", "--max-tokens", "6", "--out", "out"],
+    "sample": ["sample", "--policy", "policy.json", "--count", "3", "--out", "out"],
+}
+
+# The config sections each command builds.  README's "Configuration" list
+# is checked against this table in test_docs.py.
+SECTIONS_READ = {
+    "prompt": ("budget",),
+    "report": ("score",),
+    "reward": ("reward",),
+    "split": ("split",),
+    "train-toy": ("train", "reward", "score"),
+    "sample": ("train",),
+}
+
+# Per section, a line that loads but that building the section refuses,
+# with a part of the refusal.
+OUT_OF_RANGE = {
+    "budget": ("budget.chars_per_token = 0", "chars_per_token must be positive"),
+    "split": ("split.test_fraction = 2", "split fractions must lie in (0, 1)"),
+    "reward": ("reward.strategy = sideways", "unknown strategy: 'sideways'"),
+    "train": ("train.batch_size = 0", "batch_size must be at least 1"),
+    "score": ("score.smell_properties = made_up", "unknown quality property: 'made_up'"),
+}
+
+# Per section, a line whose value does not parse as its key's type.
+ILL_TYPED = {
+    "train": "train.episodes = abc",
+    "split": "split.rl_three_way = maybe",
+    "budget": "budget.model_context = big",
+}
+
+
+def takes_config(command: str) -> bool:
+    return any(flag == "--config" for flag, _ in cli._COMMANDS[command].options)
+
+
+CONFIG_COMMANDS = [name for name in cli._COMMANDS if takes_config(name)]
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        write_pipeline_inputs(root)
+        assert main(["train-toy", "--episodes", "10", "--out", "policy.json"]) == 0
+    finally:
+        os.chdir(cwd)
+    return root
+
+
+@pytest.fixture
+def pipeline_dir(pipeline_inputs, tmp_path, monkeypatch):
+    """A fresh copy of ``pipeline_inputs`` as the working directory."""
+    for path in pipeline_inputs.iterdir():
+        shutil.copy(path, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_run_succeeds_without_a_config(pipeline_dir, capsys, command):
+    assert main(RUNS[command]) == 0
+    assert (pipeline_dir / "out").exists()
+
+
+@pytest.mark.parametrize("section", sorted(OUT_OF_RANGE))
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_a_command_builds_exactly_the_sections_it_lists(pipeline_dir, capsys, command, section):
+    line, refusal = OUT_OF_RANGE[section]
+    (pipeline_dir / "bad.cfg").write_text(line + "\n")
+    code = main(RUNS[command] + ["--config", "bad.cfg"])
+    err = capsys.readouterr().err
+    if section in SECTIONS_READ[command]:
+        assert code == 2
+        assert refusal in err
+        assert not (pipeline_dir / "out").exists()
+    else:
+        assert code == 0, err
+
+
+def bad_config_cases() -> list:
+    """(command, config text or None for a missing file, what stderr names)."""
+    cases = []
+    for command in cli._COMMANDS:
+        cases.append(pytest.param(command, None, "missing.cfg", id=f"{command}-missing"))
+        cases.append(pytest.param(command, "train.seed = 1\ntrain.episode = 3\n",
+                                  "config line 2: unknown key 'train.episode'",
+                                  id=f"{command}-unknown-key"))
+        for section, line in ILL_TYPED.items():
+            if section not in SECTIONS_READ.get(command, ()):
+                key = line.split(" = ")[0]
+                cases.append(pytest.param(command, f"# unread section\n{line}\n",
+                                          f"config line 2: {key}: ", id=f"{command}-{key}"))
+    return cases
+
+
+@pytest.mark.parametrize("command, text, named", bad_config_cases())
+def test_a_bad_config_is_refused_before_the_command_runs(pipeline_dir, capsys,
+                                                         command, text, named):
+    # A command that reads settings checks the whole file first; any other
+    # command does not take the flag.
+    if text is not None:
+        (pipeline_dir / "bad.cfg").write_text(text)
+    argv = RUNS[command] + ["--config", "missing.cfg" if text is None else "bad.cfg"]
+    if takes_config(command):
+        assert main(argv) == 2
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        named = "unrecognized arguments: --config"
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+    assert not (pipeline_dir / "out").exists()
+
+
+@pytest.mark.parametrize("given", ["seed-corpus", "vocab-file", "both"])
+def test_init_policy_refuses_a_seed_corpus_or_vocab_file(pipeline_dir, capsys, given):
+    # The policy file brings its own vocabulary and weights, so either file
+    # would be ignored: a missing seed corpus, or one with a token the
+    # vocabulary file lacks.
+    (pipeline_dir / "vocab.txt").write_text("Assert\n</s>\n")
+    (pipeline_dir / "seed.jsonl").write_text(dump_line({"tokens": ["Bogus"]}) + "\n")
+    extra = {"seed-corpus": ["--seed-corpus", "no-such-seed.jsonl"],
+             "vocab-file": ["--vocab-file", "vocab.txt"],
+             "both": ["--seed-corpus", "seed.jsonl", "--vocab-file", "vocab.txt"]}[given]
+    argv = ["train-toy", "--episodes", "5", "--init-policy", "policy.json", *extra,
+            "--out", "out"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    flag = "--seed-corpus" if given == "seed-corpus" else "--vocab-file"
+    assert "--init-policy" in err and flag in err
+    assert not (pipeline_dir / "out").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["train-toy", "--episodes", "5", "--seed", "-1"], None),
+    (["sample", "--policy", "policy.json", "--seed", "-3"], None),
+    (["train-toy", "--episodes", "5"], "train.seed = -1\n"),
+    (["sample", "--policy", "policy.json"], "train.seed = -1\n"),
+], ids=["train-toy-flag", "sample-flag", "train-toy-config", "sample-config"])
+def test_a_negative_seed_is_a_usage_error_naming_seed(pipeline_dir, capsys, argv, config):
+    if config is not None:
+        (pipeline_dir / "seed.cfg").write_text(config)
+        argv = argv + ["--config", "seed.cfg"]
+    assert main(argv + ["--out", "out"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (pipeline_dir / "out").exists()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from test_cli import SECTIONS_READ, takes_config
+from tqual import cli
 from tqual.analyzer import PROPERTIES, PROPERTY_FIELDS, QualityReport, ScoreConfig
 from tqual.curation import is_golden
 from tqual.rewards import canonical_property
@@ -46,3 +48,23 @@ def test_readme_marks_what_the_golden_filter_and_the_default_score_read():
     assert tuple(p for p, row in rows.items() if row[4] == "+") == config.positive_properties
     assert tuple(p for p, row in rows.items() if row[4] == "−") == config.smell_properties
     assert {row[4] for row in rows.values()} == {"+", "−", ""}
+
+
+def config_sections() -> dict[str, tuple[str, ...]]:
+    """The commands README's "Configuration" list names, with the sections
+    it says each one reads."""
+    section = README.read_text(encoding="utf-8").split("### Configuration\n", 1)[1]
+    lead = "Six commands take `--config`, and each reads these sections of it:\n\n"
+    items = section.split(lead, 1)[1].split("\n\n", 1)[0].splitlines()
+    listed = {}
+    for item in items:
+        command, _, sections = item.removeprefix("- ").partition(": ")
+        listed[command.strip("`")] = names(sections)
+    return listed
+
+
+def test_readme_names_the_commands_that_take_config():
+    # SECTIONS_READ is checked against what each command builds in test_cli.py.
+    listed = config_sections()
+    assert set(listed) == {name for name in cli._COMMANDS if takes_config(name)}
+    assert listed == {name: tuple(sections) for name, sections in SECTIONS_READ.items()}

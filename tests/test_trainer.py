@@ -75,6 +75,12 @@ def test_config_rejects_non_finite_values(name, value):
         TrainConfig(**{name: value})
 
 
+def test_config_rejects_a_negative_seed_by_name():
+    # numpy's generator would refuse it later with a message naming nothing.
+    with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+        TrainConfig(seed=-1)
+
+
 def test_config_to_dict_round_trips_through_constructor():
     cfg = toy_config()
     assert TrainConfig(**cfg.to_dict()) == cfg
