@@ -15,7 +15,7 @@ from .analyzer import (
     analyze,
     score_corpus,
 )
-from .completion import RawCompletion, assemble_record, prompt_hint_for, truncate_completion
+from .completion import RawCompletion, prompt_hint_for, truncate_completion
 from .corpus import CorpusRecord, iter_jsonl
 from .curation import (
     SplitSpec,
@@ -54,7 +54,6 @@ __all__ = [
     "analyze",
     "score_corpus",
     "RawCompletion",
-    "assemble_record",
     "prompt_hint_for",
     "truncate_completion",
     "CorpusRecord",

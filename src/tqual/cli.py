@@ -4,10 +4,12 @@ Each subcommand wraps one pipeline stage and is one row of ``_COMMANDS``,
 from which the parser and the path check are built.  Only the rows whose
 commands read settings take ``--config``; ``main`` loads and checks that
 file once, after the path check, and hands the command a ``PipelineConfig``
-as ``args.config`` (empty without the flag).  Every input goes
-through ``_read``.  A bad line becomes an ``error.v1`` record and exit code
-1 in a per-line stage (``_stream``), stops a whole-input stage with a usage
-error naming it, and is skipped with a note by ``report``.
+as ``args.config`` (empty without the flag).  Every JSONL input goes
+through ``_read``, and every other input file through ``read_input``; a
+path given as ``""`` is refused, never taken for one not given.  A bad
+line becomes an ``error.v1`` record and exit code 1 in a per-line stage
+(``_stream``), stops a whole-input stage with a usage error naming it, and
+is skipped with a note by ``report``.
 
 Exit codes: 0 success, also when the reader closes stdout early (``head``);
 1 data error; 2 usage error, which includes two outputs of one command
@@ -41,7 +43,7 @@ from . import __version__
 from .analyzer import PROPERTIES, QualityReport, analyze, score_corpus
 from .completion import RawCompletion, prompt_hint_for, truncate_completion
 from .config import PipelineConfig
-from .corpus import REQUIRED, CorpusRecord, decode, dump_line, iter_jsonl
+from .corpus import REQUIRED, CorpusRecord, check_input, decode, dump_line, iter_jsonl, read_input
 from .curation import dedupe, is_golden, split_by_repository, split_manifest, subsample
 from .errors import DomainError, PipelineError
 from .parser import parse_focal_file
@@ -63,11 +65,6 @@ def _write_jsonl(path: str | Path | None, rows: Iterable[dict]) -> None:
     _write_lines(path, map(dump_line, rows))
 
 
-def _require_file(path: str) -> None:
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"input file not found: {path}")
-
-
 def _read(path: str, handle: Callable[[dict], Any] = CorpusRecord.from_dict,
           on_bad: Callable[[int, str], Any] | None = None) -> Iterator:
     """``handle(obj)`` for each object of the JSONL file ``path``, in order,
@@ -75,7 +72,7 @@ def _read(path: str, handle: Callable[[dict], Any] = CorpusRecord.from_dict,
     which ``handle`` raises a PipelineError or an OSError; None results are
     dropped.  Without ``on_bad`` a bad line is a usage error naming it.  The
     file must exist when ``_read`` is called; its lines are read lazily."""
-    _require_file(path)
+    check_input(path)
 
     def items() -> Iterator:
         for line_no, obj, err in iter_jsonl(path):
@@ -146,11 +143,7 @@ def cmd_prompt(args: argparse.Namespace) -> int:
         fields = decode(dict, obj, _PROMPT_FIELDS)
         path = fields["focal_path"]
         if path not in trees:
-            try:
-                source = Path(path).read_text(encoding="utf-8-sig")
-            except ValueError as exc:  # a NUL byte in the path, or a file that is not UTF-8
-                raise DomainError(f"cannot read focal file {path!r}: {exc}") from None
-            trees[path] = parse_focal_file(source)
+            trees[path] = parse_focal_file(read_input(path))
         return build_prompt(trees[path], fields["focal_method"], path, cfg).to_dict()
     return _stream(args, handle)
 
@@ -270,7 +263,7 @@ def __getattr__(name: str) -> Any:
 def _load_vocabulary(path: str | None) -> tuple[str, ...]:
     if path is None:
         return DEFAULT_VOCAB
-    tokens = [line.strip() for line in Path(path).read_text(encoding="utf-8-sig").splitlines()]
+    tokens = [line.strip() for line in read_input(path).splitlines()]
     vocab = tuple(t for t in tokens if t)
     if "</s>" not in vocab:
         raise DomainError("vocabulary file must include the stop token </s>")
@@ -278,16 +271,19 @@ def _load_vocabulary(path: str | None) -> tuple[str, ...]:
 
 
 def _load_policy(path: str) -> PolicyTable:
-    _require_file(path)
-    return PolicyTable.from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig")))
+    try:
+        data = json.loads(read_input(path))
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep to parse
+        raise DomainError(f"{path}: {exc}") from None
+    return PolicyTable.from_dict(data)
 
 
 _SEED_FIELDS = {"tokens": ([str], REQUIRED)}
 
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
-    if args.init_policy and (args.vocab_file or args.seed_corpus):
-        flag = "--vocab-file" if args.vocab_file else "--seed-corpus"
+    if args.init_policy is not None and (args.vocab_file, args.seed_corpus) != (None, None):
+        flag = "--vocab-file" if args.vocab_file is not None else "--seed-corpus"
         raise ValueError(f"--init-policy and {flag} cannot be combined: "
                          "the policy file brings its own vocabulary and weights")
     _bind_rlcore()
@@ -303,9 +299,9 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     scheme = (args.config.reward_scheme(args.properties, args.strategy)
               or args.config.reward_scheme("has_assertion", args.strategy))
 
-    if args.init_policy:
+    if args.init_policy is not None:
         policy = _load_policy(args.init_policy)
-    elif args.seed_corpus:
+    elif args.seed_corpus is not None:
         vocabulary = _load_vocabulary(args.vocab_file)
         def seed_tokens(obj: dict) -> list[str]:
             tokens = decode(dict, obj, _SEED_FIELDS)["tokens"]
@@ -461,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_paths(args, row)
         if _CONFIG in row.options:  # the command gets the checked settings, not the path
-            args.config = (PipelineConfig.from_file(args.config) if args.config
+            args.config = (PipelineConfig.from_file(args.config) if args.config is not None
                            else PipelineConfig.empty())
         code = row.func(args)
         sys.stdout.flush()

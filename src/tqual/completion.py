@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import CorpusRecord
 from .lexer import Token, TokenKind
 from .lexer import scan as tokenize  # the lexer call, by the name tracers patch
 
-__all__ = ["RawCompletion", "truncate_completion", "assemble_record", "prompt_hint_for"]
+__all__ = ["RawCompletion", "truncate_completion", "prompt_hint_for"]
 
 _TEST_ANNOTATION = "TestMethod"
 # Module constants: an enum member read off its class is a slow lookup.
@@ -78,16 +77,3 @@ def truncate_completion(raw: RawCompletion) -> str:
             if annotations == 2 and off >= search_from:
                 return full[:off]
     return full
-
-
-def assemble_record(prompt: str, raw: RawCompletion, *, repo: str = "",
-                    focal_class: str = "", focal_method: str = "") -> CorpusRecord:
-    """Pair a prompt with its truncated completion as one corpus record."""
-    return CorpusRecord(
-        repo=repo,
-        focal_class=focal_class,
-        focal_method=focal_method,
-        prompt=prompt,
-        test=truncate_completion(raw),
-        source="generated",
-    )

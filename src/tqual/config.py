@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from .analyzer import ScoreConfig
+from .corpus import read_input
 from .curation import SplitSpec
 from .errors import DomainError
 from .prompting import BudgetConfig
@@ -111,7 +112,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_config_text(read_input(path))
 
 
 def _coerce(raw: str, template: Any) -> Any:

@@ -1,17 +1,19 @@
 """The record that flows through the pipeline, the wire format of every
-record type, and JSONL helpers for it."""
+record type, JSONL helpers for it, and the one opener of every input file."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, TextIO
 
 from .errors import DomainError
 
-__all__ = ["REQUIRED", "CorpusRecord", "encode", "decode", "iter_jsonl", "dump_line"]
+__all__ = ["REQUIRED", "CorpusRecord", "encode", "decode", "check_input", "read_input",
+           "iter_jsonl", "dump_line"]
 
 # The default of a field that a record must carry.
 REQUIRED = object()
@@ -123,16 +125,46 @@ def dump_line(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
+def check_input(path: str | Path) -> None:
+    """Raise a DomainError unless ``path`` names a file."""
+    if not path:
+        raise DomainError("empty input file path")
+    if not os.path.isfile(path):
+        why = " (the path holds a null byte)" if "\0" in str(path) else ""
+        raise DomainError(f"input file not found: {path}{why}")
+
+
+def _open_input(path: str | Path) -> TextIO:
+    """``path`` as UTF-8 text past a leading byte-order mark, with bytes
+    that are not UTF-8 read as lone surrogates."""
+    check_input(path)
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
+
+
+def read_input(path: str | Path) -> str:
+    """The whole text of the input file ``path``.  A DomainError names the
+    path and the line of the first byte that is not UTF-8."""
+    with _open_input(path) as handle:
+        text = handle.read()
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            line = text.count("\n", 0, exc.start) + 1
+            raise DomainError(f"{path}: line {line}: bytes that are not UTF-8") from None
+    return text
+
+
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict | None, str | None]]:
     """Stream (line_number, parsed_object, error) triples.
 
     Blank lines are skipped.  A line that fails to parse, or parses to
     something other than an object, yields (n, None, message) so callers
     can keep their output aligned with the input; the message does not
-    repeat the line number.  A leading byte-order mark is skipped.  Bytes
-    that are not UTF-8 are read as lone surrogates, which ``decode`` rejects
-    in any field it reads."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+    repeat the line number.  The file is opened as ``read_input`` opens it,
+    but bytes that are not UTF-8 stay in the line as lone surrogates,
+    which ``decode`` rejects in any field it reads."""
+    with _open_input(path) as handle:
         for n, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped:

@@ -76,10 +76,6 @@ class RewardScheme:
     def k(self) -> int:
         return len(self.properties)
 
-    @staticmethod
-    def polarity(prop: str) -> str:
-        return "positive" if canonical_property(prop) in POSITIVE_PROPERTIES else "negative"
-
 
 def property_score(report: QualityReport, prop: str) -> int:
     """1 when the property is in its desirable state, else 0."""

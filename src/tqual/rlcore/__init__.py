@@ -4,7 +4,6 @@ from .math import (
     TrajectoryStep,
     clipped_surrogate,
     clipped_surrogate_grad,
-    cross_entropy_loss,
     kl_divergence,
     kl_penalized_reward,
     mse_grad,
@@ -28,7 +27,6 @@ __all__ = [
     "TrajectoryStep",
     "clipped_surrogate",
     "clipped_surrogate_grad",
-    "cross_entropy_loss",
     "kl_divergence",
     "kl_penalized_reward",
     "mse_grad",

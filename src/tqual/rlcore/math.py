@@ -15,7 +15,6 @@ from ..errors import DomainError, LengthMismatch
 
 __all__ = [
     "TrajectoryStep",
-    "cross_entropy_loss",
     "mse_loss",
     "mse_grad",
     "kl_penalized_reward",
@@ -39,16 +38,6 @@ class TrajectoryStep:
     @property
     def ratio(self) -> float:
         return math.exp(self.logprob_new - self.logprob_old)
-
-
-def cross_entropy_loss(token_probs: Sequence[float]) -> float:
-    """Negative log-likelihood of a token sequence: -sum(log p_i)."""
-    total = 0.0
-    for p in token_probs:
-        if p <= 0:
-            raise DomainError(f"token probability must be positive, got {p}")
-        total -= math.log(p)
-    return total
 
 
 def mse_loss(predictions: Sequence[float], targets: Sequence[float]) -> float:

@@ -1,4 +1,4 @@
-"""Completion truncation tests: cut boundaries, idempotence, assembly."""
+"""Completion truncation tests: cut boundaries and idempotence."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tqual.completion import (
     RawCompletion,
-    assemble_record,
     prompt_hint_for,
     truncate_completion,
 )
@@ -177,14 +176,3 @@ def test_a_hint_with_two_annotations_disables_annotation_cuts():
     # The brace rule still holds.
     raw = RawCompletion(hint, body + "}\n[TestMethod]\nvoid U()")
     assert truncate_completion(raw) == hint + body + "}"
-
-
-def test_assemble_record_truncates_and_fills_fields():
-    raw = RawCompletion(HINT, "()\n{\n    c.Stop();\n}\ngarbage")
-    record = assemble_record(
-        "the prompt", raw, repo="r1", focal_class="UploadCommand", focal_method="Stop"
-    )
-    assert record.test.endswith("}")
-    assert record.prompt == "the prompt"
-    assert record.repo == "r1"
-    assert record.source == "generated"

@@ -64,8 +64,8 @@ def test_polarities_partition_the_rewardable_properties():
     assert POSITIVE_PROPERTIES | NEGATIVE_PROPERTIES == set(PROPERTY_FIELDS) - {
         "correct_syntax"
     }
-    assert RewardScheme.polarity("has_assertion") == "positive"
-    assert RewardScheme.polarity("duplicate_assertion") == "negative"
+    assert "has_assertion" in POSITIVE_PROPERTIES
+    assert "duplicate_assertion" in NEGATIVE_PROPERTIES
 
 
 # Each rewardable property, spelled out, with whether its presence is desirable.
@@ -91,7 +91,7 @@ def test_single_property_reward_is_its_literal_polarity_on_all_128_reports(prop)
         else:
             want = 1 if values[prop] == LITERAL_POLARITY[prop] else 0
         assert reward_for(report, scheme) == want, bits
-    assert RewardScheme.polarity(prop) == ("positive" if LITERAL_POLARITY[prop] else "negative")
+    assert (prop in POSITIVE_PROPERTIES) == LITERAL_POLARITY[prop]
 
 
 # ── scheme construction ──────────────────────────────────────────────

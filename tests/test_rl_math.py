@@ -13,7 +13,6 @@ from tqual.rlcore.math import (
     TrajectoryStep,
     clipped_surrogate,
     clipped_surrogate_grad,
-    cross_entropy_loss,
     kl_divergence,
     kl_penalized_reward,
     mse_grad,
@@ -26,28 +25,6 @@ def step(ratio: float, advantage: float) -> TrajectoryStep:
         state=0, action=1, logprob_new=math.log(ratio), logprob_old=0.0,
         advantage=advantage,
     )
-
-
-# ── cross entropy ────────────────────────────────────────────────────
-
-
-def test_cross_entropy_of_certain_tokens_is_zero():
-    assert cross_entropy_loss([1.0, 1.0, 1.0]) == 0.0
-
-
-def test_cross_entropy_single_token():
-    assert cross_entropy_loss([math.exp(-1.0)]) == pytest.approx(1.0)
-
-
-def test_cross_entropy_sums_negative_logs():
-    assert cross_entropy_loss([0.5, 0.25]) == pytest.approx(3 * math.log(2))
-
-
-def test_cross_entropy_rejects_nonpositive_probability():
-    with pytest.raises(DomainError):
-        cross_entropy_loss([0.5, 0.0])
-    with pytest.raises(DomainError):
-        cross_entropy_loss([-0.1])
 
 
 # ── mean squared error ───────────────────────────────────────────────
