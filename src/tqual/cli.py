@@ -266,16 +266,16 @@ def _load_vocabulary(path: str | None) -> tuple[str, ...]:
     tokens = [line.strip() for line in read_input(path).splitlines()]
     vocab = tuple(t for t in tokens if t)
     if "</s>" not in vocab:
-        raise DomainError("vocabulary file must include the stop token </s>")
+        raise DomainError(f"{path}: vocabulary file must include the stop token </s>")
     return vocab
 
 
 def _load_policy(path: str) -> PolicyTable:
+    text = read_input(path)
     try:
-        data = json.loads(read_input(path))
-    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep to parse
+        return PolicyTable.from_dict(json.loads(text))
+    except (ValueError, RecursionError, DomainError) as exc:  # not JSON, too deep, not a policy
         raise DomainError(f"{path}: {exc}") from None
-    return PolicyTable.from_dict(data)
 
 
 _SEED_FIELDS = {"tokens": ([str], REQUIRED)}

@@ -112,7 +112,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    return parse_config_text(read_input(path))
+    text = read_input(path)
+    try:
+        return parse_config_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _coerce(raw: str, template: Any) -> Any:

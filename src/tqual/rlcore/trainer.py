@@ -30,12 +30,19 @@ entries, so a long evaluation or ``tqual sample`` run cannot grow it without
 bound.  Collection groups a batch's steps by state as it scores them, once
 per batch, in the shape every PPO pass over the batch reads.
 
+A PPO pass makes no call per step.  Per state it reads the log-prob row
+once, takes each step's ratio with ``math.exp`` and the clip test of
+``clipped_surrogate_grad`` inline, and sums the kept steps' gradient terms
+with one sequential ``np.add.accumulate``, so every float of the update
+equals that of calling ``clipped_surrogate_grad`` step by step.
+
 ``TrainConfig`` is defined in ``tqual.config``, which must not import numpy,
 and is re-exported here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -47,7 +54,9 @@ from ..config import TrainConfig
 from ..corpus import encode
 from ..errors import DomainError
 from ..rewards import RewardScheme, reward_for
-from .math import TrajectoryStep, clipped_surrogate_grad, kl_penalized_reward
+# ``_ascend`` inlines clipped_surrogate_grad; the import stays because
+# perfbench/tracing.py wraps this module's binding of it.
+from .math import clipped_surrogate_grad, kl_penalized_reward
 from .policy import DrawTable, PolicyTable, SampledCompletion, sample_completion
 from .reward_model import LinearRewardModel
 
@@ -325,21 +334,45 @@ def train_toy_policy(
 
 def _ascend(policy: PolicyTable, batch: _Batch, steps: int, cfg: TrainConfig) -> None:
     """One gradient-ascent pass of the clipped surrogate over a batch of
-    ``steps`` steps grouped by state."""
+    ``steps`` steps grouped by state.
+
+    Each state's row is one array computation.  A step's ratio and clip
+    test are those of ``clipped_surrogate_grad``, taken with ``math.exp``
+    (numpy's ``exp`` may differ in the last bit) on the row's Python
+    floats, and a step whose gradient ``g`` is zero is dropped.  The kept
+    steps become a matrix of terms, per step ``-g * probs[state]`` and then
+    ``g`` at its action and ``0.0`` elsewhere.  ``np.add.accumulate`` sums
+    the rows in order, so its last row is, float for float, what
+    ``grad[state] -= g * probs[state]; grad[state, action] += g`` gives
+    step by step from a zeroed row: ``x - y`` is ``x + (-y)``, and adding
+    ``0.0`` changes only a ``-0.0``.  A first term can leave ``-0.0`` where
+    ``0.0 - 0.0`` gives ``+0.0``, but the step's second row adds ``0.0`` or
+    ``g`` there, and from then on no sum is ``-0.0``.
+    """
     if not steps:
         return
     grad = np.zeros_like(policy.logits)
     log_probs = policy.log_prob_table()
     probs = np.exp(log_probs)
+    lo, hi = 1 - cfg.epsilon, 1 + cfg.epsilon
     for state, group in batch.items():
+        row = log_probs[state].tolist()
+        actions: list[int] = []
+        gains: list[float] = []
         for action, logprob_old, advantage in group:
-            current = TrajectoryStep(
-                state, action, float(log_probs[state, action]), logprob_old, advantage
-            )
-            g = clipped_surrogate_grad(current, cfg.epsilon)
-            if g == 0.0:
+            ratio = math.exp(row[action] - logprob_old)
+            if advantage >= 0 and ratio > hi or advantage < 0 and ratio < lo:
                 continue
-            grad[state] -= g * probs[state]
-            grad[state, action] += g
+            g = ratio * advantage
+            if g != 0.0:
+                actions.append(action)
+                gains.append(g)
+        if not gains:
+            continue
+        k = len(gains)
+        terms = np.zeros((2 * k, policy.size))
+        terms[0::2] = -(np.array(gains)[:, None] * probs[state])
+        terms[np.arange(1, 2 * k, 2), actions] = gains
+        grad[state] = np.add.accumulate(terms)[-1]
 
     policy.logits = policy.logits + cfg.learning_rate * grad / steps

@@ -161,3 +161,18 @@ def test_policy_json_that_does_not_parse_names_the_file(workdir, capsys, text, m
     code, err = outcome(["sample", "--policy", "policy.json"], capsys)
     assert code == 2
     assert err.startswith(f"policy.json: {message}")
+
+
+# ── content a reader refuses names its file ─────────────────────────
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    ("config", "# budgets\ntrain.episode = 3\n", "config line 2: unknown key 'train.episode'"),
+    ("vocabulary", "Assert\nx\n", "vocabulary file must include the stop token </s>"),
+    ("policy", json.dumps({"schema": "policy.v1", "vocabulary": ["</s>", "x"],
+                           "logits": [[0, 0], [0, 0]], "stop_token": "</s>"}),
+     "record needs a list 'ref_logits' field"),
+], ids=["config", "vocabulary", "policy"])
+def test_content_a_reader_refuses_is_named_by_its_file(workdir, capsys, reader, text, message):
+    Path("input").write_text(text, encoding="utf-8")
+    assert outcome(READERS[reader].argv("input"), capsys) == (2, f"input: {message}")

@@ -24,6 +24,9 @@ KEPT = {
     "rewards.py:RewardScheme.individual": "library constructor of a one-property scheme",
     "rewards.py:RewardScheme.combined": "library constructor of a many-property scheme",
     "rlcore/math.py:clipped_surrogate": "scalar reference of acceptance criterion 8",
+    "rlcore/math.py:clipped_surrogate_grad":
+        "scalar reference of criterion 8 and of the PPO pass's differential test; "
+        "perfbench/tracing.py patches trainer's binding",
     "rlcore/math.py:kl_divergence": "scalar reference of acceptance criterion 8",
     "rlcore/policy.py:PolicyTable.kl_from_reference":
         "perfbench/tracing.py patches it, and it is the row reference of kl_table",

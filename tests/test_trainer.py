@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toy_setup import (
     SEED_CORPUS_ASSERT,
@@ -18,6 +21,7 @@ from tqual.errors import DomainError
 from tqual.rewards import RewardScheme
 from tqual.rlcore import policy as policy_module
 from tqual.rlcore import trainer
+from tqual.rlcore.math import TrajectoryStep, clipped_surrogate_grad
 from tqual.rlcore.policy import PolicyTable
 from tqual.rlcore.reward_model import LinearRewardModel
 from tqual.rlcore.trainer import (
@@ -279,6 +283,115 @@ def test_tiny_steps_do_not_round_the_kl_below_zero(learning_rate):
     _, metrics = train_toy_policy(assert_seeded_policy(), reward_fn, cfg, report_fn)
     assert metrics[-1].episode == 100
     assert all(m.mean_kl >= 0.0 for m in metrics)
+
+
+# ── the PPO pass against the scalar loop ─────────────────────────────
+
+
+def _scalar_ascend(policy, batch, steps, cfg):
+    """The PPO pass as one ``clipped_surrogate_grad`` call per step: the
+    reference ``trainer._ascend`` must match bit for bit."""
+    if not steps:
+        return
+    grad = np.zeros_like(policy.logits)
+    log_probs = policy.log_prob_table()
+    probs = np.exp(log_probs)
+    for state, group in batch.items():
+        for action, logprob_old, advantage in group:
+            current = TrajectoryStep(
+                state, action, float(log_probs[state, action]), logprob_old, advantage
+            )
+            g = clipped_surrogate_grad(current, cfg.epsilon)
+            if g == 0.0:
+                continue
+            grad[state] -= g * probs[state]
+            grad[state, action] += g
+    policy.logits = policy.logits + cfg.learning_rate * grad / steps
+
+
+def _old_for_ratio(new, target):
+    """An old log-prob near ``new - log(target)`` whose ratio
+    ``exp(new - old)`` is exactly ``target`` when one lies within 64 ulps,
+    else the nearest one found."""
+    best = new - math.log(target)
+    for direction in (math.inf, -math.inf):
+        candidate = new - math.log(target)
+        for _ in range(64):
+            ratio = math.exp(new - candidate)
+            if ratio == target:
+                return candidate
+            if abs(ratio - target) < abs(math.exp(new - best) - target):
+                best = candidate
+            candidate = math.nextafter(candidate, direction)
+    return best
+
+
+@st.composite
+def _ppo_passes(draw):
+    """A policy, a batch grouped by state and a config for one PPO pass.
+
+    Logits span scales where rows are near uniform to scales where some
+    probabilities underflow to zero, with some entries set to ``+0.0`` or
+    ``-0.0`` so a gradient's sign of zero shows in the updated logits.
+    States repeat, advantages take both signs and both zeros, and old
+    log-probs put ratios at 1, at the clip edges and anywhere between.
+    """
+    size = draw(st.integers(2, 8))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 5.0, 30.0, 1000.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.standard_normal((size, size)) * scale
+    zeros = rng.random((size, size))
+    logits[zeros < 0.15] = 0.0
+    logits[zeros > 0.85] = -0.0
+    policy = PolicyTable(tuple(f"t{i}" for i in range(size)), logits,
+                         logits.copy(), stop_token="t0")
+    epsilon = draw(st.sampled_from([0.05, 0.2, 0.5]) | st.floats(0.01, 0.99))
+    cfg = TrainConfig(
+        epsilon=epsilon,
+        learning_rate=draw(st.sampled_from([1e-9, 1e-3, 1.0, 50.0])
+                           | st.floats(1e-9, 50.0)),
+    )
+    log_probs = policy.log_prob_table()
+    advantages = (st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+                  | st.floats(-1e-300, 1e-300))
+    batch: dict[int, list[tuple[int, float, float]]] = {}
+    steps = draw(st.integers(0, 24))
+    distinct_states = draw(st.integers(1, size))
+    for _ in range(steps):
+        state = draw(st.integers(0, distinct_states - 1))
+        action = draw(st.integers(0, size - 1))
+        new = float(log_probs[state, action])
+        kind = draw(st.sampled_from(["same", "hi", "lo", "free"]))
+        if kind == "same":
+            old = new
+        elif kind == "free":
+            old = new + draw(st.floats(-1.0, 1.0))
+        else:
+            old = _old_for_ratio(new, 1 + epsilon if kind == "hi" else 1 - epsilon)
+        batch.setdefault(state, []).append((action, old, draw(advantages)))
+    return policy, batch, steps, cfg
+
+
+@given(_ppo_passes())
+@settings(max_examples=400, deadline=None)
+def test_ppo_pass_matches_the_scalar_loop_bit_for_bit(case):
+    policy, batch, steps, cfg = case
+    fast, slow = policy.copy(), policy.copy()
+    with np.errstate(all="ignore"):
+        trainer._ascend(fast, batch, steps, cfg)
+        _scalar_ascend(slow, batch, steps, cfg)
+    assert np.array_equal(fast.logits, slow.logits, equal_nan=True)
+    assert np.array_equal(np.signbit(fast.logits), np.signbit(slow.logits))
+
+
+def test_the_clip_edges_are_drawn_exactly():
+    # On rows of small log-probs the differential test's edge steps sit
+    # exactly on 1 +- epsilon, where the clip test's strict comparisons
+    # keep the step.
+    policy = PolicyTable.uniform(("a", "b", "c"), stop_token="a")
+    new = float(policy.log_prob_table()[0, 1])
+    for target in (1 + 0.2, 1 - 0.2):
+        assert math.exp(new - _old_for_ratio(new, target)) == target
 
 
 # ── each piece of work once ──────────────────────────────────────────
