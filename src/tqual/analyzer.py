@@ -154,7 +154,7 @@ def _statement_properties(tree: TestSyntaxTree, focal_name: str) -> tuple[bool, 
 def _has_comment(tree: TestSyntaxTree) -> bool:
     # Preprocessor lines share the comment-line kind; the prefix check
     # keeps them from counting as documentation.
-    return any(tok.text.startswith(("//", "/*")) for tok in tree.comments)
+    return any(text.startswith(("//", "/*")) for _, text, _ in tree.comments)
 
 
 def _is_descriptive(method_name: str, focal_name: str) -> bool:

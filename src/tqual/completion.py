@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lexer import Token, TokenKind
+from .lexer import OFFSET, TEXT, Row, TokenKind
 from .lexer import scan as tokenize  # the lexer call, by the name tracers patch
 
 __all__ = ["RawCompletion", "truncate_completion", "prompt_hint_for"]
@@ -41,18 +41,18 @@ def prompt_hint_for(focal_method: str) -> str:
     return f"[TestMethod]\npublic void Test{focal_method}"
 
 
-def _is_annotation(source: str, significant: list[Token], i: int) -> bool:
+def _is_annotation(source: str, significant: list[Row], i: int) -> bool:
     """Whether a [TestMethod] annotation begins at ``significant[i]``.
 
     Handles both lexings: a single attribute-bracket token, and a plain
     ``[`` ``TestMethod`` ``]`` punctuation run (whitespace allowed) for
     positions the attribute heuristic does not cover."""
-    tok = significant[i]
-    if tok.kind is _ATTRIBUTE:
-        inner = tok.text[1:-1]
-    elif tok.text == "[" and i + 2 < len(significant) and significant[i + 2].text == "]":
+    kind, text, offset = significant[i]
+    if kind is _ATTRIBUTE:
+        inner = text[1:-1]
+    elif text == "[" and i + 2 < len(significant) and significant[i + 2][TEXT] == "]":
         # One token inside; a comment around it keeps the name from matching.
-        inner = source[tok.offset + 1:significant[i + 2].offset]
+        inner = source[offset + 1:significant[i + 2][OFFSET]]
     else:
         return False
     return inner.split("(")[0].split(",")[0].strip() == _TEST_ANNOTATION
@@ -67,9 +67,8 @@ def truncate_completion(raw: RawCompletion) -> str:
     search_from = len(raw.prompt_hint)
     significant, _ = tokenize(full)
     annotations = 0
-    for i, tok in enumerate(significant):
-        off = tok.offset
-        if tok.kind is _PUNCTUATION and tok.text == "}":
+    for i, (kind, text, off) in enumerate(significant):
+        if kind is _PUNCTUATION and text == "}":
             if off >= search_from and (off == 0 or full[off - 1] == "\n"):
                 return full[:off + 1]
         elif annotations < 2 and _is_annotation(full, significant, i):

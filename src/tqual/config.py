@@ -8,7 +8,9 @@ and blank lines ignored.  Each section mirrors one of the typed configs:
 settable key to its default.  Loading a file checks every line against it:
 an unknown key or a value that does not parse as its default's type is an
 error naming the line, whichever sections the caller goes on to read.
-Range checks run when a section is built, after command-line overrides.
+Range checks run when a section is built, after command-line overrides.  A
+range error that the overrides alone do not raise names the file and the
+key whose value raises it, or the section for a check across keys.
 
 ``TrainConfig``, the RL loop's settings, is defined here rather than in
 ``rlcore.trainer`` (which re-exports it): it is plain data, and reading a
@@ -21,7 +23,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .analyzer import ScoreConfig
 from .corpus import read_input
@@ -136,29 +138,64 @@ def _coerce(raw: str, template: Any) -> Any:
     return raw
 
 
+def _reward_scheme(properties: tuple[str, ...] | None = None,
+                   strategy: str | None = None) -> RewardScheme | None:
+    """The scheme of ``properties``, None without them; the strategy is
+    ``individual`` for one property and ``combined`` for more unless set."""
+    if properties is None:
+        return None
+    if strategy is None:
+        strategy = "individual" if len(properties) == 1 else "combined"
+    return RewardScheme(properties, strategy)
+
+
+def _error(make: Callable[..., Any], values: dict[str, Any]) -> Exception | None:
+    """The range error ``make(**values)`` raises, or None."""
+    try:
+        make(**values)
+    except (ValueError, DomainError) as exc:
+        return exc
+    return None
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Typed view over the flat config map; missing keys take defaults."""
+    """Typed view over the flat config map; missing keys take defaults.
+    ``path`` names the file the values came from, "" for none."""
 
     values: dict[str, str]
+    path: str = ""
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls(load_config(path))
+        return cls(load_config(path), str(path))
 
     @classmethod
     def empty(cls) -> "PipelineConfig":
         return cls({})
 
-    def _build(self, section: str, factory: type, overrides: dict[str, Any]) -> Any:
-        kwargs: dict[str, Any] = {}
-        for f in dataclasses.fields(factory):
-            key = f"{section}.{f.name}"
-            if overrides.get(f.name) is not None:
-                kwargs[f.name] = overrides[f.name]
-            elif key in self.values:
-                kwargs[f.name] = _coerce(self.values[key], _DEFAULTS[key])
-        return factory(**kwargs)
+    def _build(self, section: str, make: Callable[..., Any], overrides: dict[str, Any]) -> Any:
+        """``make`` called with each override that is not None and, for the
+        section's other keys, the file's values.  A range error is put on
+        the file when the overrides alone do not raise it: on the first key
+        whose value raises one by itself, else on the whole section."""
+        given = {name: value for name, value in overrides.items() if value is not None}
+        filed: dict[str, Any] = {}
+        for key, default in _DEFAULTS.items():
+            owner, _, name = key.partition(".")
+            if owner == section and key in self.values and name not in given:
+                filed[name] = _coerce(self.values[key], default)
+        try:
+            return make(**given, **filed)
+        except (ValueError, DomainError) as error:
+            if not filed or _error(make, given) is not None:
+                raise
+            where = f"{self.path}: " if self.path else ""
+            for name, value in filed.items():
+                alone = _error(make, given | {name: value})
+                if alone is not None:
+                    raise type(alone)(f"{where}{section}.{name}: {alone}") from None
+            raise type(error)(f"{where}{section}: {error}") from None
 
     def budget(self, **overrides: Any) -> BudgetConfig:
         return self._build("budget", BudgetConfig, overrides)
@@ -178,11 +215,7 @@ class PipelineConfig:
         strategy: str | None = None,
     ) -> RewardScheme | None:
         """Scheme from overrides or config; None when neither names properties."""
-        raw_props = properties if properties is not None else self.values.get("reward.properties")
-        if raw_props is None:
-            return None
-        props = _coerce(raw_props, ())
-        chosen = strategy or self.values.get("reward.strategy")
-        if chosen is None:
-            chosen = "individual" if len(props) == 1 else "combined"
-        return RewardScheme(props, chosen)
+        return self._build("reward", _reward_scheme, {
+            "properties": None if properties is None else _coerce(properties, ()),
+            "strategy": strategy or None,
+        })

@@ -1,16 +1,24 @@
 """Tokenizer for a practical subset of C#.
 
 ``scan`` is the one pass over the source: it returns the significant tokens
-and the comment tokens, and whitespace lies between them.  ``tokenize`` is
-its lossless view, with a ``whitespace`` token in each gap, so concatenating
-the ``text`` of every token reproduces the input exactly.  Each token's
-``offset`` is the character offset of its text in the input.  String and
-char literals keep their delimiters; verbatim (``@"..."``) and interpolated
-(``$"..."``) strings are single tokens, with interpolation holes scanned
-but not parsed.  An unterminated literal or block comment yields a single
-``error`` token covering the remainder of the input.  Preprocessor
-directives are consumed as line tokens sharing the ``comment-line`` kind;
-downstream consumers that care distinguish them by text prefix.
+and the comment tokens, and whitespace lies between them.  Each token comes
+as a row, a plain ``(kind, text, offset)`` tuple that readers take apart by
+the indices ``KIND``, ``TEXT`` and ``OFFSET`` or by unpacking; ``offset`` is
+the character offset of ``text`` in the input.  A row is one tuple display,
+where a ``Token`` NamedTuple costs a second tuple and a call: building
+``Token``s took about a quarter of ``scan``'s time.  A row equals the
+``Token`` of the same fields.  ``tokenize`` is the lossless view and the
+only code that builds ``Token``s: it puts a ``whitespace`` token in each
+gap, so concatenating the ``text`` of every token reproduces the input
+exactly.
+
+String and char literals keep their delimiters; verbatim (``@"..."``) and
+interpolated (``$"..."``) strings are single tokens, with interpolation
+holes scanned but not parsed.  An unterminated literal or block comment
+yields a single ``error`` token covering the remainder of the input.
+Preprocessor directives are consumed as line tokens sharing the
+``comment-line`` kind; downstream consumers that care distinguish them by
+text prefix.
 
 The token patterns are written once and compiled twice.  ``scan`` finds
 each token with the one-group form, which matches the token together with
@@ -35,7 +43,8 @@ from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
 
-__all__ = ["Token", "TokenKind", "scan", "tokenize", "RESERVED_KEYWORDS"]
+__all__ = ["Token", "TokenKind", "Row", "KIND", "TEXT", "OFFSET", "scan", "tokenize",
+           "RESERVED_KEYWORDS"]
 
 
 class TokenKind(str, Enum):
@@ -78,6 +87,11 @@ class Token(NamedTuple):
     kind: TokenKind
     text: str
     offset: int  # character offset of ``text`` in the source
+
+
+# A token as ``scan`` returns it, and the index of each of its fields.
+Row = tuple[TokenKind, str, int]
+KIND, TEXT, OFFSET = 0, 1, 2
 
 
 # The token alternatives, in order: earlier ones win, so comments beat
@@ -224,15 +238,13 @@ def _scan_attribute(source: str, i: int, decided: dict[int, int | None]) -> int 
     return None
 
 
-def _opens_attribute(source: str, i: int, significant: list[Token]) -> bool:
+def _opens_attribute(source: str, i: int, significant: list[Row]) -> bool:
     # An attribute list can only open a file, follow another attribute, or
     # follow a statement/member boundary; everywhere else [ is indexing.
     # Its first name must start with a letter, ``_`` or ``@``.
     if significant:
-        prev = significant[-1]
-        if prev.kind is not _ATTRIBUTE and (
-            prev.kind is not _PUNCTUATION or prev.text not in ("{", "}", ";")
-        ):
+        kind, text, _ = significant[-1]
+        if kind is not _ATTRIBUTE and (kind is not _PUNCTUATION or text not in ("{", "}", ";")):
             return False
     first = _ATTRIBUTE_NAME.match(source, i + 1).group(1)
     return first.isalpha() or first in ("_", "@")
@@ -247,7 +259,7 @@ def _opens_line(source: str, i: int) -> bool:
     return k < 0 or source[k] == "\n"
 
 
-def _resolve(source: str, group: str, start: int, end: int, significant: list[Token],
+def _resolve(source: str, group: str, start: int, end: int, significant: list[Row],
              decided: dict[int, int | None]) -> tuple[TokenKind, int]:
     """Kind and end of the token that ``group`` matched at ``start:end``,
     where context decides."""
@@ -273,15 +285,14 @@ def _resolve(source: str, group: str, start: int, end: int, significant: list[To
     return TokenKind.STRING, end
 
 
-def scan(source: str) -> tuple[list[Token], list[Token]]:
-    """The significant tokens and the comment tokens of ``source``, each in
+def scan(source: str) -> tuple[list[Row], list[Row]]:
+    """The significant rows and the comment rows of ``source``, each in
     source order; whitespace is the only text that neither list covers."""
-    significant: list[Token] = []
-    comments: list[Token] = []
+    significant: list[Row] = []
+    comments: list[Row] = []
     decided: dict[int, int | None] = {}
     match, kind_of_first, kind_of_word = _SPAN.match, _KIND_OF_FIRST.get, _KIND_OF_WORD.get
-    # tuple.__new__ builds the same Token without the NamedTuple's Python __new__ frame.
-    new, identifier, comment_kinds = tuple.__new__, TokenKind.IDENTIFIER, _COMMENT_KINDS
+    identifier, comment_kinds = TokenKind.IDENTIFIER, _COMMENT_KINDS
     # Before ``end`` a token is always left, so every match finds one.
     end = len(source.rstrip(_WHITESPACE))
     pos = 0
@@ -298,22 +309,23 @@ def scan(source: str) -> tuple[list[Token], list[Token]]:
                 kind, pos = _resolve(source, group, start, pos, significant, decided)
                 text = source[start:pos]
             if kind in comment_kinds:
-                comments.append(new(Token, (kind, text, start)))
+                comments.append((kind, text, start))
                 continue
-        significant.append(new(Token, (kind, text, start)))
+        significant.append((kind, text, start))
     return significant, comments
 
 
 def tokenize(source: str) -> list[Token]:
-    """Every token of ``source`` in order, whitespace too: ``scan``, lossless."""
+    """Every token of ``source`` in order, whitespace too: ``scan``, lossless,
+    as ``Token``s."""
     significant, comments = scan(source)
     tokens: list[Token] = []
     pos = 0
-    for token in sorted(significant + comments, key=itemgetter(2)):
-        if token.offset > pos:
-            tokens.append(Token(TokenKind.WHITESPACE, source[pos:token.offset], pos))
-        tokens.append(token)
-        pos = token.offset + len(token.text)
+    for kind, text, offset in sorted(significant + comments, key=itemgetter(OFFSET)):
+        if offset > pos:
+            tokens.append(Token(TokenKind.WHITESPACE, source[pos:offset], pos))
+        tokens.append(Token(kind, text, offset))
+        pos = offset + len(text)
     if pos < len(source):
         tokens.append(Token(TokenKind.WHITESPACE, source[pos:], pos))
     return tokens

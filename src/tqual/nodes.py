@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .lexer import Token
+from .lexer import Row
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,14 @@ class TestSyntaxTree:
     ``partial_body`` holds every statement recovered, even from broken
     input, so the analyzer can still run best-effort; ``statements()``
     returns it.  Statement spans index into ``source``.  ``comments`` holds
-    the lexer's comment tokens: ``//`` and ``/* */`` comments and
+    the lexer's comment rows: ``//`` and ``/* */`` comments and
     preprocessor lines, in source order.
     """
 
     method_name: str
     diagnostics: list[SyntaxDiagnostic]
     source: str = field(repr=False)
-    comments: list[Token] = field(default_factory=list, repr=False)
+    comments: list[Row] = field(default_factory=list, repr=False)
     partial_body: list[Statement] = field(default_factory=list, repr=False)
 
     @property

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .lexer import Token, TokenKind
+from .lexer import KIND, OFFSET, TEXT, Row, TokenKind
 from .lexer import scan as tokenize  # the lexer call, by the name tracers patch
 from .nodes import (
     ClassNode,
@@ -111,7 +111,7 @@ class _Parser:
     tokens and the position in them, the comments, the diagnostics, the
     ``(`` and ``?`` indices, the angle table and the current nesting level.
 
-    Token offsets are character offsets, so statement and member spans
+    Row offsets are character offsets, so statement and member spans
     index straight into the source."""
 
     def __init__(self, source: str):
@@ -126,15 +126,15 @@ class _Parser:
     def at_end(self) -> bool:
         return self.pos >= len(self.toks)
 
-    def peek(self, k: int = 0) -> Token | None:
+    def peek(self, k: int = 0) -> Row | None:
         j = self.pos + k
         return self.toks[j] if j < len(self.toks) else None
 
     def peek_text(self, k: int = 0) -> str:
         j = self.pos + k
-        return self.toks[j].text if j < len(self.toks) else ""
+        return self.toks[j][TEXT] if j < len(self.toks) else ""
 
-    def advance(self) -> Token:
+    def advance(self) -> Row:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
@@ -150,8 +150,9 @@ class _Parser:
         """Character offset of the current significant token; at end of input,
         that of the trailing whitespace, else that of the last token."""
         if not self.at_end:
-            return self.toks[self.pos].offset
-        spans = [(t.offset, t.offset + len(t.text)) for t in self.toks[-1:] + self.comments[-1:]]
+            return self.toks[self.pos][OFFSET]
+        spans = [(offset, offset + len(text))
+                 for _, text, offset in self.toks[-1:] + self.comments[-1:]]
         start, end = max(spans, default=(0, 0))
         return end if end < len(self.source) else start
 
@@ -162,11 +163,11 @@ class _Parser:
         end of input."""
         if start_pos >= len(self.toks):
             return len(self.source), len(self.source)
-        a = self.toks[start_pos].offset
+        a = self.toks[start_pos][OFFSET]
         if end_pos < start_pos:
             return a, a
-        last = self.toks[end_pos]
-        return a, last.offset + len(last.text)
+        _, text, offset = self.toks[end_pos]
+        return a, offset + len(text)
 
     def scan(self, stops: frozenset[str] = frozenset(), pairs: dict[str, int] = _ALL,
              close: str = "") -> str:
@@ -182,7 +183,7 @@ class _Parser:
         depth = 0
         k = self.pos
         while k < n:
-            t = toks[k].text
+            t = toks[k][TEXT]
             if depth == 0 and t in stops:
                 self.pos = k
                 return t
@@ -215,7 +216,7 @@ class _Parser:
         return True
 
 
-def _type_end(toks: list[Token], angles: dict[int, int], k: int, *, strict: bool) -> int:
+def _type_end(toks: list[Row], angles: dict[int, int], k: int, *, strict: bool) -> int:
     """Index just past the type reference at ``toks[k]`` (predefined type or
     dotted name, generic arguments, ``?``, array ranks), or -1 when there is
     none.  ``strict`` also gives -1 for generic arguments that are not
@@ -224,32 +225,31 @@ def _type_end(toks: list[Token], angles: dict[int, int], k: int, *, strict: bool
     n = len(toks)
     if k >= n:
         return -1
-    t = toks[k]
-    if t.kind is _KEYWORD and t.text in PREDEFINED_TYPES:
+    kind, text, _ = toks[k]
+    if kind is _KEYWORD and text in PREDEFINED_TYPES:
         k += 1
-    elif t.kind is _IDENTIFIER:
+    elif kind is _IDENTIFIER:
         k += 1
-        while k + 1 < n and toks[k].text == "." \
-                and toks[k + 1].kind is _IDENTIFIER:
+        while k + 1 < n and toks[k][TEXT] == "." and toks[k + 1][KIND] is _IDENTIFIER:
             k += 2
     else:
         return -1
-    if k < n and toks[k].text == "<":
+    if k < n and toks[k][TEXT] == "<":
         end = angles.get(k, n - 1) + 1
         # By index: a slice of an unclosed '<' copies the rest of the stream.
         if strict and not all(
-                a.kind is _IDENTIFIER or a.kind is _KEYWORD
-                or a.text in (",", ".", "?", "[", "]") or a.text in _ANGLES
-                for a in map(toks.__getitem__, range(k + 1, end))):
+                kind is _IDENTIFIER or kind is _KEYWORD
+                or text in (",", ".", "?", "[", "]") or text in _ANGLES
+                for kind, text, _ in map(toks.__getitem__, range(k + 1, end))):
             return -1
         k = end
-    if k < n and toks[k].text == "?":
+    if k < n and toks[k][TEXT] == "?":
         k += 1
-    while k < n and toks[k].text == "[":
+    while k < n and toks[k][TEXT] == "[":
         k += 1
-        while k < n and toks[k].text == ",":
+        while k < n and toks[k][TEXT] == ",":
             k += 1
-        if k < n and toks[k].text == "]":
+        if k < n and toks[k][TEXT] == "]":
             k += 1
         elif strict:
             return -1
@@ -263,7 +263,7 @@ def _type_end(toks: list[Token], angles: dict[int, int], k: int, *, strict: bool
 _ERROR_TOKEN_MESSAGE = "unterminated literal, comment, or unsupported character"
 
 
-def _token_diagnostics(significant: list[Token]) -> tuple[
+def _token_diagnostics(significant: list[Row]) -> tuple[
         list[SyntaxDiagnostic], list[int], list[int], dict[int, int]]:
     """A diagnostic for each ``error`` token, in source order, then one for
     the first delimiter fault, if any; the indices of every ``(`` and every
@@ -283,7 +283,7 @@ def _token_diagnostics(significant: list[Token]) -> tuple[
     questions: list[int] = []
     angles: dict[int, int] = {}
     opens: list[int] = []  # one entry per open angle
-    stack: list[Token] = []
+    stack: list[Row] = []
     fault = None
     for i, tok in enumerate(significant):
         kind, text, offset = tok
@@ -311,12 +311,13 @@ def _token_diagnostics(significant: list[Token]) -> tuple[
             if text in _OPENERS:
                 stack.append(tok)
             elif text in _CLOSERS:
-                if stack and stack[-1].text == _CLOSERS[text]:
+                if stack and stack[-1][TEXT] == _CLOSERS[text]:
                     stack.pop()
                 else:
                     fault = SyntaxDiagnostic(f"unmatched '{text}'", offset)
     if fault is None and stack:
-        fault = SyntaxDiagnostic(f"unclosed '{stack[-1].text}'", stack[-1].offset)
+        _, text, offset = stack[-1]
+        fault = SyntaxDiagnostic(f"unclosed '{text}'", offset)
     if fault is not None:
         diags.append(fault)
     return diags, parens, questions, angles
@@ -325,7 +326,7 @@ def _token_diagnostics(significant: list[Token]) -> tuple[
 # ── expression-level extraction ──────────────────────────────────────────
 
 
-def _extract_invocations(toks: list[Token], lo: int, hi: int, parens: list[int],
+def _extract_invocations(toks: list[Row], lo: int, hi: int, parens: list[int],
                          questions: list[int], angles: dict[int, int]
                          ) -> tuple[list[Invocation], bool]:
     """Call sites and ternary presence within the expression ``toks[lo ..
@@ -336,26 +337,26 @@ def _extract_invocations(toks: list[Token], lo: int, hi: int, parens: list[int],
         j = idx - 1
         # Step over a generic argument list: Foo<Bar>( or Foo<A, B<C>>(.
         # A list opened before ``lo``, or never, leaves ``j`` below ``lo``.
-        if j >= lo and toks[j].text in (">", ">>"):
+        if j >= lo and toks[j][TEXT] in (">", ">>"):
             j = angles.get(j, 0) - 1
-        if j < lo or toks[j].kind is not _IDENTIFIER:
+        if j < lo or toks[j][KIND] is not _IDENTIFIER:
             continue
-        chain = [toks[j].text]
+        chain = [toks[j][TEXT]]
         rooted = True
         j -= 1
-        while j >= lo and toks[j].text in (".", "?."):
+        while j >= lo and toks[j][TEXT] in (".", "?."):
             if j == lo:
                 rooted = False
                 break
-            prev = toks[j - 1]
-            if prev.kind is _IDENTIFIER or prev.text in ("this", "base"):
-                chain.insert(0, prev.text)
+            kind, text, _ = toks[j - 1]
+            if kind is _IDENTIFIER or text in ("this", "base"):
+                chain.insert(0, text)
                 j -= 2
             else:
                 # Chained off an expression result: (...).Wait() etc.
                 rooted = False
                 break
-        is_constructor = j >= lo and toks[j].text == "new"
+        is_constructor = j >= lo and toks[j][TEXT] == "new"
         invocations.append(Invocation(tuple(chain), rooted, is_constructor))
 
     # A ternary is a ':' at the depth of the last '?' still open.  Depths
@@ -550,15 +551,15 @@ class _StatementParser(_Parser):
     def _looks_like_declaration(self) -> bool:
         toks = self.toks
         k = self.pos
-        if k < len(toks) and toks[k].text == "const":
+        if k < len(toks) and toks[k][TEXT] == "const":
             k += 1
         if k >= len(toks):
             return False
-        if toks[k].text == "var" and toks[k].kind is _IDENTIFIER:
-            return k + 1 < len(toks) and toks[k + 1].kind is _IDENTIFIER
+        if toks[k][TEXT] == "var" and toks[k][KIND] is _IDENTIFIER:
+            return k + 1 < len(toks) and toks[k + 1][KIND] is _IDENTIFIER
         k = _type_end(toks, self.angles, k, strict=True)
-        return (0 <= k < len(toks) - 1 and toks[k].kind is _IDENTIFIER
-                and toks[k + 1].text in ("=", ";", ","))
+        return (0 <= k < len(toks) - 1 and toks[k][KIND] is _IDENTIFIER
+                and toks[k + 1][TEXT] in ("=", ";", ","))
 
 
 # ── test method parsing ──────────────────────────────────────────────────
@@ -567,7 +568,7 @@ class _StatementParser(_Parser):
 def parse_test_method(source: str) -> TestSyntaxTree:
     sp = _StatementParser(source)
 
-    while (tok := sp.peek()) is not None and tok.kind is _ATTRIBUTE:
+    while (tok := sp.peek()) is not None and tok[KIND] is _ATTRIBUTE:
         sp.advance()
     while sp.peek_text() in MODIFIER_WORDS:
         sp.advance()
@@ -581,12 +582,12 @@ def parse_test_method(source: str) -> TestSyntaxTree:
     if type_end >= 0:
         sp.pos = type_end
     name_tok = sp.peek()
-    if name_tok is not None and name_tok.kind is _IDENTIFIER:
-        method_name = sp.advance().text
+    if name_tok is not None and name_tok[KIND] is _IDENTIFIER:
+        method_name = sp.advance()[TEXT]
     elif (sp.peek_text() == "(" and sp.pos == type_start + 1
-          and sp.toks[type_start].kind is _IDENTIFIER):
+          and sp.toks[type_start][KIND] is _IDENTIFIER):
         # Constructor-shaped header: the lone identifier was the name.
-        method_name = sp.toks[type_start].text
+        method_name = sp.toks[type_start][TEXT]
     else:
         problem = "malformed method header"
 
@@ -638,19 +639,19 @@ def parse_focal_file(source: str) -> FocalFileTree:
     fp = _FocalParser(source)
     classes: list[ClassNode] = []
     fp.parse_container(classes, top_level=True)
-    comments = [(tok.offset, tok.offset + len(tok.text)) for tok in fp.comments]
+    comments = [(offset, offset + len(text)) for _, text, offset in fp.comments]
     return FocalFileTree(source, classes, comments, fp.diags)
 
 
 class _FocalParser(_Parser):
     def __init__(self, source: str):
         super().__init__(source)
-        self.identifiers = [i for i, t in enumerate(self.toks) if t.kind is _IDENTIFIER]
+        self.identifiers = [i for i, t in enumerate(self.toks) if t[KIND] is _IDENTIFIER]
 
     def last_identifier(self, hi: int) -> str:
         """Text of the last identifier in ``toks[0 .. hi]``, or ""."""
         k = bisect_right(self.identifiers, hi) - 1
-        return self.toks[self.identifiers[k]].text if k >= 0 else ""
+        return self.toks[self.identifiers[k]][TEXT] if k >= 0 else ""
 
     def _at_type_declaration(self) -> bool:
         k = 0
@@ -660,17 +661,16 @@ class _FocalParser(_Parser):
 
     def parse_container(self, classes: list[ClassNode], *, top_level: bool) -> None:
         while not self.at_end:
-            t = self.peek()
-            text = t.text
+            kind, text, _ = self.peek()
             if text == "}" and not top_level:
                 return
-            if t.kind is _ATTRIBUTE:
+            if kind is _ATTRIBUTE:
                 self.advance()
             elif text == "using":
                 self.to_semicolon()
             elif text == "namespace":
                 self.advance()
-                while (tok := self.peek()) is not None and tok.kind is _IDENTIFIER:
+                while (tok := self.peek()) is not None and tok[KIND] is _IDENTIFIER:
                     self.advance()
                     self.accept(".")
                 if self.peek_text() != "{":
@@ -697,14 +697,14 @@ class _FocalParser(_Parser):
         start = self.pos
         while self.peek_text() in MODIFIER_WORDS:
             self.advance()
-        kw = self.advance().text  # class | struct | interface | enum | record
+        kw = self.advance()[TEXT]  # class | struct | interface | enum | record
         if kw == "record" and self.peek_text() in ("class", "struct"):
             self.advance()
         name_tok = self.peek()
-        if name_tok is None or name_tok.kind is not _IDENTIFIER:
+        if name_tok is None or name_tok[KIND] is not _IDENTIFIER:
             self.fatal("type declaration missing name")
             return None
-        name = self.advance().text
+        name = self.advance()[TEXT]
         # Generic parameters, base list, constraints: up to '{' or ';'.
         body = self.scan(_TYPE_BODY, pairs=_FLAT)
         node = ClassNode(name=name, span=self.char_span(start, self.pos - 1))
@@ -728,7 +728,7 @@ class _FocalParser(_Parser):
     def parse_members(self, node: ClassNode) -> None:
         while not self.at_end and self.peek_text() != "}":
             member_start = self.pos
-            while (tok := self.peek()) is not None and tok.kind is _ATTRIBUTE:
+            while (tok := self.peek()) is not None and tok[KIND] is _ATTRIBUTE:
                 self.advance()
             if self._at_type_declaration():
                 inner = self.parse_type_declaration()
@@ -767,7 +767,7 @@ class _FocalParser(_Parser):
     def parse_method_member(self, node: ClassNode, member_start: int) -> None:
         """The method whose parameter list opens at the cursor."""
         j = self.pos - 1
-        if j >= 0 and self.toks[j].text in (">", ">>"):
+        if j >= 0 and self.toks[j][TEXT] in (">", ">>"):
             j = self.angles.get(j, 0) - 1
         name = self.last_identifier(j)
         self.scan(pairs=_PARENS, close=")")

@@ -53,9 +53,9 @@ class LinearRewardModel:
 
     def featurize(self, text: str) -> np.ndarray:
         counts = dict.fromkeys(self.feature_tokens, 0)
-        for token in scan(text)[0]:
-            if token.text in counts:
-                counts[token.text] += 1
+        for _, token, _ in scan(text)[0]:
+            if token in counts:
+                counts[token] += 1
         return np.array([counts[t] for t in self.feature_tokens], dtype=float)
 
     def predict(self, text: str) -> float:
@@ -77,8 +77,8 @@ def _select_features(texts: Sequence[str], max_features: int) -> tuple[str, ...]
     """Most frequent significant tokens, stored in sorted order."""
     frequency: dict[str, int] = {}
     for text in texts:
-        for token in scan(text)[0]:
-            frequency[token.text] = frequency.get(token.text, 0) + 1
+        for _, token, _ in scan(text)[0]:
+            frequency[token] = frequency.get(token, 0) + 1
     ranked = sorted(frequency, key=lambda t: (-frequency[t], t))
     return tuple(sorted(ranked[:max_features]))
 

@@ -17,7 +17,7 @@ from tqual.analyzer import (
     score_corpus,
 )
 from tqual.errors import DomainError, EmptyCorpus
-from tqual.lexer import TokenKind
+from tqual.lexer import KIND, TokenKind
 from tqual.nodes import Invocation, Statement
 
 
@@ -173,7 +173,7 @@ def test_analyze_lexes_its_input_once(monkeypatch):
     def counting(source):
         calls.append(source)
         lexed = real(source)
-        kinds.update(t.kind for tokens in lexed for t in tokens)
+        kinds.update(t[KIND] for tokens in lexed for t in tokens)
         return lexed
 
     monkeypatch.setattr(tqual.parser, "tokenize", counting)

@@ -10,7 +10,7 @@ from tqual.completion import (
     prompt_hint_for,
     truncate_completion,
 )
-from tqual.lexer import TokenKind, scan
+from tqual.lexer import KIND, OFFSET, TEXT, TokenKind, scan
 
 HINT = prompt_hint_for("Stop")
 
@@ -111,9 +111,9 @@ def reference_truncate(raw: RawCompletion) -> str:
     significant, _ = scan(full)
     brace_offset = None
     for tok in significant:
-        if tok.kind is not TokenKind.PUNCTUATION or tok.text != "}":
+        if tok[KIND] is not TokenKind.PUNCTUATION or tok[TEXT] != "}":
             continue
-        off = tok.offset
+        off = tok[OFFSET]
         if off < search_from:
             continue
         if off == 0 or full[off - 1] == "\n":
@@ -122,14 +122,14 @@ def reference_truncate(raw: RawCompletion) -> str:
 
     annotations = []
     for i, tok in enumerate(significant):
-        if tok.kind is TokenKind.ATTRIBUTE:
-            inner = tok.text[1:-1]
-        elif tok.text == "[" and i + 2 < len(significant) and significant[i + 2].text == "]":
-            inner = full[tok.offset + 1:significant[i + 2].offset]
+        if tok[KIND] is TokenKind.ATTRIBUTE:
+            inner = tok[TEXT][1:-1]
+        elif tok[TEXT] == "[" and i + 2 < len(significant) and significant[i + 2][TEXT] == "]":
+            inner = full[tok[OFFSET] + 1:significant[i + 2][OFFSET]]
         else:
             continue
         if inner.split("(")[0].split(",")[0].strip() == "TestMethod":
-            annotations.append(tok.offset)
+            annotations.append(tok[OFFSET])
     second_annotation = None
     if len(annotations) >= 2 and annotations[1] >= search_from:
         second_annotation = annotations[1]

@@ -150,3 +150,36 @@ def test_config_file_values_reach_train_toy_when_flags_are_left_out(tmp_path, ca
     assert from_file == run("--config", str(interval), "--seed", "5", "--episodes", "30",
                             "--max-tokens", "6")
     assert from_file != run("--config", str(full), "--seed", "0")
+
+
+# ── range errors name where the bad value came from ─────────────────
+
+_TRAIN = ["train-toy", "--out", "policy.json", "--metrics", "metrics.jsonl"]
+_SPLIT = ["split", "--out-dir", "splits", "records.jsonl"]
+
+
+@pytest.mark.parametrize("argv, lines, message", [
+    (_TRAIN, "train.episodes = 0", "{cfg}: train.episodes: episodes must be at least 1"),
+    (_SPLIT, "split.val_fraction = 2",
+     "{cfg}: split.val_fraction: split fractions must lie in (0, 1)"),
+    # A check across keys that each pass alone names the section.
+    (_SPLIT, "split.val_fraction = 0.5\nsplit.test_fraction = 0.5",
+     "{cfg}: split: test and validation fractions leave no training data"),
+    (_TRAIN, "reward.properties = has_assertion, invokes_focal\nreward.strategy = individual",
+     "{cfg}: reward: individual strategy takes exactly one property"),
+    (_TRAIN, "reward.properties = bogus",
+     "{cfg}: reward.properties: unknown quality property: 'bogus'"),
+    # The same bad value from a flag keeps the plain message, file or not.
+    (_TRAIN + ["--episodes", "0"], "", "episodes must be at least 1"),
+    (_TRAIN + ["--episodes", "0"], "train.episodes = 0", "episodes must be at least 1"),
+    (_TRAIN + ["--properties", "bogus"], "reward.strategy = combined",
+     "unknown quality property: 'bogus'"),
+], ids=["train-key", "split-key", "split-section", "reward-section", "reward-key",
+        "flag", "flag-over-file", "bad-flag-with-file"])
+def test_a_range_error_names_the_config_file_and_key(tmp_path, monkeypatch, capsys,
+                                                      argv, lines, message):
+    monkeypatch.chdir(tmp_path)
+    Path("records.jsonl").write_text('{"test": "x", "repo": "a"}\n')
+    Path("r.cfg").write_text(lines + "\n")
+    assert main(argv + ["--config", "r.cfg"]) == 2
+    assert capsys.readouterr().err == f"tqual: {message.format(cfg='r.cfg')}\n"

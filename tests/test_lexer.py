@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tqual
 from tqual import lexer
-from tqual.lexer import RESERVED_KEYWORDS, Token, TokenKind, scan, tokenize
-from tqual.parser import check_syntax
+from tqual.completion import RawCompletion, truncate_completion
+from tqual.lexer import KIND, OFFSET, RESERVED_KEYWORDS, TEXT, Token, TokenKind, scan, tokenize
+from tqual.parser import check_syntax, parse_focal_file
 
 
 def roundtrip(source: str) -> str:
@@ -342,7 +344,7 @@ def test_no_break_space_is_still_an_error():
 def test_directive_after_leading_tabs_is_a_line_token():
     significant, comments = scan("x;\n\t\t#if DEBUG\n\t\ty;")
     assert comments == [Token(TokenKind.COMMENT_LINE, "#if DEBUG", 5)]
-    assert [t.text for t in significant] == ["x", ";", "y", ";"]
+    assert [t[TEXT] for t in significant] == ["x", ";", "y", ";"]
     # A form feed before the '#' is whitespace but does not open a line.
     assert scan("\f#if")[0][0] == Token(TokenKind.PUNCTUATION, "#", 1)
 
@@ -351,7 +353,8 @@ def test_directive_after_leading_tabs_is_a_line_token():
 #
 # The reference makes one match per position, whitespace runs included,
 # builds each token through the NamedTuple constructor and sends every
-# word through ``_resolve``.  ``scan`` must give the same tokens.
+# word through ``_resolve``.  ``scan`` must give equal rows, each an exact
+# 3-tuple.
 
 _REFERENCE_TOKEN = re.compile(
     r"""
@@ -416,7 +419,7 @@ _SALTED_SOUPS = st.builds(
 def test_scan_matches_the_reference_loop(source):
     got = scan(source)
     assert got == reference_scan(source)
-    assert all(type(tok) is Token for tokens in got for tok in tokens)
+    assert all(type(row) is tuple and len(row) == 3 for rows in got for row in rows)
 
 
 # Every ASCII character, and non-ASCII ones that stress the first-character
@@ -430,3 +433,43 @@ def test_scan_dispatch_matches_the_reference_on_every_short_source():
     for first in _DISPATCH_CHARS:
         for source in [first] + [first + second for second in _DISPATCH_CHARS]:
             assert scan(source) == reference_scan(source), repr(source)
+
+
+# ── rows on the analysis path, Tokens only in tokenize ───────────────
+
+
+@given(_SALTED_SOUPS)
+@settings(max_examples=300, deadline=None)
+def test_tokenize_is_scan_with_the_whitespace_put_back(source):
+    tokens = tokenize(source)
+    assert all(type(tok) is Token for tok in tokens)
+    significant, comments = scan(source)
+    comment_kinds = (TokenKind.COMMENT_LINE, TokenKind.COMMENT_BLOCK)
+    fields = [(tok.kind, tok.text, tok.offset) for tok in tokens
+              if tok.kind is not TokenKind.WHITESPACE]
+    assert [f for f in fields if f[0] not in comment_kinds] == [
+        (row[KIND], row[TEXT], row[OFFSET]) for row in significant]
+    assert [f for f in fields if f[0] in comment_kinds] == [
+        (row[KIND], row[TEXT], row[OFFSET]) for row in comments]
+
+
+class _NoToken:
+    """Fails when called, and is no tuple type, so neither ``Token(...)`` nor
+    ``tuple.__new__(Token, ...)`` builds one while it stands in for ``Token``."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a Token was built outside tokenize")
+
+
+def test_the_analysis_path_builds_no_token(monkeypatch):
+    monkeypatch.setattr(lexer, "Token", _NoToken)
+    hint = "[TestMethod]\npublic void TestRun"
+    body = ('()\n{\n#if DEBUG\n    // runs it\n    var s = $"{x}";\n'
+            '    Assert.AreEqual(1, c.Run<int>(s)); /* done */\n#endif\n}')
+    report = tqual.analyze('[TestMethod]\n[DataRow("]")]\npublic void TestRun' + body, "Run")
+    assert report.correct_syntax and report.has_comment and report.invokes_focal
+    cut = truncate_completion(RawCompletion(hint, body + "\n[TestMethod]\npublic void Next() { }"))
+    assert cut == hint + body
+    tree = parse_focal_file("namespace N {\n// c\n[Serializable] class C<T> {\n"
+                            "    int f;\n    public T Run<U>(U u) where U : T { return u; }\n} }")
+    assert [m.name for m in tree.classes[0].methods] == ["Run"]

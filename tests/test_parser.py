@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tqual import parser
 from tqual.analyzer import analyze
-from tqual.lexer import TokenKind, scan
+from tqual.lexer import KIND, OFFSET, TEXT, TokenKind, scan
 from tqual.nodes import Invocation, SyntaxDiagnostic
 from tqual.parser import (
     MAX_NESTING,
@@ -341,20 +341,20 @@ _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
 def reference_lex_diagnostics(significant):
     return [SyntaxDiagnostic("unterminated literal, comment, or unsupported character",
-                             t.offset)
-            for t in significant if t.kind is TokenKind.ERROR]
+                             t[OFFSET])
+            for t in significant if t[KIND] is TokenKind.ERROR]
 
 
 def reference_balance_diagnostics(significant):
     stack = []
     for tok in significant:
-        if tok.kind is not TokenKind.PUNCTUATION:
+        if tok[KIND] is not TokenKind.PUNCTUATION:
             continue
-        if tok.text in _OPENERS:
-            stack.append((tok.text, tok.offset))
-        elif tok.text in _CLOSERS:
-            if not stack or stack[-1][0] != _CLOSERS[tok.text]:
-                return [SyntaxDiagnostic(f"unmatched '{tok.text}'", tok.offset)]
+        if tok[TEXT] in _OPENERS:
+            stack.append((tok[TEXT], tok[OFFSET]))
+        elif tok[TEXT] in _CLOSERS:
+            if not stack or stack[-1][0] != _CLOSERS[tok[TEXT]]:
+                return [SyntaxDiagnostic(f"unmatched '{tok[TEXT]}'", tok[OFFSET])]
             stack.pop()
     if stack:
         opener, offset = stack[-1]
@@ -380,8 +380,8 @@ def test_token_diagnostics_match_the_two_reference_passes(source):
     diags, parens, questions, _ = parser._token_diagnostics(significant)
     assert diags == (
         reference_lex_diagnostics(significant) + reference_balance_diagnostics(significant))
-    punctuation = [(i, t.text) for i, t in enumerate(significant)
-                   if t.kind is TokenKind.PUNCTUATION]
+    punctuation = [(i, t[TEXT]) for i, t in enumerate(significant)
+                   if t[KIND] is TokenKind.PUNCTUATION]
     assert parens == [i for i, text in punctuation if text == "("]
     assert questions == [i for i, text in punctuation if text == "?"]
 
@@ -398,7 +398,7 @@ def reference_skip_generic(toks, k, step=1, lo=0):
     list is unclosed."""
     depth = 0
     while lo <= k < len(toks):
-        depth += _ANGLES.get(toks[k].text, 0) * step
+        depth += _ANGLES.get(toks[k][TEXT], 0) * step
         k += step
         if depth <= 0:
             break
@@ -420,9 +420,9 @@ def test_angle_table_matches_the_walk_both_ways_from_every_lo(fragments):
     *_, angles = parser._token_diagnostics(significant)
     n = len(significant)
     for k, tok in enumerate(significant):
-        if tok.text in ("<", "<<"):
+        if tok[TEXT] in ("<", "<<"):
             assert angles.get(k, n - 1) + 1 == reference_skip_generic(significant, k)
-        elif tok.text in (">", ">>"):
+        elif tok[TEXT] in (">", ">>"):
             for lo in range(k + 1):
                 assert max(angles.get(k, lo), lo) - 1 == (
                     reference_skip_generic(significant, k, -1, lo))
@@ -455,45 +455,45 @@ def reference_extract_invocations(sig_toks):
     out of the stream: one walk for calls, one for ternaries."""
     invocations = []
     for idx, tok in enumerate(sig_toks):
-        if tok.kind is not TokenKind.PUNCTUATION or tok.text != "(":
+        if tok[KIND] is not TokenKind.PUNCTUATION or tok[TEXT] != "(":
             continue
         j = idx - 1
-        if j >= 0 and sig_toks[j].text in (">", ">>"):
+        if j >= 0 and sig_toks[j][TEXT] in (">", ">>"):
             j = reference_skip_generic(sig_toks, j, -1)
-        if j < 0 or sig_toks[j].kind is not TokenKind.IDENTIFIER:
+        if j < 0 or sig_toks[j][KIND] is not TokenKind.IDENTIFIER:
             continue
-        chain = [sig_toks[j].text]
+        chain = [sig_toks[j][TEXT]]
         rooted = True
         j -= 1
-        while j >= 0 and sig_toks[j].text in (".", "?."):
+        while j >= 0 and sig_toks[j][TEXT] in (".", "?."):
             prev = sig_toks[j - 1] if j >= 1 else None
             if prev is None:
                 rooted = False
                 break
-            if prev.kind is TokenKind.IDENTIFIER or prev.text in ("this", "base"):
-                chain.insert(0, prev.text)
+            if prev[KIND] is TokenKind.IDENTIFIER or prev[TEXT] in ("this", "base"):
+                chain.insert(0, prev[TEXT])
                 j -= 2
             else:
                 rooted = False
                 break
-        is_constructor = j >= 0 and sig_toks[j].text == "new"
+        is_constructor = j >= 0 and sig_toks[j][TEXT] == "new"
         invocations.append(Invocation(tuple(chain), rooted, is_constructor))
 
     has_ternary = False
     depth = 0
     pending = []
     for tok in sig_toks:
-        if tok.kind is not TokenKind.PUNCTUATION:
+        if tok[KIND] is not TokenKind.PUNCTUATION:
             continue
-        if tok.text in _OPENERS:
+        if tok[TEXT] in _OPENERS:
             depth += 1
-        elif tok.text in _CLOSERS:
+        elif tok[TEXT] in _CLOSERS:
             depth -= 1
             while pending and pending[-1] > depth:
                 pending.pop()
-        elif tok.text == "?":
+        elif tok[TEXT] == "?":
             pending.append(depth)
-        elif tok.text == ":" and pending and pending[-1] == depth:
+        elif tok[TEXT] == ":" and pending and pending[-1] == depth:
             has_ternary = True
             break
     return invocations, has_ternary
@@ -519,8 +519,8 @@ def test_indexed_extraction_matches_the_slice_and_two_walks(fragments, data):
         return
     # Cuts just after a '<' or at a '.' split a generic list or a call
     # chain at ``lo``; the rest of the ranges start anywhere.
-    cuts = [i for i in range(1, n) if significant[i - 1].text in ("<", ".", "?.")
-            or significant[i].text in (".", "?.")]
+    cuts = [i for i in range(1, n) if significant[i - 1][TEXT] in ("<", ".", "?.")
+            or significant[i][TEXT] in (".", "?.")]
     lo = data.draw(st.sampled_from(cuts) if cuts and data.draw(st.booleans())
                    else st.integers(0, n - 1))
     hi = data.draw(st.integers(lo, n - 1))
@@ -535,8 +535,8 @@ def reference_last_identifier(toks, hi):
     """Text of the last identifier in ``toks[0 .. hi]``, or "", by a walk
     back from ``hi``."""
     for j in range(hi, -1, -1):
-        if toks[j].kind is TokenKind.IDENTIFIER:
-            return toks[j].text
+        if toks[j][KIND] is TokenKind.IDENTIFIER:
+            return toks[j][TEXT]
     return ""
 
 

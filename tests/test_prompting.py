@@ -6,7 +6,7 @@ import pytest
 
 from test_snapshot import FOCAL_FILES, _as_class, _soups
 from tqual.errors import FocalNotFound, PromptTooLong
-from tqual.lexer import scan
+from tqual.lexer import OFFSET, TEXT, scan
 from tqual.parser import parse_focal_file
 # Aliased: the library name starts with "test_" and pytest would try to
 # collect it as a test function otherwise.
@@ -229,7 +229,7 @@ def reference_class_comments(tree) -> list[list[tuple[int, int]]]:
     parser once attached them: each comment goes to the innermost class
     whose span holds it, and a class's comments are those of every class
     in its ``walk()``."""
-    comments = [(t.offset, t.offset + len(t.text)) for t in scan(tree.source)[1]]
+    comments = [(t[OFFSET], t[OFFSET] + len(t[TEXT])) for t in scan(tree.source)[1]]
     classes = list(tree.walk_classes())
     owned: dict[int, list[tuple[int, int]]] = {id(cls): [] for cls in classes}
     for span in comments:
