@@ -334,8 +334,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _bind_rlcore()
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    policy = _load_policy(args.policy)
     cfg = args.config.train_config(seed=args.seed, max_tokens=args.max_tokens)
+    policy = _load_policy(args.policy)
     completions = generate_completions(policy, cfg, seed=cfg.seed, count=args.count)
     _write_jsonl(args.out, ({
         "schema": "sample.v1",

@@ -71,43 +71,24 @@ def dedupe(records: Sequence[CorpusRecord]) -> list[CorpusRecord]:
 
 
 def _greedy_assign(
-    repo_sizes: list[tuple[str, int]],
-    targets: dict[str, float],
-    order: list[str],
+    repo_sizes: list[tuple[str, int]], targets: dict[str, float]
 ) -> dict[str, str]:
     """Largest repo first, into the split with the biggest relative deficit.
 
-    Ties go to the split with the larger target, then by the fixed
-    ``order``.  Afterwards, any split left empty steals the smallest repo
-    from the most overfull donor so every split is populated."""
+    Ties go to the split with the larger target, then to the earlier key of
+    ``targets``.  No split is left empty when there are at least as many
+    repos as splits: an empty split's relative deficit ``(T - 0) / T`` is
+    exactly 1, and one that holds a repo has a smaller one, so each of the
+    first ``len(targets)`` repos goes to a split that is still empty."""
     assigned: dict[str, str] = {}
     mass = {name: 0 for name in targets}
     for repo, size in repo_sizes:
         best = max(
             targets,
-            key=lambda name: (
-                (targets[name] - mass[name]) / targets[name],
-                targets[name],
-                -order.index(name),
-            ),
+            key=lambda name: ((targets[name] - mass[name]) / targets[name], targets[name]),
         )
         assigned[repo] = best
         mass[best] += size
-
-    for name in order:
-        if any(s == name for s in assigned.values()):
-            continue
-        donors = [n for n in targets if n != name
-                  and sum(1 for s in assigned.values() if s == n) > 1]
-        if not donors:
-            donors = [n for n in targets if n != name
-                      and any(s == n for s in assigned.values())]
-        donor = max(donors, key=lambda n: mass[n] - targets[n])
-        repo = min((r for r, s in assigned.items() if s == donor),
-                   key=lambda r: dict(repo_sizes)[r])
-        assigned[repo] = name
-        mass[donor] -= dict(repo_sizes)[repo]
-        mass[name] += dict(repo_sizes)[repo]
     return assigned
 
 
@@ -126,13 +107,10 @@ def split_by_repository(
             f"need at least {required} distinct repositories, got {len(counts)}"
         )
 
-    rng = random.Random(spec.seed)
+    # Largest first; equal sizes in a seeded shuffle of the sorted names.
     names = sorted(counts)
-    rng.shuffle(names)
-    shuffle_rank = {name: i for i, name in enumerate(names)}
-    repo_sizes = sorted(
-        counts.items(), key=lambda kv: (-kv[1], shuffle_rank[kv[0]])
-    )
+    random.Random(spec.seed).shuffle(names)
+    repo_sizes = sorted(((name, counts[name]) for name in names), key=lambda kv: -kv[1])
 
     total = sum(counts.values())
     train_fraction = 1.0 - spec.test_fraction - spec.val_fraction
@@ -141,22 +119,17 @@ def split_by_repository(
         "val": spec.val_fraction * total,
         "test": spec.test_fraction * total,
     }
-    assigned = _greedy_assign(repo_sizes, targets, ["train", "val", "test"])
+    assigned = _greedy_assign(repo_sizes, targets)
 
     if spec.rl_three_way:
-        train_repos = sorted(
-            ((r, counts[r]) for r, s in assigned.items() if s == "train"),
-            key=lambda kv: (-kv[1], shuffle_rank[kv[0]]),
-        )
+        train_repos = [(repo, size) for repo, size in repo_sizes if assigned[repo] == "train"]
         if len(train_repos) < 3:
             raise TooFewRepos(
                 "three-way RL split needs at least 3 training repositories"
             )
         third = sum(size for _, size in train_repos) / 3.0
         stage_targets = {stage: third for stage in RL_STAGES}
-        stage_assignment = _greedy_assign(train_repos, stage_targets, list(RL_STAGES))
-        for repo, stage in stage_assignment.items():
-            assigned[repo] = stage
+        assigned.update(_greedy_assign(train_repos, stage_targets))
 
     split_names = (list(RL_STAGES) if spec.rl_three_way else ["train"]) + ["val", "test"]
     splits: dict[str, list[CorpusRecord]] = {name: [] for name in split_names}

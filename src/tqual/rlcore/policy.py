@@ -12,10 +12,14 @@ arithmetic: row ``s`` of a table equals the row call for ``s`` bit for bit.
 
 Sampling applies the decoding pipeline in a fixed order: temperature
 scaling, then a per-completion frequency penalty, then nucleus truncation.
-The log-probabilities used for policy-gradient ratios come from the plain
-softmax of the logits; the decoding knobs shape exploration only.
+The sampler reads its four settings (``max_tokens``, ``temperature``,
+``top_p``, ``frequency_penalty``) from a ``TrainConfig``, which has already
+range-checked them, so it checks none of them again.  A temperature at or
+below ``1e-8`` decodes greedily.  The log-probabilities used for
+policy-gradient ratios come from the plain softmax of the logits; the
+decoding settings shape exploration only.
 
-Under fixed weights and knobs, a draw's nucleus (the kept token indices and
+Under fixed weights and settings, a draw's nucleus (the kept token indices and
 their cdf) depends only on the current state and the completion's token
 counts.  A caller that samples many completions from a frozen policy passes
 one draw-table dict to every ``sample_completion`` call: it maps
@@ -34,6 +38,7 @@ from typing import Any
 
 import numpy as np
 
+from ..config import TrainConfig
 from ..corpus import REQUIRED, decode, encode
 from ..errors import DomainError
 
@@ -121,9 +126,6 @@ class PolicyTable:
 
     # ── distributions ───────────────────────────────────────────────
 
-    def probs(self, state: int) -> np.ndarray:
-        return _softmax(self.logits[state])
-
     def log_probs(self, state: int) -> np.ndarray:
         return _log_softmax(self.logits[state])
 
@@ -190,35 +192,20 @@ class SampledCompletion:
     actions: tuple[int, ...]
     stopped: bool
 
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
 
 def sample_completion(
     policy: PolicyTable,
     rng: np.random.Generator,
-    *,
-    max_tokens: int,
-    temperature: float,
-    top_p: float,
-    frequency_penalty: float,
+    cfg: TrainConfig,
     tables: DrawTable | None = None,
 ) -> SampledCompletion:
-    """Decode one completion.  ``tables`` is a draw table shared by calls
-    that sample ``policy`` with the same weights and knobs (see the module
-    docstring); without one, each nucleus is built for its draw alone."""
-    if max_tokens < 1:
-        raise DomainError(f"max_tokens must be positive, got {max_tokens}")
-    if not (0 <= temperature < math.inf):
-        raise DomainError(f"temperature must be finite and non-negative, got {temperature}")
-    if not (0 < top_p <= 1):
-        raise DomainError(f"top_p must lie in (0, 1], got {top_p}")
-    if not (0 <= frequency_penalty < math.inf):
-        raise DomainError(
-            f"frequency_penalty must be finite and non-negative, got {frequency_penalty}"
-        )
-
+    """Decode one completion with the decoding settings of ``cfg``
+    (``max_tokens``, ``temperature``, ``top_p``, ``frequency_penalty``),
+    which ``TrainConfig`` has range-checked.  ``tables`` is a draw table
+    shared by calls that sample ``policy`` with the same weights and
+    settings (see the module docstring); without one, each nucleus is built
+    for its draw alone."""
+    temperature, top_p, frequency_penalty = cfg.temperature, cfg.top_p, cfg.frequency_penalty
     counts = np.zeros(policy.size)
     state = policy.stop_index
     tokens: list[str] = []
@@ -229,7 +216,7 @@ def sample_completion(
     if tables is None:
         tables = {}
 
-    for _ in range(max_tokens):
+    for _ in range(cfg.max_tokens):
         if greedy:
             action = int(np.argmax(policy.logits[state] - frequency_penalty * counts))
         else:

@@ -37,7 +37,11 @@ with one sequential ``np.add.accumulate``, so every float of the update
 equals that of calling ``clipped_surrogate_grad`` step by step.
 
 ``TrainConfig`` is defined in ``tqual.config``, which must not import numpy,
-and is re-exported here.
+and is re-exported here.  Its range checks are the only ones the decoding
+settings get: ``_sample`` hands the run's ``TrainConfig`` to
+``sample_completion`` as it is.  A seeded policy (``bigram_policy_from_corpus``)
+always uses ``</s>`` as its stop token and ``BIGRAM_SMOOTHING`` as its prior
+count.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from ..analyzer import QualityReport, ScoreConfig, analyze, score_corpus
 from ..completion import prompt_hint_for
 from ..config import TrainConfig
 from ..corpus import encode
-from ..errors import DomainError
 from ..rewards import RewardScheme, reward_for
 # ``_ascend`` inlines clipped_surrogate_grad; the import stays because
 # perfbench/tracing.py wraps this module's binding of it.
@@ -81,6 +84,9 @@ _Batch = dict[int, list[tuple[int, float, float]]]
 # Most reports one analyzer reward keeps.  A 2000-episode toy run renders a
 # few hundred distinct texts; past the bound the oldest report is dropped.
 REPORT_CACHE_SIZE = 4096
+
+# Count added to every bigram transition of a seeded policy.
+BIGRAM_SMOOTHING = 0.5
 
 # Offset added to the training seed for validation sampling, so evaluation
 # draws never share a stream with collection.
@@ -159,21 +165,17 @@ def make_model_reward(model: LinearRewardModel, focal_name: str) -> RewardFn:
 
 
 def bigram_policy_from_corpus(
-    token_lists: Sequence[Sequence[str]],
-    vocabulary: Sequence[str],
-    *,
-    stop_token: str = "</s>",
-    smoothing: float = 0.5,
+    token_lists: Sequence[Sequence[str]], vocabulary: Sequence[str]
 ) -> PolicyTable:
     """Log-count bigram policy fit on example token sequences.
 
     Stands in for a supervised-fine-tuned starting point: the policy speaks
-    whatever the seed corpus speaks, smoothed so no transition is impossible.
+    whatever the seed corpus speaks, with ``BIGRAM_SMOOTHING`` added to every
+    count so no transition is impossible.  ``</s>`` starts and ends each
+    sequence.
     """
-    if smoothing <= 0:
-        raise DomainError("smoothing must be positive")
-    policy = PolicyTable.uniform(tuple(vocabulary), stop_token=stop_token)
-    counts = np.full((policy.size, policy.size), smoothing)
+    policy = PolicyTable.uniform(tuple(vocabulary))
+    counts = np.full((policy.size, policy.size), BIGRAM_SMOOTHING)
     stop = policy.stop_index
     for tokens in token_lists:
         indices = [policy.token_index(t) for t in tokens]
@@ -195,18 +197,7 @@ def _sample(
 ) -> list[SampledCompletion]:
     """``count`` completions drawn from ``rng`` with one shared draw table."""
     tables: DrawTable = {}
-    return [
-        sample_completion(
-            policy,
-            rng,
-            max_tokens=cfg.max_tokens,
-            temperature=cfg.temperature,
-            top_p=cfg.top_p,
-            frequency_penalty=cfg.frequency_penalty,
-            tables=tables,
-        )
-        for _ in range(count)
-    ]
+    return [sample_completion(policy, rng, cfg, tables=tables) for _ in range(count)]
 
 
 def generate_completions(

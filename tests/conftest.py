@@ -36,10 +36,6 @@ def inventory_source() -> str:
     return (FOCAL_FILES / "InventoryService.cs").read_text(encoding="utf-8")
 
 
-def pytest_configure(config):
-    config._acceptance_outcomes = {}
-
-
 def pytest_runtest_logreport(report):
     if report.when != "call" or "test_criterion_" not in report.nodeid:
         return

@@ -553,6 +553,17 @@ def test_sample_with_non_finite_config_is_usage_error(tmp_path, capsys, line):
     assert "must be finite" in captured.err
 
 
+def test_sample_checks_its_config_before_it_reads_the_policy(tmp_path, monkeypatch, capsys):
+    # The policy file is missing too; the config error is reported first,
+    # as train-toy does, so one run shows the bad setting.
+    monkeypatch.chdir(tmp_path)
+    Path("r.cfg").write_text("train.max_tokens = 0\n")
+    assert main(["sample", "--policy", "missing.json", "--config", "r.cfg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tqual: r.cfg: train.max_tokens: max_tokens must be at least 1\n"
+
+
 def test_train_toy_vocab_must_include_stop_token(tmp_path):
     vocab_path = tmp_path / "vocab.txt"
     vocab_path.write_text("Assert\n(\n)\n")

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tqual.analyzer import PROPERTY_FIELDS, QualityReport
 from tqual.cli import main
@@ -14,6 +17,7 @@ from tqual.corpus import CorpusRecord, dump_line
 from tqual.curation import (
     RL_STAGES,
     SplitSpec,
+    _greedy_assign,
     dedupe,
     is_golden,
     split_by_repository,
@@ -184,6 +188,120 @@ def test_three_way_rl_split_needs_five_repositories():
     corpus = synthetic_corpus({f"repo{i}": 10 for i in range(4)})
     with pytest.raises(TooFewRepos):
         split_by_repository(corpus, SplitSpec(rl_three_way=True))
+
+
+def reference_greedy_assign(repo_sizes, targets, order):
+    """The greedy pass as it was with its repair loop: a split left empty
+    steals the smallest repo from the most overfull donor."""
+    assigned: dict[str, str] = {}
+    mass = {name: 0 for name in targets}
+    for repo, size in repo_sizes:
+        best = max(
+            targets,
+            key=lambda name: (
+                (targets[name] - mass[name]) / targets[name],
+                targets[name],
+                -order.index(name),
+            ),
+        )
+        assigned[repo] = best
+        mass[best] += size
+
+    for name in order:
+        if any(s == name for s in assigned.values()):
+            continue
+        donors = [n for n in targets if n != name
+                  and sum(1 for s in assigned.values() if s == n) > 1]
+        if not donors:
+            donors = [n for n in targets if n != name
+                      and any(s == n for s in assigned.values())]
+        donor = max(donors, key=lambda n: mass[n] - targets[n])
+        repo = min((r for r, s in assigned.items() if s == donor),
+                   key=lambda r: dict(repo_sizes)[r])
+        assigned[repo] = name
+        mass[donor] -= dict(repo_sizes)[repo]
+        mass[name] += dict(repo_sizes)[repo]
+    return assigned
+
+
+def reference_split(records, spec):
+    """``split_by_repository`` as it was: a shuffle rank, both sorts, and the
+    repair loop."""
+    counts = collections.Counter(r.repo for r in records)
+    required = 5 if spec.rl_three_way else 3
+    if len(counts) < required:
+        raise TooFewRepos(f"need at least {required} distinct repositories, got {len(counts)}")
+    rng = random.Random(spec.seed)
+    names = sorted(counts)
+    rng.shuffle(names)
+    shuffle_rank = {name: i for i, name in enumerate(names)}
+    repo_sizes = sorted(counts.items(), key=lambda kv: (-kv[1], shuffle_rank[kv[0]]))
+    total = sum(counts.values())
+    train_fraction = 1.0 - spec.test_fraction - spec.val_fraction
+    targets = {
+        "train": train_fraction * total,
+        "val": spec.val_fraction * total,
+        "test": spec.test_fraction * total,
+    }
+    assigned = reference_greedy_assign(repo_sizes, targets, ["train", "val", "test"])
+    if spec.rl_three_way:
+        train_repos = sorted(
+            ((r, counts[r]) for r, s in assigned.items() if s == "train"),
+            key=lambda kv: (-kv[1], shuffle_rank[kv[0]]),
+        )
+        if len(train_repos) < 3:
+            raise TooFewRepos("three-way RL split needs at least 3 training repositories")
+        third = sum(size for _, size in train_repos) / 3.0
+        stage_targets = {stage: third for stage in RL_STAGES}
+        assigned.update(reference_greedy_assign(train_repos, stage_targets, list(RL_STAGES)))
+    split_names = (list(RL_STAGES) if spec.rl_three_way else ["train"]) + ["val", "test"]
+    splits = {name: [] for name in split_names}
+    for record in records:
+        splits[assigned[record.repo]].append(record)
+    return splits
+
+
+def _outcome(split, records, spec):
+    try:
+        return split(records, spec)
+    except TooFewRepos as exc:
+        return ("TooFewRepos", str(exc))
+
+
+@given(
+    sizes=st.lists(
+        st.one_of(st.integers(1, 200), st.sampled_from([1, 5, 40])), min_size=1, max_size=14
+    ),
+    test_fraction=st.floats(0.001, 0.9),
+    val_fraction=st.floats(0.001, 0.9),
+    seed=st.integers(0, 2**32),
+    order_seed=st.integers(0, 2**32),
+    rl_three_way=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_split_matches_the_split_with_its_repair_loop(
+    sizes, test_fraction, val_fraction, seed, order_seed, rl_three_way
+):
+    assume(test_fraction + val_fraction < 1)
+    spec = SplitSpec(test_fraction=test_fraction, val_fraction=val_fraction,
+                     rl_three_way=rl_three_way, seed=seed)
+    records = synthetic_corpus({f"repo{i}": size for i, size in enumerate(sizes)})
+    random.Random(order_seed).shuffle(records)
+    assert _outcome(split_by_repository, records, spec) == _outcome(reference_split, records, spec)
+
+
+@given(
+    sizes=st.lists(st.integers(1, 200), min_size=1, max_size=14),
+    targets=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=6),
+)
+@settings(max_examples=400, deadline=None)
+def test_greedy_pass_leaves_no_split_empty(sizes, targets):
+    assume(len(sizes) >= len(targets))
+    repo_sizes = [(f"repo{i}", size) for i, size in enumerate(sizes)]
+    named = {f"split{i}": target for i, target in enumerate(targets)}
+    assigned = _greedy_assign(repo_sizes, named)
+    assert set(assigned) == {repo for repo, _ in repo_sizes}
+    assert set(assigned.values()) == set(named)
 
 
 def test_split_spec_validation():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqual.config import TrainConfig
 from tqual.errors import DomainError
 from tqual.rlcore import policy as policy_module
 from tqual.rlcore.policy import (
@@ -29,7 +30,7 @@ def uniform() -> PolicyTable:
 def draw(policy, seed=0, **overrides):
     params = dict(max_tokens=8, temperature=0.7, top_p=1.0, frequency_penalty=0.5)
     params.update(overrides)
-    return sample_completion(policy, np.random.default_rng(seed), **params)
+    return sample_completion(policy, np.random.default_rng(seed), TrainConfig(**params))
 
 
 # ── table construction and lookups ───────────────────────────────────
@@ -38,9 +39,9 @@ def draw(policy, seed=0, **overrides):
 def test_uniform_rows_are_uniform_distributions():
     policy = uniform()
     for state in range(policy.size):
-        probs = policy.probs(state)
-        assert probs == pytest.approx(np.full(policy.size, 1 / policy.size))
-        assert policy.log_probs(state) == pytest.approx(np.log(probs))
+        log_probs = policy.log_probs(state)
+        assert np.exp(log_probs) == pytest.approx(np.full(policy.size, 1 / policy.size))
+        assert log_probs == pytest.approx(np.full(policy.size, -np.log(policy.size)))
 
 
 def test_stop_index_and_token_lookup():
@@ -170,7 +171,7 @@ def test_trace_includes_stop_decision():
     assert out.tokens == ("x",)
     assert out.states == (0, 5)
     assert out.actions == (5, 0)
-    assert out.text == "x"
+    assert " ".join(out.tokens) == "x"
 
 
 def test_max_tokens_bounds_generation():
@@ -184,13 +185,13 @@ def test_max_tokens_bounds_generation():
 def test_near_zero_temperature_decodes_greedily_with_index_ties():
     policy = uniform()
     # All logits equal: argmax must take the lowest index, the stop token.
-    out = draw(policy, temperature=0.0, frequency_penalty=0.0)
+    out = draw(policy, temperature=1e-9, frequency_penalty=0.0)
     assert out.tokens == ()
     assert out.stopped
 
     policy.logits[0, 3] = 1.0
     policy.logits[3, 0] = 1.0
-    out = draw(policy, temperature=0.0, frequency_penalty=0.0)
+    out = draw(policy, temperature=1e-9, frequency_penalty=0.0)
     assert out.tokens == (")",)
 
 
@@ -241,27 +242,22 @@ def test_small_top_p_restricts_to_the_nucleus():
 
 
 def test_sampling_parameter_validation():
-    policy = uniform()
-    rng = np.random.default_rng(0)
+    # The sampler reads its settings from a TrainConfig, which checks them.
     with pytest.raises(DomainError):
-        sample_completion(policy, rng, max_tokens=0, temperature=1.0, top_p=1.0,
-                          frequency_penalty=0.0)
+        TrainConfig(max_tokens=0, temperature=1.0, top_p=1.0, frequency_penalty=0.0)
     with pytest.raises(DomainError):
-        sample_completion(policy, rng, max_tokens=1, temperature=-1.0, top_p=1.0,
-                          frequency_penalty=0.0)
+        TrainConfig(max_tokens=1, temperature=-1.0, top_p=1.0, frequency_penalty=0.0)
     with pytest.raises(DomainError):
-        sample_completion(policy, rng, max_tokens=1, temperature=1.0, top_p=0.0,
-                          frequency_penalty=0.0)
+        TrainConfig(max_tokens=1, temperature=1.0, top_p=0.0, frequency_penalty=0.0)
     with pytest.raises(DomainError):
-        sample_completion(policy, rng, max_tokens=1, temperature=1.0, top_p=1.0,
-                          frequency_penalty=-0.5)
+        TrainConfig(max_tokens=1, temperature=1.0, top_p=1.0, frequency_penalty=-0.5)
 
 
 @pytest.mark.parametrize("knob", ["temperature", "frequency_penalty"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_sampling_rejects_non_finite_knobs(knob, value):
     with pytest.raises(DomainError, match=f"{knob} must be finite"):
-        draw(uniform(), **{knob: value})
+        TrainConfig(**{knob: value})
 
 
 def test_overflowing_logits_are_a_domain_error():
@@ -400,7 +396,7 @@ def _assert_table_matches_per_draw(policy, knobs, seed, completions=200):
     reference = np.random.default_rng(seed)
     tables = {}
     for _ in range(completions):
-        got = sample_completion(policy, ours, tables=tables, **knobs)
+        got = sample_completion(policy, ours, TrainConfig(**knobs), tables=tables)
         assert got == _per_draw_sample(policy, reference, **knobs)
         assert ours.bit_generator.state == reference.bit_generator.state
         assert len(tables) <= DRAW_TABLE_SIZE
@@ -433,11 +429,3 @@ def test_a_full_table_still_matches_with_a_small_cap(monkeypatch):
     knobs = dict(max_tokens=12, temperature=0.8, top_p=0.9, frequency_penalty=0.5)
     tables = _assert_table_matches_per_draw(policy, knobs, seed=8)
     assert len(tables) == 3
-
-
-def test_completion_text_joins_tokens():
-    completion = SampledCompletion(
-        tokens=("Assert", "(", ")", ";"), states=(0, 1, 2, 3), actions=(1, 2, 3, 4),
-        stopped=True,
-    )
-    assert completion.text == "Assert ( ) ;"
