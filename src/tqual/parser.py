@@ -491,27 +491,28 @@ class _StatementParser(_Parser):
     def _parse_try(self, start: int) -> Statement:
         self.advance()
         children: list[Statement] = []
-        if self.peek_text() == "{":
+        if self._at_block("try block missing"):
             children.append(self.parse_statement())
-        else:
-            self.fatal("try block missing")
         while self.accept("catch"):
             if self.peek_text() == "(":
                 self._consume_parens()
             if self.peek_text() == "when" and self.peek_text(1) == "(":
                 self.advance()
                 self._consume_parens()
-            if self.peek_text() == "{":
-                children.append(self.parse_statement())
-            else:
-                self.fatal("catch block missing")
+            if not self._at_block("catch block missing"):
                 break
-        if self.accept("finally"):
-            if self.peek_text() == "{":
-                children.append(self.parse_statement())
-            else:
-                self.fatal("finally block missing")
+            children.append(self.parse_statement())
+        if self.accept("finally") and self._at_block("finally block missing"):
+            children.append(self.parse_statement())
         return self._make("try", start, children=children)
+
+    def _at_block(self, missing: str) -> bool:
+        """True at a '{'; anywhere else, fatal with ``missing``.  The caller
+        parses the block, so a nesting level still costs two frames."""
+        if self.peek_text() == "{":
+            return True
+        self.fatal(missing)
+        return False
 
     def _parse_unknown(self, start: int) -> Statement:
         """Constructs outside the subset: swallow one balanced unit, up to a

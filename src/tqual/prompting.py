@@ -102,24 +102,19 @@ def _expand_deletion(text: str, start: int, end: int) -> tuple[int, int]:
 
 def _apply_edits(text: str, edits: list[tuple[int, int, str]]) -> str:
     """Apply (start, end, replacement) edits given in source coordinates
-    relative to ``text``.  Edits nested inside another edit are dropped;
-    overlapping deletions are merged."""
-    cleaned: list[tuple[int, int, str]] = []
-    for start, end, repl in sorted(edits, key=lambda e: (e[0], -(e[1]))):
-        if cleaned:
-            prev_start, prev_end, prev_repl = cleaned[-1]
-            if start >= prev_start and end <= prev_end:
-                continue  # fully covered
-            if start < prev_end:  # partial overlap: only deletions do this
-                cleaned[-1] = (prev_start, max(prev_end, end), prev_repl if prev_repl else repl)
-                continue
-        cleaned.append((start, end, repl))
+    relative to ``text``, in order of start, the longest first.  An edit
+    that starts before the end of the last one applied is dropped.  Every
+    span starts and ends at a token, and a deletion grows only over blanks
+    (``_expand_deletion``), so any two edits are nested or disjoint and the
+    dropped ones are exactly those nested inside an applied one."""
     out: list[str] = []
     pos = 0
-    for start, end, repl in cleaned:
+    for start, end, repl in sorted(edits, key=lambda e: (e[0], -e[1])):
+        if start < pos:
+            continue
         out.append(text[pos:start])
         out.append(repl)
-        pos = max(pos, end)
+        pos = end
     out.append(text[pos:])
     return "".join(out)
 

@@ -6,9 +6,10 @@ averaged over the rows the episode visited.  Advantages subtract a running
 baseline, and updates ascend the clipped surrogate objective for several
 passes over each collected batch.
 
-Checkpointing follows generation quality, not the raw reward: at fixed
-intervals the trainer samples a validation batch with a derived seed, scores
-it with the corpus scorer, and keeps the weights from the best evaluation.
+Checkpointing follows generation quality, not the raw reward: at each
+evaluation (``train_toy_policy`` says when) the trainer samples a validation
+batch with a derived seed, scores it with the corpus scorer, and keeps the
+weights from the best evaluation.
 
 Rewards are pluggable.  ``make_analyzer_reward`` renders token sequences as
 test methods and scores them with the static analyzer;
@@ -210,6 +211,11 @@ def generate_completions(
     return _sample(policy, cfg, np.random.default_rng(seed), count)
 
 
+def _episode_kl(kl: np.ndarray, completion: SampledCompletion) -> float:
+    """Mean reference KL over the rows a completion visited."""
+    return float(np.mean(kl[list(completion.states)]))
+
+
 def _evaluate(
     policy: PolicyTable,
     cfg: TrainConfig,
@@ -218,35 +224,28 @@ def _evaluate(
     score_config: ScoreConfig | None,
     epoch: int,
     episode: int,
-) -> tuple[MetricsEntry, float]:
-    """Score a fresh validation batch; returns the metrics row and the
-    scalar used for checkpoint selection."""
+) -> MetricsEntry:
+    """Score a fresh validation batch as one metrics row."""
     completions = generate_completions(
         policy, cfg, seed=cfg.seed + _VAL_SEED_OFFSET, count=cfg.eval_samples
     )
     kl = policy.kl_table()
     rewards = [reward_fn(c.tokens) for c in completions]
-    kls = [float(np.mean(kl[list(c.states)])) for c in completions]
-    mean_reward = float(np.mean(rewards))
-    mean_kl = float(np.mean(kls))
+    kls = [_episode_kl(kl, c) for c in completions]
 
-    quality: float | None = None
-    frequencies: dict[str, float] = {}
+    quality, frequencies = None, {}
     if report_fn is not None:
         stats = score_corpus([report_fn(c.tokens) for c in completions], score_config)
-        quality = stats.quality_score
-        frequencies = stats.frequencies
+        quality, frequencies = stats.quality_score, stats.frequencies
 
-    entry = MetricsEntry(
+    return MetricsEntry(
         epoch=epoch,
         episode=episode,
-        mean_reward=mean_reward,
-        mean_kl=mean_kl,
+        mean_reward=float(np.mean(rewards)),
+        mean_kl=float(np.mean(kls)),
         quality_score=quality,
         frequencies=frequencies,
     )
-    selection = quality if quality is not None else mean_reward
-    return entry, selection
 
 
 # ── training loop ───────────────────────────────────────────────────
@@ -260,6 +259,8 @@ def train_toy_policy(
 ) -> tuple[PolicyTable, list[MetricsEntry]]:
     """Run the episodic loop and return (best checkpoint, metrics).
 
+    The run is evaluated before the first batch, after each batch that
+    reaches a new multiple of ``eval_interval``, and after the last batch.
     The incoming policy's weights become the run's KL reference, so chaining
     calls trains each stage against the previous stage's endpoint.  Without a
     report function, checkpoints fall back to mean validation reward.
@@ -269,21 +270,27 @@ def train_toy_policy(
     rng = np.random.default_rng(cfg.seed)
 
     baseline = 0.0
-    episodes_done = 0
-    epoch = 0
+    start = done = 0
     metrics: list[MetricsEntry] = []
+    best_policy, best_score = work, 0.0
 
-    entry, selection = _evaluate(
-        work, cfg, reward_fn, report_fn, score_config, epoch, episodes_done
-    )
-    metrics.append(entry)
-    best_score = selection
-    best_policy = work.copy()
-    next_eval = cfg.eval_interval
+    while True:
+        # Evaluate and checkpoint; the first evaluation is always kept, and
+        # a later one only when it scores strictly higher.
+        if (done == 0 or done >= cfg.episodes
+                or done // cfg.eval_interval > start // cfg.eval_interval):
+            entry = _evaluate(
+                work, cfg, reward_fn, report_fn, score_config, len(metrics), done
+            )
+            metrics.append(entry)
+            score = entry.mean_reward if report_fn is None else entry.quality_score
+            if len(metrics) == 1 or score > best_score:
+                best_policy, best_score = work.copy(), score
+        if done >= cfg.episodes:
+            return best_policy, metrics
 
-    while episodes_done < cfg.episodes:
-        batch_size = min(cfg.batch_size, cfg.episodes - episodes_done)
-        completions = _sample(work, cfg, rng, batch_size)
+        start, done = done, min(done + cfg.batch_size, cfg.episodes)
+        completions = _sample(work, cfg, rng, done - start)
         log_probs = work.log_prob_table()
         kl = work.kl_table()
         batch: _Batch = {}
@@ -291,8 +298,7 @@ def train_toy_policy(
         steps = 0
         for completion in completions:
             raw = float(reward_fn(completion.tokens))
-            episode_kl = float(np.mean(kl[list(completion.states)]))
-            total = kl_penalized_reward(raw, episode_kl, cfg.beta)
+            total = kl_penalized_reward(raw, _episode_kl(kl, completion), cfg.beta)
             totals.append(total)
             advantage = total - baseline
             for state, action in zip(completion.states, completion.actions):
@@ -300,27 +306,12 @@ def train_toy_policy(
                     (action, float(log_probs[state, action]), advantage)
                 )
             steps += len(completion.actions)
-        episodes_done += batch_size
 
         baseline = cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * float(
             np.mean(totals)
         )
         for _ in range(cfg.ppo_epochs):
             _ascend(work, batch, steps, cfg)
-
-        if episodes_done >= next_eval or episodes_done >= cfg.episodes:
-            epoch += 1
-            entry, selection = _evaluate(
-                work, cfg, reward_fn, report_fn, score_config, epoch, episodes_done
-            )
-            metrics.append(entry)
-            if selection > best_score:
-                best_score = selection
-                best_policy = work.copy()
-            while next_eval <= episodes_done:
-                next_eval += cfg.eval_interval
-
-    return best_policy, metrics
 
 
 def _ascend(policy: PolicyTable, batch: _Batch, steps: int, cfg: TrainConfig) -> None:

@@ -107,6 +107,18 @@ def test_ternary_sets_flag():
     assert tree.statements()[0].has_ternary
 
 
+@pytest.mark.parametrize("statement, ternary", [
+    # A '?' closed by its ')' leaves a named argument's ':' unmatched, also
+    # one back at the '?''s depth inside a later call.
+    ("var r = M((int?)a, b: 1);", False),
+    ("var r = M((int?)a, F(b: 1));", False),
+    ("var r = x ? F(a) : b;", True),
+])
+def test_a_colon_is_a_ternary_only_at_its_open_question_mark(statement, ternary):
+    source = f"{HEAD}    {statement}\n}}"
+    assert analyze(source, "M").conditional_or_exception is ternary
+
+
 def test_statement_spans_index_the_source():
     source = "[TestMethod]\npublic void T()\n{\n    if (x) { a.Run(); }\n    b.Stop();\n}"
     tree = parse_test_method(source)
@@ -309,6 +321,20 @@ HEAD = "[TestMethod]\npublic void T()\n{\n"
     ("    List<List<int>> xs = Make();\n"
      "    Dictionary<string, List<int>> d = new Dictionary<string, List<int>>();\n}",
      ["local-declaration", "local-declaration"], [], [("Make",), ("Dictionary",)]),
+    # try's finally block, present or not, and a catch filtered by when.
+    ("    try { x.A(); } finally { x.B(); }\n}",
+     [("try", [("block", ["expression-statement"]), ("block", ["expression-statement"])])],
+     [], [("x", "A"), ("x", "B")]),
+    ("    try { x.A(); } finally Stop();\n}",
+     [("try", [("block", ["expression-statement"])]), "expression-statement"],
+     [("finally block missing", 58)], [("x", "A"), ("Stop",)]),
+    ("    try { x.A(); } catch (IOException e) when (e.Message != null) { x.B(); }\n}",
+     [("try", [("block", ["expression-statement"]), ("block", ["expression-statement"])])],
+     [], [("x", "A"), ("x", "B")]),
+    # A do-statement without its ';' or without its while.
+    ("    do { } while (x)\n}", [("do", ["block"])], [("do-statement missing ';'", 52)], []),
+    ("    do { }\n}", [("do", ["block"])], [("do-statement missing 'while'", 42)], []),
+    ("    const int n = 1;\n}", ["local-declaration"], [], []),
 ])
 def test_recovered_tree_is_pinned(body, shape, diags, calls):
     source = HEAD + body
@@ -671,6 +697,10 @@ def members(tree) -> list:
     ("class C {\n public void M(int a",
      [("C", (0, 30), [("M", "public void M(int a;", (11, 30))], [], [])],
      [("unclosed '('", 24), ("type 'C' not closed", 29)]),
+    # A file-scoped namespace, a record class, and a type with no name.
+    ("namespace N;\nclass C { int f; }", [("C", (13, 31), [], [(23, 29)], [])], []),
+    ("record class R { int f; }", [("R", (0, 25), [], [(17, 23)], [])], []),
+    ("class {\n int f; }", [], [("type declaration missing name", 6)]),
 ])
 def test_focal_members_are_pinned(source, classes, diags):
     tree = parse_focal_file(source)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_lexer import CODE_FRAGMENTS
 from test_snapshot import FOCAL_FILES, _as_class, _soups
+from tqual import prompting
 from tqual.errors import FocalNotFound, PromptTooLong
 from tqual.lexer import OFFSET, TEXT, scan
 from tqual.parser import parse_focal_file
@@ -17,6 +21,14 @@ from tqual.prompting import (
     estimate_tokens,
     render_level,
 )
+
+# Member-shaped pieces for class bodies: methods (one named Run, which
+# renders), fields, properties, comments, a nested class and line breaks.
+MEMBER_FRAGMENTS = [
+    "void Run() { x = 1; }", "int M(int a) => a;", "void N();", "int f;",
+    "int g = 1, h;", "public int P { get; set; } = 2;", "// note\n",
+    "/* block */", "class B { int y; void Run() { } }", "\n", "    ",
+]
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +143,89 @@ def test_crlf_files_render_as_their_lf_renders(path):
             for level in (1, 2, 3, 4):
                 expected = render_level(lf, method.name, level).replace("\n", "\r\n")
                 assert render_level(crlf, method.name, level) == expected, (method.name, level)
+
+
+def test_level_4_drops_a_nested_class():
+    tree = parse_focal_file(
+        "class A {\n    void Run() { }\n    class B { int x; }\n    int f;\n}\n"
+    )
+    assert render_level(tree, "Run", 4) == "class A {\n    void Run() { }\n}"
+
+
+def reference_apply_edits(text: str, edits: list[tuple[int, int, str]]) -> str:
+    """``_apply_edits`` with the merge of partly overlapping deletions that
+    it once had: edits nested inside another are dropped, overlapping
+    deletions are merged."""
+    cleaned: list[tuple[int, int, str]] = []
+    for start, end, repl in sorted(edits, key=lambda e: (e[0], -(e[1]))):
+        if cleaned:
+            prev_start, prev_end, prev_repl = cleaned[-1]
+            if start >= prev_start and end <= prev_end:
+                continue  # fully covered
+            if start < prev_end:  # partial overlap: only deletions do this
+                cleaned[-1] = (prev_start, max(prev_end, end), prev_repl if prev_repl else repl)
+                continue
+        cleaned.append((start, end, repl))
+    out: list[str] = []
+    pos = 0
+    for start, end, repl in cleaned:
+        out.append(text[pos:start])
+        out.append(repl)
+        pos = max(pos, end)
+    out.append(text[pos:])
+    return "".join(out)
+
+
+def recorded_edits(source: str) -> list[tuple[str, list[tuple[int, int, str]]]]:
+    """The (text, edits) of every ``_apply_edits`` call that rendering each
+    method of ``source`` at levels 2 to 4 makes."""
+    calls = []
+    real = prompting._apply_edits
+
+    def recording(text, edits):
+        calls.append((text, list(edits)))
+        return real(text, edits)
+
+    tree = parse_focal_file(source)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prompting, "_apply_edits", recording)
+        for cls in tree.walk_classes():
+            for method in cls.methods:
+                for level in (2, 3, 4):
+                    render_level(tree, method.name, level)
+    return calls
+
+
+def check_edits(text: str, edits: list[tuple[int, int, str]]) -> int:
+    """Assert that every two edits are nested or disjoint and that the
+    render matches the reference; returns the number of nested pairs."""
+    nested = 0
+    for i, (a, b, _) in enumerate(edits):
+        for c, d, _ in edits[i + 1:]:
+            inside = a <= c and d <= b or c <= a and b <= d
+            assert inside or b <= c or d <= a, (text, edits)
+            nested += inside
+    assert prompting._apply_edits(text, edits) == reference_apply_edits(text, edits)
+    return nested
+
+
+@given(st.lists(st.sampled_from(CODE_FRAGMENTS + MEMBER_FRAGMENTS * 3), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_edits_match_the_reference_on_class_soups(fragments):
+    for text, edits in recorded_edits(_as_class("".join(fragments))):
+        check_edits(text, edits)
+
+
+def test_edits_match_the_reference_on_the_fixtures_and_nest():
+    nested = 0
+    for path in sorted(FOCAL_FILES.glob("*.cs")):
+        for text, edits in recorded_edits(path.read_text(encoding="utf-8")):
+            nested += check_edits(text, edits)
+    nested += sum(check_edits(text, edits) for text, edits in recorded_edits(_as_class(
+        "// lead\n    void Run() { }\n    int f; // f\n"
+        "    class B { /* b */ int y; }\n    void M() { }\n")))
+    # Nested edits occur, so dropping them is exercised.
+    assert nested > 0
 
 
 def test_unknown_level_rejected(inventory_tree):

@@ -85,3 +85,21 @@ def test_traced_train_toy_samples_and_makes_no_per_step_gradient_call(tmp_path):
     # The PPO pass inlines the scalar gradient, so the wrapped binding of
     # clipped_surrogate_grad is never called.
     assert summary["calls"].get("math.surrogate_grad", 0) == 0
+
+
+def test_traced_train_toy_times_one_evaluation_per_metrics_row(tmp_path):
+    # ``_evaluate`` is the tracer's timing point for evaluation, so each
+    # metrics row must come from one call of it: here the evaluations
+    # before the first batch and after the last.
+    (tmp_path / "vocab.txt").write_text("\n".join(VOCAB_ASSERT) + "\n", encoding="utf-8")
+    (tmp_path / "seed.jsonl").write_text(
+        "".join(dump_line({"tokens": tokens}) + "\n" for tokens in SEED_CORPUS_ASSERT),
+        encoding="utf-8")
+    summary = run_traced(tmp_path, [[
+        "train-toy", "--seed-corpus", "seed.jsonl", "--vocab-file", "vocab.txt",
+        "--properties", "has_assertion", "--episodes", "50", "--max-tokens", "16",
+        "--seed", "1", "--out", "policy.json", "--metrics", "metrics.jsonl"]])
+    rows = (tmp_path / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+    assert summary["codes"] == [0]
+    assert [json.loads(row)["episode"] for row in rows] == [0, 50]
+    assert summary["calls"]["trainer.eval"] == len(rows) == 2

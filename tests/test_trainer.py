@@ -200,6 +200,48 @@ def test_metrics_schedule_and_schema():
         assert data["mean_kl"] >= 0
 
 
+@pytest.mark.parametrize("overrides, episodes", [
+    (dict(eval_interval=30), [0, 50, 75, 100, 110]),
+    (dict(batch_size=40, eval_interval=60), [0, 80, 110]),
+], ids=["25-by-30", "40-by-60"])
+def test_a_batch_that_reaches_a_new_interval_multiple_is_evaluated(overrides, episodes):
+    # Batches that do not line up with the interval: the run is evaluated
+    # before the first batch, after each batch that reaches a new multiple
+    # of eval_interval, and after the last batch.
+    cfg = toy_config(episodes=110, eval_samples=10, **overrides)
+    _, metrics = train_toy_policy(assert_seeded_policy(), lambda tokens: 0.0, cfg)
+    assert [m.episode for m in metrics] == episodes
+    assert [m.epoch for m in metrics] == list(range(len(episodes)))
+
+
+@pytest.mark.parametrize("scoring", ["quality", "mean-reward", "tied"])
+def test_the_checkpoint_is_the_first_best_scored_evaluation(monkeypatch, scoring):
+    # The score is the row's quality_score, or its mean_reward without a
+    # report function; a later evaluation replaces the checkpoint only when
+    # it scores strictly higher, so a constant reward keeps the first.
+    weights: list[np.ndarray] = []
+    real_evaluate = trainer._evaluate
+
+    def recording_evaluate(policy, *args):
+        weights.append(policy.logits.copy())
+        return real_evaluate(policy, *args)
+
+    monkeypatch.setattr(trainer, "_evaluate", recording_evaluate)
+    reward_fn, report_fn = make_analyzer_reward(
+        RewardScheme.individual("has_assertion"), TOY_FOCAL
+    )
+    if scoring != "quality":
+        report_fn = None
+    if scoring == "tied":
+        reward_fn = lambda tokens: 1.0  # noqa: E731
+    cfg = toy_config(episodes=110, eval_interval=30, eval_samples=10)
+    best, metrics = train_toy_policy(assert_seeded_policy(), reward_fn, cfg, report_fn)
+    scores = [m.mean_reward if report_fn is None else m.quality_score for m in metrics]
+    assert len(weights) == len(metrics) == 5
+    assert not np.array_equal(weights[0], weights[-1])
+    assert np.array_equal(best.logits, weights[scores.index(max(scores))])
+
+
 def test_metrics_without_report_fn_lack_quality():
     init = assert_seeded_policy()
     cfg = toy_config(episodes=50, eval_interval=50, eval_samples=10)
