@@ -8,8 +8,8 @@ as ``args.config`` (empty without the flag).  Every JSONL input goes
 through ``_read``, and every other input file through ``read_input``; a
 path given as ``""`` is refused, never taken for one not given.  A bad
 line becomes an ``error.v1`` record and exit code 1 in a per-line stage
-(``_stream``), stops a whole-input stage with a usage error naming it, and
-is skipped with a note by ``report``.
+(``_stream``), stops a whole-input stage with a usage error naming the file
+and the line, and is skipped with a note by ``report``.
 
 Exit codes: 0 success, also when the reader closes stdout early (``head``);
 1 data error; 2 usage error, which includes two outputs of one command
@@ -70,8 +70,9 @@ def _read(path: str, handle: Callable[[dict], Any] = CorpusRecord.from_dict,
     """``handle(obj)`` for each object of the JSONL file ``path``, in order,
     or ``on_bad(line_no, message)`` for a line that is not an object or on
     which ``handle`` raises a PipelineError or an OSError; None results are
-    dropped.  Without ``on_bad`` a bad line is a usage error naming it.  The
-    file must exist when ``_read`` is called; its lines are read lazily."""
+    dropped.  Without ``on_bad`` a bad line is a usage error naming the file
+    and the line.  The file must exist when ``_read`` is called; its lines
+    are read lazily."""
     check_input(path)
 
     def items() -> Iterator:
@@ -83,7 +84,7 @@ def _read(path: str, handle: Callable[[dict], Any] = CorpusRecord.from_dict,
                     err = str(exc)
             if err is not None:
                 if on_bad is None:
-                    raise DomainError(f"line {line_no}: {err}")
+                    raise DomainError(f"{path}: line {line_no}: {err}")
                 item = on_bad(line_no, err)
             if item is not None:
                 yield item
@@ -260,22 +261,17 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _load_vocabulary(path: str | None) -> tuple[str, ...]:
+def _load_vocabulary(path: str | None) -> PolicyTable:
+    """The uniform policy over the vocabulary file ``path``, one token a
+    line, or over ``DEFAULT_VOCAB`` without one."""
     if path is None:
-        return DEFAULT_VOCAB
-    tokens = [line.strip() for line in read_input(path).splitlines()]
-    vocab = tuple(t for t in tokens if t)
-    if "</s>" not in vocab:
-        raise DomainError(f"{path}: vocabulary file must include the stop token </s>")
-    return vocab
+        return PolicyTable.uniform(DEFAULT_VOCAB)
+    return read_input(path, lambda text: PolicyTable.uniform(
+        [token for token in map(str.strip, text.splitlines()) if token]))
 
 
 def _load_policy(path: str) -> PolicyTable:
-    text = read_input(path)
-    try:
-        return PolicyTable.from_dict(json.loads(text))
-    except (ValueError, RecursionError, DomainError) as exc:  # not JSON, too deep, not a policy
-        raise DomainError(f"{path}: {exc}") from None
+    return read_input(path, lambda text: PolicyTable.from_dict(json.loads(text)))
 
 
 _SEED_FIELDS = {"tokens": ([str], REQUIRED)}
@@ -301,18 +297,16 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
     if args.init_policy is not None:
         policy = _load_policy(args.init_policy)
-    elif args.seed_corpus is not None:
-        vocabulary = _load_vocabulary(args.vocab_file)
+    else:
+        policy = _load_vocabulary(args.vocab_file)
+    if args.seed_corpus is not None:
         def seed_tokens(obj: dict) -> list[str]:
             tokens = decode(dict, obj, _SEED_FIELDS)["tokens"]
             for token in tokens:
-                if token not in vocabulary:
-                    raise DomainError(f"token {token!r} not in vocabulary")
+                policy.token_index(token)
             return tokens
         token_lists = list(_read(args.seed_corpus, seed_tokens))
-        policy = bigram_policy_from_corpus(token_lists, vocabulary)
-    else:
-        policy = PolicyTable.uniform(_load_vocabulary(args.vocab_file))
+        policy = bigram_policy_from_corpus(token_lists, policy.vocabulary)
 
     reward_fn, report_fn = make_analyzer_reward(scheme, args.focal)
     trained, metrics = train_toy_policy(policy, reward_fn, cfg, report_fn,

@@ -7,7 +7,7 @@ and blank lines ignored.  Each section mirrors one of the typed configs:
 ``score.*`` for corpus scoring.  One table, ``_DEFAULTS``, maps every
 settable key to its default.  Loading a file checks every line against it:
 an unknown key or a value that does not parse as its default's type is an
-error naming the line, whichever sections the caller goes on to read.
+error naming the file and the line, whichever sections the caller reads.
 Range checks run when a section is built, after command-line overrides.  A
 range error that the overrides alone do not raise names the file and the
 key whose value raises it, or the section for a check across keys.
@@ -114,11 +114,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    text = read_input(path)
-    try:
-        return parse_config_text(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_input(path, parse_config_text)
 
 
 def _coerce(raw: str, template: Any) -> Any:

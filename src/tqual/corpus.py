@@ -141,9 +141,11 @@ def _open_input(path: str | Path) -> TextIO:
     return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
 
-def read_input(path: str | Path) -> str:
-    """The whole text of the input file ``path``.  A DomainError names the
-    path and the line of the first byte that is not UTF-8."""
+def read_input(path: str | Path, parse: Callable[[str], Any] | None = None) -> Any:
+    """The whole text of the input file ``path``, or ``parse(text)``.  A
+    DomainError names the path and the line of the first byte that is not
+    UTF-8; a ValueError, RecursionError or DomainError from ``parse``
+    becomes a DomainError that names the path."""
     with _open_input(path) as handle:
         text = handle.read()
     if not text.isascii():
@@ -152,7 +154,12 @@ def read_input(path: str | Path) -> str:
         except UnicodeEncodeError as exc:
             line = text.count("\n", 0, exc.start) + 1
             raise DomainError(f"{path}: line {line}: bytes that are not UTF-8") from None
-    return text
+    if parse is None:
+        return text
+    try:
+        return parse(text)
+    except (ValueError, RecursionError, DomainError) as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict | None, str | None]]:

@@ -605,6 +605,8 @@ def parse_test_method(source: str) -> TestSyntaxTree:
             statements = sp.parse_block("method body not closed")
         elif sp.accept("=>"):
             expr_start = sp.pos
+            if sp.peek_text() in ("", ";"):  # no expression: end of input or '=> ;'
+                sp.fatal("method body missing")
             end = sp._consume_simple_statement()
             statements = [sp._make("expression-statement", expr_start,
                                    expr_ranges=[(expr_start, end)])]

@@ -32,6 +32,7 @@ with or without a table.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -58,6 +59,9 @@ _GREEDY_TEMPERATURE = 1e-8
 
 @dataclass
 class PolicyTable:
+    """The constructor is the one check of a vocabulary: not empty, no
+    repeated token, and the stop token in it."""
+
     vocabulary: tuple[str, ...]
     logits: np.ndarray
     ref_logits: np.ndarray
@@ -69,9 +73,6 @@ class PolicyTable:
         self.logits = np.asarray(self.logits, dtype=float)
         self.ref_logits = np.asarray(self.ref_logits, dtype=float)
         self._index = {tok: i for i, tok in enumerate(self.vocabulary)}
-        self.validate()
-
-    def validate(self) -> None:
         size = len(self.vocabulary)
         if size == 0:
             raise DomainError("vocabulary is empty")
@@ -101,12 +102,8 @@ class PolicyTable:
         )
 
     def copy(self) -> "PolicyTable":
-        return PolicyTable(
-            vocabulary=self.vocabulary,
-            logits=self.logits.copy(),
-            ref_logits=self.ref_logits.copy(),
-            stop_token=self.stop_token,
-        )
+        return dataclasses.replace(self, logits=self.logits.copy(),
+                                   ref_logits=self.ref_logits.copy())
 
     # ── lookups ─────────────────────────────────────────────────────
 

@@ -13,6 +13,7 @@ folded back to raw counts, so prediction stays a plain dot product.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -21,7 +22,6 @@ import numpy as np
 from ..corpus import REQUIRED, decode, encode
 from ..errors import DomainError, InsufficientData
 from ..lexer import scan
-from .math import mse_grad, mse_loss
 
 __all__ = ["LinearRewardModel", "train_reward_model"]
 
@@ -52,10 +52,7 @@ class LinearRewardModel:
         )
 
     def featurize(self, text: str) -> np.ndarray:
-        counts = dict.fromkeys(self.feature_tokens, 0)
-        for _, token, _ in scan(text)[0]:
-            if token in counts:
-                counts[token] += 1
+        counts = _token_counts(text)
         return np.array([counts[t] for t in self.feature_tokens], dtype=float)
 
     def predict(self, text: str) -> float:
@@ -73,14 +70,9 @@ class LinearRewardModel:
         }, schema="reward-model.v1")
 
 
-def _select_features(texts: Sequence[str], max_features: int) -> tuple[str, ...]:
-    """Most frequent significant tokens, stored in sorted order."""
-    frequency: dict[str, int] = {}
-    for text in texts:
-        for _, token, _ in scan(text)[0]:
-            frequency[token] = frequency.get(token, 0) + 1
-    ranked = sorted(frequency, key=lambda t: (-frequency[t], t))
-    return tuple(sorted(ranked[:max_features]))
+def _token_counts(text: str) -> Counter[str]:
+    """How often each significant lexer token occurs in ``text``."""
+    return Counter(token for _, token, _ in scan(text)[0])
 
 
 def train_reward_model(
@@ -102,23 +94,30 @@ def train_reward_model(
         raise DomainError("invalid training hyperparameters")
     if not (0 < val_fraction < 1):
         raise DomainError(f"val_fraction must lie in (0, 1), got {val_fraction}")
-    if len(examples) < 2:
-        raise InsufficientData(f"need at least 2 examples, got {len(examples)}")
+    n_val = max(1, round(val_fraction * len(examples)))
+    if len(examples) <= n_val:  # the training slice needs an example too
+        raise InsufficientData(f"need at least {n_val + 1} examples to hold {n_val} out "
+                               f"for validation, got {len(examples)}")
     targets_all = [float(r) for _, r in examples]
     if max(targets_all) == min(targets_all):
         raise InsufficientData("rewards are constant; nothing to regress")
 
-    features = _select_features([text for text, _ in examples], max_features)
+    # The features are the most frequent tokens, stored in sorted order.
+    counts = [_token_counts(text) for text, _ in examples]
+    frequency: Counter[str] = Counter()
+    for text_counts in counts:
+        frequency.update(text_counts)
+    ranked = sorted(frequency, key=lambda t: (-frequency[t], t))
+    features = tuple(sorted(ranked[:max_features]))
     model = LinearRewardModel.zeros(features)
     if epochs == 0:
         return model, []
 
-    design = np.stack([model.featurize(text) for text, _ in examples])
+    design = np.array([[c[t] for t in features] for c in counts], dtype=float)
     targets = np.array(targets_all)
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(examples))
-    n_val = max(1, round(val_fraction * len(examples)))
     val_idx, train_idx = order[:n_val], order[n_val:]
 
     means = design[train_idx].mean(axis=0)
@@ -137,12 +136,12 @@ def train_reward_model(
 
     for epoch in range(epochs):
         preds = x_train @ weights + bias
-        grad_pred = np.array(mse_grad(preds.tolist(), y_train.tolist()))
+        grad_pred = 2.0 * (preds - y_train) / len(y_train)
         weights -= learning_rate * (x_train.T @ grad_pred)
         bias -= learning_rate * float(grad_pred.sum())
 
-        train_mse = mse_loss((x_train @ weights + bias).tolist(), y_train.tolist())
-        val_mse = mse_loss((x_val @ weights + bias).tolist(), y_val.tolist())
+        train_mse = float(np.mean((x_train @ weights + bias - y_train) ** 2))
+        val_mse = float(np.mean((x_val @ weights + bias - y_val) ** 2))
         history.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse})
 
         if val_mse < best[0] - 1e-12:

@@ -61,6 +61,11 @@ def test_typed_views_coerce_values():
     assert cfg.score_config().positive_properties == ("has_assertion", "invokes_focal")
 
 
+@pytest.mark.parametrize("value", ["off", "no", "0", "false", "FALSE"])
+def test_false_boolean_spellings(value):
+    assert PipelineConfig({"split.rl_three_way": value}).split_spec().rl_three_way is False
+
+
 def test_bad_boolean_rejected():
     with pytest.raises(ValueError):
         PipelineConfig({"split.rl_three_way": "maybe"}).split_spec()

@@ -70,16 +70,26 @@ READERS = {
         lambda path: ["train-toy", "--episodes", "10", "--max-tokens", "6",
                       "--seed-corpus", path],
         '{"tokens": ["Assert"]}\n' * 3, False,
-        (2, "line 3: record field 'tokens[0]' cannot be encoded as UTF-8",
+        (2, "input: line 3: record field 'tokens[0]' cannot be encoded as UTF-8",
          b'{"tokens": ["Assert"]}\n' * 2 + b'{"tokens": ["\xff"]}\n')),
+}
+
+
+# The stages that need their whole input, other than ``train-toy
+# --seed-corpus``: each reads the JSONL file at a path.
+WHOLE_INPUT = {
+    "resample": lambda path: ["resample", path],
+    "split": lambda path: ["split", path, "--out-dir", "out"],
+    "subsample": lambda path: ["subsample", path, "--n", "1"],
 }
 
 
 def outcome(argv: list[str], capsys) -> tuple[int, str]:
     """The exit code and the failure: stderr without its ``tqual: `` prefix
     on exit 2, and ``line N: error`` of the one ``error.v1`` record on exit 1.
-    No output file is left behind on exit 2."""
-    code = main(argv + ["--out", "out"])
+    The output is ``out``, given as ``--out out`` unless ``argv`` names an
+    ``--out-dir``.  No output is left behind on exit 2."""
+    code = main(argv if "--out-dir" in argv else argv + ["--out", "out"])
     err = capsys.readouterr().err
     if code == 2:
         assert not Path("out").exists()
@@ -168,11 +178,21 @@ def test_policy_json_that_does_not_parse_names_the_file(workdir, capsys, text, m
 
 @pytest.mark.parametrize("reader, text, message", [
     ("config", "# budgets\ntrain.episode = 3\n", "config line 2: unknown key 'train.episode'"),
-    ("vocabulary", "Assert\nx\n", "vocabulary file must include the stop token </s>"),
+    ("vocabulary", "Assert\nx\n", "stop token '</s>' not in vocabulary"),
+    ("vocabulary", "</s>\nAssert\nx\nAssert\n", "vocabulary contains duplicate tokens"),
+    ("vocabulary", "", "vocabulary is empty"),
     ("policy", json.dumps({"schema": "policy.v1", "vocabulary": ["</s>", "x"],
                            "logits": [[0, 0], [0, 0]], "stop_token": "</s>"}),
      "record needs a list 'ref_logits' field"),
-], ids=["config", "vocabulary", "policy"])
+    ("seed corpus", '{"tokens": ["x"]}\n{"tokens": ["Bogus"]}\n',
+     "line 2: token 'Bogus' not in vocabulary"),
+    ("resample", corpus_line(GOLDEN_TEST), "line 1: record needs an object 'record' field"),
+    ("split", corpus_line(GOLDEN_TEST) + "\n[1]\n", "line 3: expected a JSON object"),
+    ("subsample", corpus_line(GOLDEN_TEST) + '{"test": 1}\n',
+     "line 2: record needs a string 'test' field"),
+], ids=["config", "vocabulary", "vocabulary-repeats-a-token", "vocabulary-empty", "policy",
+        "seed-corpus", "resample", "split", "subsample"])
 def test_content_a_reader_refuses_is_named_by_its_file(workdir, capsys, reader, text, message):
     Path("input").write_text(text, encoding="utf-8")
-    assert outcome(READERS[reader].argv("input"), capsys) == (2, f"input: {message}")
+    argv = READERS[reader].argv if reader in READERS else WHOLE_INPUT[reader]
+    assert outcome(argv("input"), capsys) == (2, f"input: {message}")

@@ -94,6 +94,20 @@ def test_expression_bodied_method():
     assert any(inv.chain == ("Assert", "IsTrue") for inv in invocations(source))
 
 
+@pytest.mark.parametrize("body, span, diags", [
+    # At end of input the expression statement is empty at the end of the source.
+    (" =>", (37, 37), [("method body missing", 35)]),
+    (" => ;", (38, 39), [("method body missing", 38)]),
+    (" => x.Run();", (38, 46), []),
+], ids=["end-of-input", "semicolon", "expression"])
+def test_an_expression_body_needs_an_expression(body, span, diags):
+    source = "[TestMethod]\npublic void TestRun()" + body
+    tree = parse_test_method(source)
+    assert [(s.kind, s.span) for s in tree.statements()] == [("expression-statement", span)]
+    assert diagnostics(tree) == diags
+    assert check_syntax(source).correct == (not diags)
+
+
 def test_bodiless_method_declaration():
     tree = parse_test_method("[TestMethod]\npublic void TestRun();")
     assert not tree.has_fatal
@@ -335,6 +349,14 @@ HEAD = "[TestMethod]\npublic void T()\n{\n"
     ("    do { } while (x)\n}", [("do", ["block"])], [("do-statement missing ';'", 52)], []),
     ("    do { }\n}", [("do", ["block"])], [("do-statement missing 'while'", 42)], []),
     ("    const int n = 1;\n}", ["local-declaration"], [], []),
+    # Nullable and array types declare locals too.
+    ("    int? n = null;\n}", ["local-declaration"], [], []),
+    ("    int[] xs = { 1 };\n}", ["local-declaration"], [], []),
+    ("    string[,] grid = null;\n}", ["local-declaration"], [], []),
+    # A body that ends in a bare const.
+    ("    const", ["expression-statement"],
+     [("unclosed '{'", 29), ("input ends mid-statement", 35), ("method body not closed", 35)],
+     []),
 ])
 def test_recovered_tree_is_pinned(body, shape, diags, calls):
     source = HEAD + body

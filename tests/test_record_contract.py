@@ -170,7 +170,7 @@ def test_train_toy_seed_tokens_must_be_strings(tmp_path, capsys):
 def test_train_toy_seed_token_outside_the_vocabulary_names_its_line(tmp_path, capsys):
     seed = write_lines(tmp_path / "seed.jsonl", [{"tokens": ["x"]}, {"tokens": ["Bogus"]}])
     assert main(["train-toy", "--seed-corpus", str(seed), "--episodes", "10"]) == 2
-    assert "tqual: line 2: token 'Bogus' not in vocabulary" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"tqual: {seed}: line 2: token 'Bogus' not in vocabulary\n"
 
 
 @pytest.mark.parametrize("command", ["sample", "train-toy"])

@@ -128,6 +128,12 @@ def test_surrogate_epsilon_domain():
         clipped_surrogate(step(1.0, 1.0), 1.0)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.1, 1.5])
+def test_surrogate_grad_epsilon_domain(epsilon):
+    with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1\)"):
+        clipped_surrogate_grad(step(1.0, 1.0), epsilon)
+
+
 def test_surrogate_grad_zero_when_clip_saturates():
     assert clipped_surrogate_grad(step(1.5, 1.0), 0.2) == 0.0
     assert clipped_surrogate_grad(step(0.5, -1.0), 0.2) == 0.0

@@ -31,6 +31,8 @@ KEPT = {
         "scalar reference of criterion 8 and of the PPO pass's differential test; "
         "perfbench/tracing.py patches trainer's binding",
     "rlcore/math.py:kl_divergence": "scalar reference of acceptance criterion 8",
+    "rlcore/math.py:mse_loss": "scalar reference of acceptance criterion 8",
+    "rlcore/math.py:mse_grad": "scalar reference of acceptance criterion 8",
     "rlcore/policy.py:PolicyTable.kl_from_reference":
         "perfbench/tracing.py patches it, and it is the row reference of kl_table",
     "rlcore/policy.py:PolicyTable.log_probs":
