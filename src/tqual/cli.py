@@ -52,17 +52,13 @@ from .rewards import LabeledRecord, resample_balanced, reward_for
 
 __all__ = ["main", "build_parser"]
 
-def _write_lines(path: str | Path | None, lines: Iterable[str]) -> None:
-    """Write each line and a newline to ``path``, or to stdout when ``path``
-    is None or "-".  The lines are written as they come."""
+def _write_jsonl(path: str | Path | None, rows: Iterable[dict]) -> None:
+    """Write each row as one JSON line to ``path``, or to stdout when
+    ``path`` is None or "-".  The rows are written as they come."""
     to_stdout = path is None or path == "-"
     with nullcontext(sys.stdout) if to_stdout else open(path, "w", encoding="utf-8") as out:
-        for line in lines:
-            out.write(line + "\n")
-
-
-def _write_jsonl(path: str | Path | None, rows: Iterable[dict]) -> None:
-    _write_lines(path, map(dump_line, rows))
+        for row in rows:
+            out.write(dump_line(row) + "\n")
 
 
 def _read(path: str, handle: Callable[[dict], Any] = CorpusRecord.from_dict,
@@ -314,7 +310,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
     if args.metrics:
         _write_jsonl(args.metrics, (entry.to_dict() for entry in metrics))
-    _write_lines(args.out, [json.dumps(trained.to_dict(), sort_keys=True)])
+    _write_jsonl(args.out, [trained.to_dict()])
     final = metrics[-1]
     print(
         f"episodes={final.episode} mean_reward={final.mean_reward:.3f} "

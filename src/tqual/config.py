@@ -78,9 +78,6 @@ class TrainConfig:
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
 
 # Every settable key, with the default that gives its value's type.
 _DEFAULTS: dict[str, Any] = {

@@ -518,6 +518,22 @@ def test_train_toy_and_sample_round_trip(tmp_path, capsys):
     assert all("[TestMethod]" in r["test"] for r in rows)
 
 
+def test_a_non_ascii_token_goes_through_train_toy_and_sample(tmp_path, capsys):
+    vocab_path = tmp_path / "vocab.txt"
+    vocab_path.write_text("</s>\né\n;\n", encoding="utf-8")
+    policy_path = tmp_path / "policy.json"
+    assert main(["train-toy", "--episodes", "10", "--max-tokens", "4",
+                 "--vocab-file", str(vocab_path), "--out", str(policy_path)]) == 0
+    text = policy_path.read_text(encoding="utf-8")
+    assert '"é"' in text and "\\u" not in text
+    assert json.loads(text)["vocabulary"] == ["</s>", "é", ";"]
+    capsys.readouterr()
+
+    assert main(["sample", "--policy", str(policy_path), "--count", "20",
+                 "--max-tokens", "4"]) == 0
+    assert any("é" in row["tokens"] for row in read_lines(capsys))
+
+
 def test_train_toy_with_a_tiny_learning_rate_succeeds(tmp_path, capsys):
     # Rows a few ulps from the reference once rounded the KL below zero,
     # which stopped the run with exit 2.

@@ -1,16 +1,23 @@
-"""Linear reward model tests: features, prediction, training behavior."""
+"""Linear reward model tests: features, prediction, the least-squares fit.
+
+Run ``PYTHONPATH=src python tests/test_reward_model.py`` to print the
+held-out agreement of the fit on the toy assertion setup, seeds 1-5.
+"""
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
 import pytest
 
+from toy_setup import TOY_FOCAL, assert_seeded_policy, toy_config
+from tqual.analyzer import analyze
 from tqual.errors import DomainError, InsufficientData
 from tqual.lexer import scan
-from tqual.rlcore.math import mse_grad, mse_loss
-from tqual.rlcore.reward_model import LinearRewardModel, train_reward_model
+from tqual.rlcore.reward_model import MAX_FEATURES, LinearRewardModel, train_reward_model
+from tqual.rlcore.trainer import generate_completions, render_toy_test
 
 WITH_ASSERT = "[TestMethod]\npublic void T()\n{\n    Assert.IsTrue(x);\n}"
 WITHOUT_ASSERT = "[TestMethod]\npublic void T()\n{\n    y.Run();\n}"
@@ -31,13 +38,13 @@ def separable_examples(n: int = 100) -> list[tuple[str, float]]:
 
 
 def test_featurize_counts_significant_tokens_only():
-    model = LinearRewardModel.zeros(("Assert", ";", "x"))
+    model = LinearRewardModel(("Assert", ";", "x"), np.zeros(3), 0.0)
     counts = model.featurize("Assert ( x ) ; // Assert in a comment\n x ;")
     assert counts.tolist() == [1.0, 2.0, 2.0]
 
 
 def test_featurize_ignores_unknown_tokens():
-    model = LinearRewardModel.zeros(("Assert",))
+    model = LinearRewardModel(("Assert",), np.zeros(1), 0.0)
     assert model.featurize("y.Run();").tolist() == [0.0]
 
 
@@ -72,7 +79,7 @@ def test_dict_round_trip():
                                         ("feature_tokens", "Assert")],
                          ids=["missing-bias", "bool-weight", "text-features"])
 def test_model_from_dict_names_the_bad_key(key, value):
-    data = LinearRewardModel.zeros(("Assert",)).to_dict()
+    data = LinearRewardModel(("Assert",), np.zeros(1), 0.0).to_dict()
     if value is None:
         del data[key]
     else:
@@ -81,136 +88,87 @@ def test_model_from_dict_names_the_bad_key(key, value):
         LinearRewardModel.from_dict(data)
 
 
+@pytest.mark.parametrize("weights, bias, field", [("[NaN]", "Infinity", "weights"),
+                                                  ("[Infinity]", "0", "weights"),
+                                                  ("[1.5]", "-Infinity", "bias"),
+                                                  ("[1.5]", "NaN", "bias")])
+def test_model_from_dict_refuses_non_finite_numbers(weights, bias, field):
+    # json.loads reads NaN and Infinity, so the model itself must refuse them.
+    data = json.loads(f'{{"schema": "reward-model.v1", "feature_tokens": ["a"], '
+                      f'"weights": {weights}, "bias": {bias}}}')
+    with pytest.raises(DomainError, match=f"^{field} must be finite$"):
+        LinearRewardModel.from_dict(data)
+
+
 # ── training ─────────────────────────────────────────────────────────
 
 
 def test_training_fits_linearly_separable_rewards():
-    model, history = train_reward_model(separable_examples(), seed=0)
-    assert history, "training should run at least one epoch"
-    assert min(h["val_mse"] for h in history) < 0.05
+    model = train_reward_model(separable_examples())
     assert model.predict(WITH_ASSERT) > 0.5
     assert model.predict(WITHOUT_ASSERT) < 0.5
 
 
-def test_training_history_schema_and_monotone_epochs():
-    _, history = train_reward_model(separable_examples(), seed=0)
-    assert [h["epoch"] for h in history] == list(range(len(history)))
-    assert all(set(h) == {"epoch", "train_mse", "val_mse"} for h in history)
-
-
-def test_training_is_deterministic_per_seed():
-    a, _ = train_reward_model(separable_examples(), seed=5)
-    b, _ = train_reward_model(separable_examples(), seed=5)
-    assert np.array_equal(a.weights, b.weights)
-    assert a.bias == b.bias
-
-
-def test_zero_epochs_returns_untouched_zeros_model():
-    model, history = train_reward_model(separable_examples(), epochs=0, seed=0)
-    assert history == []
-    assert np.all(model.weights == 0.0)
-    assert model.bias == 0.0
+def test_a_reward_linear_in_the_counts_is_recovered():
+    rng = random.Random(7)
+    examples = []
+    for _ in range(30):
+        a, b, c = (rng.randint(0, 5) for _ in range(3))
+        examples.append((" ".join(["a"] * a + ["b"] * b + ["c"] * c), 2 * a - b + 0.5 * c + 3))
+    model = train_reward_model(examples)
+    assert model.feature_tokens == ("a", "b", "c")
+    assert model.weights == pytest.approx([2.0, -1.0, 0.5], rel=0, abs=1e-9)
+    assert model.bias == pytest.approx(3.0, rel=0, abs=1e-9)
 
 
 def test_single_class_rewards_rejected():
     constant = [(f"x{i};", 1.0) for i in range(10)]
     with pytest.raises(InsufficientData):
-        train_reward_model(constant, seed=0)
+        train_reward_model(constant)
 
 
 def test_too_few_examples_rejected():
     with pytest.raises(InsufficientData):
-        train_reward_model([("x;", 1.0)], seed=0)
+        train_reward_model([("x;", 1.0)])
     with pytest.raises(InsufficientData):
-        train_reward_model([], seed=0)
-
-
-def test_bad_hyperparameters_rejected():
-    examples = separable_examples(10)
-    with pytest.raises(DomainError):
-        train_reward_model(examples, learning_rate=0.0, seed=0)
-    with pytest.raises(DomainError):
-        train_reward_model(examples, val_fraction=1.5, seed=0)
-    with pytest.raises(DomainError):
-        train_reward_model(examples, max_features=0, seed=0)
+        train_reward_model([])
 
 
 def test_max_features_caps_the_vocabulary():
-    model, _ = train_reward_model(separable_examples(), max_features=3, seed=0)
-    assert len(model.feature_tokens) == 3
-    assert list(model.feature_tokens) == sorted(model.feature_tokens)
+    # ";" is in every text and each name in one; ties go to the smaller token.
+    examples = [(f"v{i:03d};", float(i % 2)) for i in range(MAX_FEATURES + 88)]
+    model = train_reward_model(examples)
+    assert model.feature_tokens == (";",) + tuple(f"v{i:03d}" for i in range(MAX_FEATURES - 1))
 
 
-def test_early_stopping_respects_patience():
-    _, history = train_reward_model(
-        separable_examples(), epochs=500, patience=5, seed=0
-    )
-    assert len(history) < 500
+# ── the fit against an independent solve ─────────────────────────────
 
 
-def test_a_validation_slice_of_every_example_is_rejected():
-    with pytest.raises(InsufficientData, match="need at least 3 examples to hold 2 out"):
-        train_reward_model(separable_examples(2), val_fraction=0.9, seed=0)
-
-
-# ── the array fit against the list fit it replaced ───────────────────
-
-
-def reference_train_reward_model(examples, *, max_features=512, epochs=500,
-                                 learning_rate=0.1, val_fraction=0.1, patience=25, seed=0):
-    """The fit that lexed each text twice and ran the descent through the
-    scalar ``mse_grad`` and ``mse_loss``, on lists."""
+def reference_train_reward_model(examples):
+    """Count the tokens in dicts, lexing each text twice, and take the
+    minimum-norm least-squares weights of the centred counts from
+    ``np.linalg.pinv``, with the cutoff ``lstsq`` uses by default."""
     frequency = {}
     for text, _ in examples:
         for _, token, _ in scan(text)[0]:
             frequency[token] = frequency.get(token, 0) + 1
     ranked = sorted(frequency, key=lambda t: (-frequency[t], t))
-    model = LinearRewardModel.zeros(tuple(sorted(ranked[:max_features])))
-    if epochs == 0:
-        return model, []
+    features = tuple(sorted(ranked[:MAX_FEATURES]))
 
     def featurize(text):
-        counts = dict.fromkeys(model.feature_tokens, 0)
+        counts = dict.fromkeys(features, 0)
         for _, token, _ in scan(text)[0]:
             if token in counts:
                 counts[token] += 1
-        return np.array([counts[t] for t in model.feature_tokens], dtype=float)
+        return [counts[t] for t in features]
 
-    design = np.stack([featurize(text) for text, _ in examples])
+    design = np.array([featurize(text) for text, _ in examples], dtype=float)
     targets = np.array([float(r) for _, r in examples])
-    order = np.random.default_rng(seed).permutation(len(examples))
-    n_val = max(1, round(val_fraction * len(examples)))
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    means = design[train_idx].mean(axis=0)
-    scales = design[train_idx].std(axis=0)
-    scales[scales == 0] = 1.0
-    scaled = (design - means) / scales
-    x_train, y_train = scaled[train_idx], targets[train_idx]
-    x_val, y_val = scaled[val_idx], targets[val_idx]
-    weights = np.zeros(len(model.feature_tokens))
-    bias = 0.0
-    best = (np.inf, weights.copy(), bias)
-    stale = 0
-    history = []
-    for epoch in range(epochs):
-        preds = x_train @ weights + bias
-        grad_pred = np.array(mse_grad(preds.tolist(), y_train.tolist()))
-        weights -= learning_rate * (x_train.T @ grad_pred)
-        bias -= learning_rate * float(grad_pred.sum())
-        train_mse = mse_loss((x_train @ weights + bias).tolist(), y_train.tolist())
-        val_mse = mse_loss((x_val @ weights + bias).tolist(), y_val.tolist())
-        history.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse})
-        if val_mse < best[0] - 1e-12:
-            best = (val_mse, weights.copy(), bias)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    _, weights, bias = best
-    model.weights = weights / scales
-    model.bias = bias - float((weights * means / scales).sum())
-    return model, history
+    means = design.mean(axis=0)
+    centred = design - means
+    rcond = np.finfo(float).eps * max(centred.shape)
+    weights = np.linalg.pinv(centred, rcond=rcond) @ (targets - targets.mean())
+    return features, weights, targets.mean() - means @ weights
 
 
 FRAGMENTS = ["Assert.IsTrue(x);", "Assert.AreEqual(1, y);", "y.Run();", "var z = new C();",
@@ -228,18 +186,44 @@ def random_examples(rng: random.Random) -> list[tuple[str, float]]:
 
 @pytest.mark.parametrize("case", range(20))
 def test_training_matches_the_list_reference(case):
-    rng = random.Random(case)
-    examples = random_examples(rng)
-    settings = {"max_features": rng.choice([1, 3, 512]), "epochs": rng.choice([0, 5, 200]),
-                "val_fraction": rng.choice([0.1, 0.3]), "patience": rng.choice([3, 25]),
-                "seed": case}
-    model, history = train_reward_model(examples, **settings)
-    expected, expected_history = reference_train_reward_model(examples, **settings)
-    assert model.feature_tokens == expected.feature_tokens
-    assert np.array_equal(model.weights, expected.weights)
-    assert model.bias == expected.bias
-    assert len(history) == len(expected_history)
-    for row, want in zip(history, expected_history):
-        assert row["epoch"] == want["epoch"]
-        assert row["train_mse"] == pytest.approx(want["train_mse"], rel=0, abs=1e-12)
-        assert row["val_mse"] == pytest.approx(want["val_mse"], rel=0, abs=1e-12)
+    # Fragments always pair "(" with ")", so the counts have repeated
+    # columns, and with few examples fewer rows than columns.
+    examples = random_examples(random.Random(case))
+    model = train_reward_model(examples)
+    features, weights, bias = reference_train_reward_model(examples)
+    assert model.feature_tokens == features
+    assert np.max(np.abs(model.weights - weights), initial=0.0) <= 1e-12
+    assert abs(model.bias - bias) <= 1e-12
+
+
+# ── agreement with the analyzer on the toy assertion setup ───────────
+
+
+def _ranks(values) -> np.ndarray:
+    """Ranks from 0, with tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((ends - counts + ends - 1) / 2)[inverse]
+
+
+def held_out_rho(seed: int) -> float:
+    """Spearman ρ between the analyzer's ``has_assertion`` and a model fit
+    on 600 completions of the seeded assertion policy, over the next 200."""
+    cfg = toy_config(seed=seed)
+    completions = generate_completions(assert_seeded_policy(), cfg, seed=seed, count=800)
+    texts = [render_toy_test(c.tokens, TOY_FOCAL) for c in completions]
+    labels = [float(analyze(text, TOY_FOCAL).has_assertion) for text in texts]
+    model = train_reward_model(list(zip(texts[:600], labels[:600])))
+    predictions = [model.predict(text) for text in texts[600:]]
+    return float(np.corrcoef(_ranks(predictions), _ranks(labels[600:]))[0, 1])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_fit_agrees_with_the_analyzer_on_held_out_completions(seed):
+    assert held_out_rho(seed) >= 0.35
+
+
+if __name__ == "__main__":
+    print("seed  held-out rho")
+    for seed in range(1, 6):
+        print(f"{seed:>4}  {held_out_rho(seed):.3f}")

@@ -85,11 +85,6 @@ def test_config_rejects_a_negative_seed_by_name():
         TrainConfig(seed=-1)
 
 
-def test_config_to_dict_round_trips_through_constructor():
-    cfg = toy_config()
-    assert TrainConfig(**cfg.to_dict()) == cfg
-
-
 def test_default_vocab_is_valid_and_small():
     policy = PolicyTable.uniform(DEFAULT_VOCAB)
     assert policy.size <= 200
