@@ -23,17 +23,21 @@ Under fixed weights and settings, a draw's nucleus (the kept token indices and
 their cdf) depends only on the current state and the completion's token
 counts.  A caller that samples many completions from a frozen policy passes
 one draw-table dict to every ``sample_completion`` call: it maps
-``(state, counts.tobytes())`` to that pair, so each nucleus is built once
-and every later draw from it is a single lookup of one uniform.  A table
-stops growing at ``DRAW_TABLE_SIZE`` entries, and greedy decoding never
-reads or fills it.  The draws, and the generator's stream, are the same
-with or without a table.
+``(state, *counts)`` to that pair, so each nucleus is built once.  A miss
+builds it with numpy and stores it as a list of token indices and an
+``array("d")`` cdf, so every draw, hit or miss, is one ``bisect_right`` of
+one uniform with no numpy call.  A table stops growing at
+``DRAW_TABLE_SIZE`` entries, and greedy decoding never reads or fills it.
+The draws, and the generator's stream, are the same with or without a
+table.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -49,8 +53,8 @@ __all__ = ["PolicyTable", "SampledCompletion", "sample_completion"]
 # and used but not stored.
 DRAW_TABLE_SIZE = 512
 
-# (state, token counts as bytes) -> (kept token indices, their cdf).
-DrawTable = dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]]
+# (state, *token counts) -> (kept token indices, their cdf).
+DrawTable = dict[tuple[int, ...], tuple[list[int], array]]
 
 # Below this temperature the softmax is numerically a point mass; decode
 # greedily instead of dividing by ~0.
@@ -203,8 +207,9 @@ def sample_completion(
     settings (see the module docstring); without one, each nucleus is built
     for its draw alone."""
     temperature, top_p, frequency_penalty = cfg.temperature, cfg.top_p, cfg.frequency_penalty
-    counts = np.zeros(policy.size)
-    state = policy.stop_index
+    stop, vocabulary = policy.stop_index, policy.vocabulary
+    counts = [0] * len(vocabulary)
+    state = stop
     tokens: list[str] = []
     states: list[int] = []
     actions: list[int] = []
@@ -215,25 +220,28 @@ def sample_completion(
 
     for _ in range(cfg.max_tokens):
         if greedy:
-            action = int(np.argmax(policy.logits[state] - frequency_penalty * counts))
+            penalties = frequency_penalty * np.array(counts, dtype=float)
+            action = int(np.argmax(policy.logits[state] - penalties))
         else:
-            key = (state, counts.tobytes())
+            key = (state, *counts)
             table = tables.get(key)
             if table is None:
-                adjusted = policy.logits[state] / temperature - frequency_penalty * counts
-                table = _nucleus_table(_softmax(adjusted), top_p)
+                adjusted = (policy.logits[state] / temperature
+                            - frequency_penalty * np.array(counts, dtype=float))
+                keep, cdf = _nucleus_table(_softmax(adjusted), top_p)
+                table = keep.tolist(), array("d", cdf)
                 if len(tables) < DRAW_TABLE_SIZE:
                     tables[key] = table
             keep, cdf = table
-            action = int(keep[cdf.searchsorted(rng.random(), side="right")])
+            action = keep[bisect_right(cdf, rng.random())]
 
         states.append(state)
         actions.append(action)
-        if action == policy.stop_index:
+        if action == stop:
             stopped = True
             break
-        tokens.append(policy.vocabulary[action])
-        counts[action] += 1.0
+        tokens.append(vocabulary[action])
+        counts[action] += 1
         state = action
 
     return SampledCompletion(
@@ -248,7 +256,8 @@ def _nucleus_table(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndar
     """The smallest probability-sorted prefix with mass >= top_p: its token
     indices and their normalised cdf, ending at exactly 1.  For one uniform
     ``u``, ``keep[cdf.searchsorted(u, side="right")]`` is the index that
-    ``rng.choice`` draws from the same nucleus with that uniform."""
+    ``rng.choice`` draws from the same nucleus with that uniform, and
+    ``bisect_right`` on the cdf's floats finds the same position."""
     order = (-probs).argsort(kind="stable")
     cumulative = probs[order].cumsum()
     cut = int(cumulative.searchsorted(top_p, side="left")) + 1

@@ -29,7 +29,10 @@ completions: a nucleus is built once per (state, token counts) key and later
 draws from it are lookups.  A table holds at most ``DRAW_TABLE_SIZE`` (512)
 entries, so a long evaluation or ``tqual sample`` run cannot grow it without
 bound.  Collection groups a batch's steps by state as it scores them, once
-per batch, in the shape every PPO pass over the batch reads.
+per batch, in the shape every PPO pass over the batch reads.  It reads the
+log-prob rows as lists, converted once per batch, so a step costs no numpy
+call, and an episode's KL is one ``np.add.reduce`` over the visited rows
+divided by their count: ``np.mean``'s arithmetic without its overhead.
 
 A PPO pass makes no call per step.  Per state it reads the log-prob row
 once, takes each step's ratio with ``math.exp`` and the clip test of
@@ -212,8 +215,10 @@ def generate_completions(
 
 
 def _episode_kl(kl: np.ndarray, completion: SampledCompletion) -> float:
-    """Mean reference KL over the rows a completion visited."""
-    return float(np.mean(kl[list(completion.states)]))
+    """Mean reference KL over the rows a completion visited: the one
+    ``add.reduce`` and true division by the count that ``np.mean`` makes."""
+    states = completion.states
+    return float(np.add.reduce(kl[list(states)])) / len(states)
 
 
 def _evaluate(
@@ -291,7 +296,7 @@ def train_toy_policy(
 
         start, done = done, min(done + cfg.batch_size, cfg.episodes)
         completions = _sample(work, cfg, rng, done - start)
-        log_probs = work.log_prob_table()
+        log_probs = work.log_prob_table().tolist()
         kl = work.kl_table()
         batch: _Batch = {}
         totals: list[float] = []
@@ -303,7 +308,7 @@ def train_toy_policy(
             advantage = total - baseline
             for state, action in zip(completion.states, completion.actions):
                 batch.setdefault(state, []).append(
-                    (action, float(log_probs[state, action]), advantage)
+                    (action, log_probs[state][action], advantage)
                 )
             steps += len(completion.actions)
 

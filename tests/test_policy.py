@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -330,6 +332,78 @@ def test_nucleus_draw_matches_rng_choice_and_its_stream():
         assert ours.bit_generator.state == reference.bit_generator.state
         draws += 1
     assert draws == 50 * 41
+
+
+def _probe_uniforms(cdf: np.ndarray, source: np.random.Generator):
+    """0.0, every cdf entry exactly, the float on each side of each entry,
+    and seeded uniforms."""
+    yield 0.0
+    for entry in cdf.tolist():
+        yield entry
+        yield math.nextafter(entry, -math.inf)
+        yield math.nextafter(entry, math.inf)
+    yield from source.random(16).tolist()
+
+
+def test_bisect_on_the_stored_cdf_draws_what_searchsorted_draws():
+    # A draw table stores a nucleus as a token list and an array("d") cdf,
+    # and a draw is one bisect_right on it.  Its position equals numpy's
+    # searchsorted for every probe, and for every probe the generator can
+    # return, [0, 1), so does the token drawn.
+    source = np.random.default_rng(31)
+    probes = 0
+    for probs, top_p in _rows(np.random.default_rng(7)):
+        keep, cdf = _nucleus_table(probs, top_p)
+        tokens, floats = keep.tolist(), array("d", cdf)
+        for u in _probe_uniforms(cdf, source):
+            position = bisect_right(floats, u)
+            assert position == int(cdf.searchsorted(u, side="right"))
+            if u < 1.0:
+                assert tokens[position] == int(keep[cdf.searchsorted(u, side="right")])
+                probes += 1
+    assert probes > 50 * 41 * 16
+
+
+class _Uniforms:
+    """A stand-in generator whose ``random()`` returns the given values."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self) -> float:
+        return next(self._values)
+
+
+def test_the_sampler_draws_at_each_probe_what_searchsorted_draws():
+    # A uniform exactly on a cdf entry is where a right and a left bisection
+    # part, and a generator almost never returns one, so the probes are fed
+    # to the sampler's first draw directly.
+    for policy, temperature in ((uniform(), 1.0),
+                                (_random_policy(np.random.default_rng(11), 12), 0.7)):
+        cfg = TrainConfig(max_tokens=1, temperature=temperature, top_p=1.0,
+                          frequency_penalty=0.0)
+        first = policy.logits[policy.stop_index] / temperature
+        keep, cdf = _nucleus_table(policy_module._softmax(first), 1.0)
+        for u in _probe_uniforms(cdf, np.random.default_rng(5)):
+            if u < 1.0:
+                got = sample_completion(policy, _Uniforms([u]), cfg, tables={})
+                assert got.actions == (int(keep[cdf.searchsorted(u, side="right")]),)
+
+
+def test_a_draw_table_maps_state_and_counts_to_a_token_list_and_a_float_array():
+    policy = uniform()
+    cfg = TrainConfig(max_tokens=8, temperature=0.7, top_p=0.9, frequency_penalty=0.5)
+    rng = np.random.default_rng(1)
+    tables: dict = {}
+    for _ in range(20):
+        sample_completion(policy, rng, cfg, tables=tables)
+    assert tables
+    for key, (tokens, cdf) in tables.items():
+        assert len(key) == 1 + policy.size
+        assert all(type(part) is int for part in key)
+        assert tokens and all(type(token) is int for token in tokens)
+        assert isinstance(cdf, array) and cdf.typecode == "d"
+        assert len(cdf) == len(tokens) and cdf[-1] == 1.0
 
 
 # ── the draw table against the per-draw loop it replaced ─────────────

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from test_imports import SRC, TESTS, write_fixtures
 from toy_setup import SEED_CORPUS_ASSERT, VOCAB_ASSERT
+from tqual.config import TrainConfig
 from tqual.corpus import dump_line
 from tqual.parser import parse_test_method
 
@@ -81,7 +82,10 @@ def test_traced_train_toy_samples_and_makes_no_per_step_gradient_call(tmp_path):
         "--properties", "has_assertion", "--episodes", "50", "--max-tokens", "16",
         "--seed", "1", "--out", "policy.json"]])
     assert summary["codes"] == [0]
-    assert summary["calls"]["policy.sample"] > 0
+    # One ``sample_completion`` call per completion through the trainer's
+    # binding, which the tracer wraps: the 50 episodes, then the evaluations
+    # before the first batch and after the last.
+    assert summary["calls"]["policy.sample"] == 50 + 2 * TrainConfig().eval_samples
     # The PPO pass inlines the scalar gradient, so the wrapped binding of
     # clipped_surrogate_grad is never called.
     assert summary["calls"].get("math.surrogate_grad", 0) == 0

@@ -22,7 +22,7 @@ from tqual.rewards import RewardScheme
 from tqual.rlcore import policy as policy_module
 from tqual.rlcore import trainer
 from tqual.rlcore.math import TrajectoryStep, clipped_surrogate_grad
-from tqual.rlcore.policy import PolicyTable
+from tqual.rlcore.policy import PolicyTable, SampledCompletion
 from tqual.rlcore.reward_model import LinearRewardModel
 from tqual.rlcore.trainer import (
     DEFAULT_VOCAB,
@@ -318,6 +318,35 @@ def test_tiny_steps_do_not_round_the_kl_below_zero(learning_rate):
     _, metrics = train_toy_policy(assert_seeded_policy(), reward_fn, cfg, report_fn)
     assert metrics[-1].episode == 100
     assert all(m.mean_kl >= 0.0 for m in metrics)
+
+
+def _kl_rows(source: np.random.Generator):
+    """Seeded KL rows 12 wide, at scales from 1e-8 to 1e2: spread rows, rows
+    with zeros, rows with values below 1e-300, and rows of subnormals."""
+    for trial in range(32):
+        kl = source.exponential(1.0, 12) * 10.0 ** float(source.integers(-8, 3))
+        mask = source.random(12) < 0.5
+        if trial % 4 == 1:
+            kl[mask] = 0.0
+        elif trial % 4 == 2:
+            kl[mask] = source.uniform(0.0, 1e-300, int(mask.sum()))
+        elif trial % 4 == 3:
+            kl = source.integers(0, 1000, 12) * 5e-324
+        yield kl
+
+
+def test_episode_kl_is_np_mean_bit_for_bit():
+    # ``np.add.reduce`` sums pairwise from eight entries on, so every length
+    # from 1 to 64 is checked.
+    source = np.random.default_rng(17)
+    for kl in _kl_rows(np.random.default_rng(3)):
+        for length in range(1, 65):
+            for _ in range(3):
+                states = tuple(source.integers(0, len(kl), length).tolist())
+                completion = SampledCompletion((), states, states, True)
+                got = trainer._episode_kl(kl, completion)
+                assert type(got) is float
+                assert got.hex() == float(np.mean(kl[list(states)])).hex()
 
 
 # ── the PPO pass against the scalar loop ─────────────────────────────

@@ -30,12 +30,17 @@ RUNS = {
     "assert_sampling_knobs": dict(episodes=300, eval_interval=100, eval_samples=30,
                                   seed=5, frequency_penalty=0.0, temperature=1.3,
                                   top_p=0.9),
+    # Greedy decoding draws nothing, so every completion of a batch is the
+    # same; an always-earned reward gives the ascent and the KL work to do.
+    "focal_greedy": dict(episodes=300, eval_interval=100, eval_samples=30, seed=3,
+                         temperature=1e-9, reward="invokes_focal"),
 }
 
 
 def _run(overrides: dict) -> dict[str, str]:
+    overrides = dict(overrides)
     reward_fn, report_fn = make_analyzer_reward(
-        RewardScheme.individual("has_assertion"), TOY_FOCAL
+        RewardScheme.individual(overrides.pop("reward", "has_assertion")), TOY_FOCAL
     )
     trained, metrics = train_toy_policy(
         assert_seeded_policy(), reward_fn, toy_config(**overrides), report_fn
@@ -60,6 +65,10 @@ PINNED = {
     "assert_sampling_knobs": {
         "metrics": "968996373bea277ef41223db4f2285171511253f3fc6da676c60557fc7d4bb21",
         "policy": "2b64ff168c151252c7989d228ed1ad4dc0ec970ac038ae7538495f11e98f369f",
+    },
+    "focal_greedy": {
+        "metrics": "ed238fac7e5cffbdae12d331afefdaa0ac673c3a3f2fe1ce5975f4c51a862027",
+        "policy": "800c686389e88fcc494ae689c9b3c9e227c7ec90c6afb0b355eb04fadae15fa9",
     },
 }
 
