@@ -381,6 +381,74 @@ def test_end_of_input_diagnostic_offsets_are_pinned(body, diags):
     assert diagnostics(tree) == [("unclosed '{'", 29)] + diags
 
 
+# ── the end rule ─────────────────────────────────────────────────────
+#
+# Every statement that is neither a block nor a headed construct ends at its
+# depth-zero ';'; the blocked keywords may also end at their block's '}'.
+# Each body below is the whole method body, closed by the method's '}'.
+
+
+@pytest.mark.parametrize("body, message", [
+    # Keyword statements that stop at the closer without their ';'.
+    ("sut.Run(); return", "statement missing ';'"),
+    ("throw", "statement missing ';'"),
+    ("using", "statement missing ';'"),
+    ("while (x) { break }", "statement missing ';'"),
+    ("while (x) { continue }", "statement missing ';'"),
+    ("goto done", "statement missing ';'"),
+    ("yield return 1", "statement missing ';'"),
+    ("lock (x)", "statement missing ';'"),
+    ("fixed (int* p = a)", "statement missing ';'"),
+    ("unsafe", "statement missing ';'"),
+    ("checked", "statement missing ';'"),
+    ("unchecked", "statement missing ';'"),
+    # Headed constructs with no statement before the closer.
+    ("if (x)", "embedded statement missing"),
+    ("if (a) x(); else", "embedded statement missing"),
+    ("while (x)", "embedded statement missing"),
+    ("for (;;)", "embedded statement missing"),
+    ("foreach (var a in b)", "embedded statement missing"),
+    ("using (x)", "embedded statement missing"),
+    # Keywords that only continue a construct, found starting a statement.
+    ("if (x) a(); b(); else c();", "'else' without its statement"),
+    ("catch { } a();", "'catch' without its statement"),
+    ("finally { } a();", "'finally' without its statement"),
+    ("case 1: a();", "'case' without its statement"),
+])
+def test_a_statement_that_misses_its_end_is_fatal(body, message):
+    source = f"{HEAD}    {body}\n}}"
+    assert [d.message for d in parse_test_method(source).diagnostics] == [message]
+    assert not check_syntax(source).correct
+
+
+@pytest.mark.parametrize("body, shape", [
+    ("return;", ["return"]),
+    ("return x ? 1 : 2;", ["return"]),
+    ("throw new X();", ["throw"]),
+    ("using var x = Make();", ["using-statement"]),
+    ("while (x) { break; }", [("while", [("block", ["unknown-statement"])])]),
+    ("while (x) { continue; }", [("while", [("block", ["unknown-statement"])])]),
+    ("goto done;\n    done: x.B();", ["unknown-statement", "expression-statement"]),
+    ("switch (k) { case 1: goto case 2; case 2: break; }",
+     [("switch", ["unknown-statement", "unknown-statement"])]),
+    ("yield return 1;", ["unknown-statement"]),
+    ("yield break;", ["unknown-statement"]),
+    ("lock (x) { }", ["unknown-statement"]),
+    ("checked { }", ["unknown-statement"]),
+    ("unsafe { }", ["unknown-statement"]),
+    ("fixed (int* p = a) { }", ["unknown-statement"]),
+    ("if (a) x(); else y();", [("if", ["expression-statement", "expression-statement"])]),
+    ("try { } catch (E e) when (f) { } finally { }", [("try", ["block", "block", "block"])]),
+    ("switch (k) { case int n when n > 0: x.A(); break; default: x.B(); break; }",
+     [("switch", ["expression-statement", "unknown-statement",
+                  "expression-statement", "unknown-statement"])]),
+])
+def test_a_statement_that_ends_by_the_rule_is_correct(body, shape):
+    source = f"{HEAD}    {body}\n}}"
+    assert outline(parse_test_method(source).statements()) == shape
+    assert check_syntax(source).correct
+
+
 # ── token diagnostics against the two passes they merged ─────────────
 
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
@@ -756,6 +824,34 @@ def test_nesting_cap_is_the_first_fatal_level():
     assert not inside.has_fatal
     past = parse_test_method(nested_test(MAX_NESTING, "{\n"))
     assert [d.message for d in past.diagnostics] == ["nesting too deep"]
+
+
+# An opener and its closer for each construct that nests, each with a block
+# body: two statement levels per nest.
+_NESTS = {
+    "if": ("if (ready) {\n", "}\n"),
+    "else": ("if (ready) { } else {\n", "}\n"),
+    "while": ("while (ready) {\n", "}\n"),
+    "for": ("for (;;) {\n", "}\n"),
+    "foreach": ("foreach (var item in items) {\n", "}\n"),
+    "using": ("using (var scope = Open()) {\n", "}\n"),
+    "do": ("do {\n", "} while (ready);\n"),
+    "try": ("try {\n", "} finally { }\n"),
+    "switch": ("switch (state) { default: {\n", "}\nbreak;\n}\n"),
+}
+
+
+@pytest.mark.parametrize("construct", list(_NESTS))
+@pytest.mark.parametrize("depth", [(MAX_NESTING - 1) // 2, 10_000])
+def test_every_nesting_construct_stops_at_the_cap(construct, depth):
+    opener, closer = _NESTS[construct]
+    source = ("[TestMethod]\npublic void T()\n{\n" + opener * depth
+              + "sut.Descend(1);\n" + closer * depth + "}")
+    tree = parse_test_method(source)
+    if depth < MAX_NESTING:
+        assert tree.diagnostics == []
+    else:
+        assert [d.message for d in tree.diagnostics] == ["nesting too deep"]
 
 
 @pytest.mark.parametrize("depth", [400, 1000, 10_000])
