@@ -83,6 +83,10 @@ class SyntaxVerdict:
 
 @dataclass
 class MethodNode:
+    """A focal-file method: constructors, finalizers and operators too.  Its
+    name is the identifier just before the parameter list, so an
+    operator's is ""."""
+
     name: str
     span: Span
     sig_end: int  # offset just past the closing ')' of the parameter list

@@ -12,8 +12,12 @@ depth-zero ';', or fatally.  The keywords left outside the subset
 (``break``, ``continue``, ``goto``, ``yield``, ``lock``, ``fixed``,
 ``unsafe``, ``checked``, ``unchecked``) give unknown statements by that
 rule; the last five may also end at the '}' that closes their block.  A
-focal file yields names and spans only: of its classes, methods and their
-signatures, fields and other members.
+switch section needs a statement after its labels.  A focal file yields
+names and spans only: of its classes, methods and their signatures, fields
+and other members.  Each member is read in one scan to its terminator,
+stepping over every '(' group but the parameter list; a '(' first in the
+member's type, or after ',' or a '<' that names no operator, starts a
+tuple type instead.
 
 Every skip over a run of tokens goes through one of two primitives:
 ``_Parser.scan`` walks forward counting depth over a chosen set of
@@ -54,7 +58,7 @@ __all__ = ["parse_test_method", "parse_focal_file", "check_syntax"]
 MODIFIER_WORDS = frozenset(
     """
     public private protected internal static readonly volatile virtual
-    override abstract sealed extern unsafe new const async partial required
+    override abstract sealed extern unsafe new const async partial required ref file
     """.split()
 )
 
@@ -91,7 +95,6 @@ _STATEMENT_END = frozenset({";", ")", "]", "}"})
 _COLON = frozenset({":"})
 _MEMBER_END = frozenset({"(", "=", ";", "{", "=>", "}"})
 _TYPE_BODY = frozenset({"{", ";"})
-_METHOD_BODY = frozenset({"{", ";", "=>"})
 
 # Generic angle brackets: how many angles each opens (> 0) or closes (< 0).
 _ANGLES = {"<": 1, "<<": 2, ">": -1, ">>": -2}
@@ -410,11 +413,11 @@ class _StatementParser(_Parser):
             t = self.peek_text()
             if closing and t == "}":
                 break
-            if labels and t == "case":
+            if labels and (t == "case" or t == "default" and self.peek_text(1) == ":"):
                 self.scan(_COLON)
                 self.accept(":")
-            elif labels and t == "default" and self.peek_text(1) == ":":
-                self.pos += 2
+                if self.peek_text() == "}":
+                    self.fatal("switch section without a statement")
             else:
                 before = self.pos
                 statements.append(self.parse_statement())
@@ -637,15 +640,6 @@ def parse_focal_file(source: str) -> FocalFileTree:
 
 
 class _FocalParser(_Parser):
-    def __init__(self, source: str):
-        super().__init__(source)
-        self.identifiers = [i for i, t in enumerate(self.toks) if t[KIND] is _IDENTIFIER]
-
-    def last_identifier(self, hi: int) -> str:
-        """Text of the last identifier in ``toks[0 .. hi]``, or ""."""
-        k = bisect_right(self.identifiers, hi) - 1
-        return self.toks[self.identifiers[k]][TEXT] if k >= 0 else ""
-
     def _at_type_declaration(self) -> bool:
         k = 0
         while self.peek_text(k) in MODIFIER_WORDS:
@@ -719,6 +713,7 @@ class _FocalParser(_Parser):
         return node
 
     def parse_members(self, node: ClassNode) -> None:
+        toks = self.toks
         while not self.at_end and self.peek_text() != "}":
             member_start = self.pos
             while (tok := self.peek()) is not None and tok[KIND] is _ATTRIBUTE:
@@ -731,21 +726,27 @@ class _FocalParser(_Parser):
             while self.peek_text() in MODIFIER_WORDS:
                 self.advance()
             start = self.pos
-            terminator = self.scan(_MEMBER_END)
-            if terminator == "(":
-                self.parse_method_member(node, member_start)
-            elif terminator == "{":
+            name = None  # set at the parameter list
+            while (terminator := self.scan(_MEMBER_END)) == "(":
+                # The first '(' opens the parameter list, unless it starts a
+                # tuple type: first in the type, or after ',' or a '<' that
+                # names no operator.
+                j = self.pos - 1
+                if name is None and j >= start and (
+                        toks[j][TEXT] not in ("<", ",") or toks[j - 1][TEXT] == "operator"):
+                    if toks[j][TEXT] in (">", ">>"):  # past generic parameters
+                        j = self.angles.get(j, 0) - 1
+                    name = toks[j][TEXT] if j >= start and toks[j][KIND] is _IDENTIFIER else ""
+                    self.scan(pairs=_PARENS, close=")")
+                    sig_end = self.char_span(self.pos - 1, self.pos - 1)[1]
+                else:  # a tuple type, 'new()' or 'base(...)'
+                    self.scan(pairs=_PARENS, close=")")
+            if terminator == "{":
                 self.scan(pairs=_BRACES, close="}")
                 if self.peek_text() == "=":  # auto-property initializer
                     self.to_semicolon()
-                node.others.append(self.char_span(member_start, self.pos - 1))
-            elif terminator in ("}", ""):
-                # No member terminator before the type's end or end of input:
-                # the whole run is one raw member.
-                node.others.append(self.char_span(member_start, self.pos - 1))
-            else:
-                # Only looked ahead: fields and '=>' members are consumed
-                # again from their start.
+            elif terminator in (";", "=", "=>"):
+                # Only looked ahead: consumed again from the start.
                 self.pos = start
                 self.to_semicolon()
                 if self.pos == member_start:
@@ -753,26 +754,13 @@ class _FocalParser(_Parser):
                     # token raw so the loop always makes progress.
                     self.advance()
                     node.others.append(self.char_span(member_start, member_start))
-                else:
-                    members = node.others if terminator == "=>" else node.fields
-                    members.append(self.char_span(member_start, self.pos - 1))
-
-    def parse_method_member(self, node: ClassNode, member_start: int) -> None:
-        """The method whose parameter list opens at the cursor."""
-        j = self.pos - 1
-        if j >= 0 and self.toks[j][TEXT] in (">", ">>"):
-            j = self.angles.get(j, 0) - 1
-        name = self.last_identifier(j)
-        self.scan(pairs=_PARENS, close=")")
-        sig_char_end = self.char_span(self.pos - 1, self.pos - 1)[1]
-
-        # Constraints or nothing until the body.
-        body = self.scan(_METHOD_BODY, pairs=_FLAT)
-        if body == "{":
-            self.scan(pairs=_BRACES, close="}")
-        elif body == "=>":
-            self.to_semicolon()
-        else:
-            self.accept(";")
-        span = self.char_span(member_start, self.pos - 1)
-        node.methods.append(MethodNode(name, span, sig_char_end))
+                    continue
+            # Else no member terminator before the type's end or end of
+            # input: the whole run is one member.
+            span = self.char_span(member_start, self.pos - 1)
+            if name is not None:
+                node.methods.append(MethodNode(name, span, sig_end))
+            elif terminator in (";", "="):
+                node.fields.append(span)
+            else:
+                node.others.append(span)

@@ -14,6 +14,7 @@ import pytest
 
 import tqual
 import tqual.cli as cli
+from test_prompting import TUPLE_CLASS
 from tqual.cli import main
 from tqual.corpus import CorpusRecord, dump_line
 from tqual.rewards import RewardScheme
@@ -159,6 +160,19 @@ def test_prompt_unknown_method_becomes_error_record(tmp_path, capsys):
     assert main(["prompt", str(path)]) == 1
     (row,) = read_lines(capsys)
     assert row["schema"] == "error.v1"
+
+
+def test_prompt_finds_methods_typed_with_tuples(tmp_path, capsys):
+    focal = tmp_path / "Cart.cs"
+    focal.write_text(TUPLE_CLASS)
+    methods = ["CheckoutAsync", "Split", "Count"]
+    path = tmp_path / "wanted.jsonl"
+    path.write_text("".join(
+        dump_line({"focal_path": str(focal), "focal_method": m}) + "\n" for m in methods))
+    assert main(["prompt", str(path)]) == 0
+    rows = read_lines(capsys)
+    assert [(r["schema"], r["focal_method"]) for r in rows] == [
+        ("prompt.v1", m) for m in methods]
 
 
 # ── reward and resample ──────────────────────────────────────────────

@@ -414,6 +414,11 @@ def test_end_of_input_diagnostic_offsets_are_pinned(body, diags):
     ("catch { } a();", "'catch' without its statement"),
     ("finally { } a();", "'finally' without its statement"),
     ("case 1: a();", "'case' without its statement"),
+    # A switch section whose labels end at the switch's '}'.
+    ("switch (k) { case 1: }", "switch section without a statement"),
+    ("switch (k) { default: }", "switch section without a statement"),
+    ("switch (k) { case 1: x(); break; case 2: }", "switch section without a statement"),
+    ("switch (k) { case 1: case 2: }", "switch section without a statement"),
 ])
 def test_a_statement_that_misses_its_end_is_fatal(body, message):
     source = f"{HEAD}    {body}\n}}"
@@ -442,6 +447,11 @@ def test_a_statement_that_misses_its_end_is_fatal(body, message):
     ("switch (k) { case int n when n > 0: x.A(); break; default: x.B(); break; }",
      [("switch", ["expression-statement", "unknown-statement",
                   "expression-statement", "unknown-statement"])]),
+    ("switch (k) { case 1: case 2: x(); break; }",
+     [("switch", ["expression-statement", "unknown-statement"])]),
+    ("switch (k) { case 1 when a > 0: break; }", [("switch", ["unknown-statement"])]),
+    ("switch (k) { }", ["switch"]),
+    ("switch (k) { case 1: { break; } }", [("switch", [("block", ["unknown-statement"])])]),
 ])
 def test_a_statement_that_ends_by_the_rule_is_correct(body, shape):
     source = f"{HEAD}    {body}\n}}"
@@ -647,27 +657,6 @@ def test_indexed_extraction_matches_the_slice_and_two_walks(fragments, data):
 # ── focal file parsing ───────────────────────────────────────────────
 
 
-def reference_last_identifier(toks, hi):
-    """Text of the last identifier in ``toks[0 .. hi]``, or "", by a walk
-    back from ``hi``."""
-    for j in range(hi, -1, -1):
-        if toks[j][KIND] is TokenKind.IDENTIFIER:
-            return toks[j][TEXT]
-    return ""
-
-
-@given(st.lists(st.sampled_from(
-    ["x", "Run", "int", "var", "(", ")", ";", "operator", ">", "=", "1", '"s"', "[A]"]),
-    max_size=30))
-@settings(max_examples=200, deadline=None)
-def test_last_identifier_matches_the_walk_on_every_range(fragments):
-    fp = parser._FocalParser(" ".join(fragments))
-    toks = fp.toks
-    for hi in range(-1, len(toks)):
-        assert fp.last_identifier(hi) == reference_last_identifier(toks, hi)
-
-
-
 def test_upload_command_structure(upload_source):
     tree = parse_focal_file(upload_source)
     assert tree.diagnostics == []
@@ -791,11 +780,83 @@ def members(tree) -> list:
     ("namespace N;\nclass C { int f; }", [("C", (13, 31), [], [(23, 29)], [])], []),
     ("record class R { int f; }", [("R", (0, 25), [], [(17, 23)], [])], []),
     ("class {\n int f; }", [], [("type declaration missing name", 6)]),
+    # Members typed with tuples: a '(' first in the type, or after '<' or
+    # ',', starts a tuple type, not the parameter list.
+    ("class C {\n public (int, int) Split(int n) => (n, n);\n}",
+     [("C", (0, 54), [("Split", "public (int, int) Split(int n);", (11, 52))], [], [])], []),
+    ("class C {\n public async Task<(bool Ok, string Error)> CheckoutAsync(string user) { }\n}",
+     [("C", (0, 86),
+       [("CheckoutAsync",
+         "public async Task<(bool Ok, string Error)> CheckoutAsync(string user);",
+         (11, 84))], [], [])], []),
+    ("class C {\n (int, string)? Find(int id) { return null; }\n}",
+     [("C", (0, 57), [("Find", "(int, string)? Find(int id);", (11, 55))], [], [])], []),
+    ("class C {\n List<(int, int)>[] Pairs() => null;\n}",
+     [("C", (0, 48), [("Pairs", "List<(int, int)>[] Pairs();", (11, 46))], [], [])], []),
+    ("class C {\n private (int Count, decimal Total) _summary;\n}",
+     [("C", (0, 57), [], [(11, 55)], [])], []),
+    ("class C {\n Dictionary<string, (int, int)> _m = new();\n}",
+     [("C", (0, 55), [], [(11, 53)], [])], []),
+    ("class C {\n public (int, int) P { get; set; } = (1, 2);\n}",
+     [("C", (0, 56), [], [], [(11, 54)])], []),
+    ("class C {\n public (int, int) this[int i] => (i, i);\n}",
+     [("C", (0, 53), [], [], [(11, 51)])], []),
+    # Operators are methods named "".
+    ("class C {\n public static C operator +(C a, C b) => a;\n}",
+     [("C", (0, 55), [("", "public static C operator +(C a, C b);", (11, 53))], [], [])], []),
+    ("class C {\n public static bool operator >(C a, C b) => true;\n}",
+     [("C", (0, 61), [("", "public static bool operator >(C a, C b);", (11, 59))], [], [])],
+     []),
+    ("class C {\n public static bool operator <(C a, C b) => true;\n}",
+     [("C", (0, 61), [("", "public static bool operator <(C a, C b);", (11, 59))], [], [])],
+     []),
+    ("class C {\n public static C operator checked +(C a, C b) => a;\n}",
+     [("C", (0, 63), [("", "public static C operator checked +(C a, C b);", (11, 61))],
+       [], [])], []),
+    ("class C {\n public static implicit operator int(C c) => 0;\n}",
+     [("C", (0, 59), [("", "public static implicit operator int(C c);", (11, 57))], [], [])],
+     []),
+    # A constructor's base call is stepped over.
+    ("class C : B {\n public C(int x) : base(x) { }\n}",
+     [("C", (0, 46), [("C", "public C(int x);", (15, 44))], [], [])], []),
+    # 'ref' and 'file' are modifiers, of nested and top-level types alike.
+    ("class Outer {\n public ref struct Inner { public void Stop() { } }\n}",
+     [("Outer", (0, 67), [], [], []),
+      ("Inner", (15, 65), [("Stop", "public void Stop();", (41, 63))], [], [])], []),
+    ("public ref struct S { }\nfile class H { }",
+     [("S", (0, 23), [], [], []), ("H", (24, 40), [], [], [])], []),
 ])
 def test_focal_members_are_pinned(source, classes, diags):
     tree = parse_focal_file(source)
     assert members(tree) == classes
     assert diagnostics(tree) == diags
+
+
+_MEMBER_TYPES = ["int", "(int, int)", "(int Count, decimal Total)?",
+                 "Task<(bool Ok, string Error)>", "Dictionary<string, (int, int)>",
+                 "List<(int, int)>[]"]
+_METHOD_FORMS = ["NAME(int a) { }", "NAME((int, int) p) => x;",
+                 "NAME<T>(T a) where T : new();"]
+_OTHER_FORMS = ["NAME;", "NAME = new();", "NAME { get; set; }", "NAME { get; } = default;",
+                "NAME => x;"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_METHOD_FORMS + _OTHER_FORMS),
+                          st.sampled_from(_MEMBER_TYPES)), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_a_member_reads_the_same_whatever_its_type(members):
+    def read(types: list[str]) -> tuple:
+        source = "class C {\n" + "".join(
+            f" public {t} {form.replace('NAME', f'M{i}')}\n"
+            for i, ((form, _), t) in enumerate(zip(members, types))) + "}"
+        tree = parse_focal_file(source)
+        (cls,) = tree.classes
+        method_types = [t for (form, _), t in zip(members, types) if form in _METHOD_FORMS]
+        return (tree.diagnostics, [m.name for m in cls.methods], len(cls.fields),
+                len(cls.others), [source[m.span[0]:m.sig_end].replace(f" {t} ", " ", 1)
+                                  for m, t in zip(cls.methods, method_types)])
+
+    assert read([t for _, t in members]) == read(["int"] * len(members))
 
 
 # ── nesting cap ──────────────────────────────────────────────────────

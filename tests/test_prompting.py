@@ -152,6 +152,36 @@ def test_level_4_drops_a_nested_class():
     assert render_level(tree, "Run", 4) == "class A {\n    void Run() { }\n}"
 
 
+# A focal class whose members are typed with tuples.
+TUPLE_CLASS = (
+    "public class Cart {\n"
+    "    private (int Count, decimal Total) _summary;\n"
+    "    private readonly Dictionary<string, (int, int)> _holds = new();\n"
+    "    public async Task<(bool Ok, string Error)> CheckoutAsync(string user) { return (true, user); }\n"
+    "    public (int, int) Split(int n) { return (n / 2, n - n / 2); }\n"
+    "    public int Count() => _summary.Count;\n"
+    "}"
+)
+
+
+def test_tuple_typed_members_render_as_methods_and_fields():
+    tree = parse_focal_file(TUPLE_CLASS)
+    assert render_level(tree, "CheckoutAsync", 2) == (
+        "public class Cart {\n"
+        "    private (int Count, decimal Total) _summary;\n"
+        "    private readonly Dictionary<string, (int, int)> _holds = new();\n"
+        "    public async Task<(bool Ok, string Error)> CheckoutAsync(string user) { return (true, user); }\n"
+        "    public (int, int) Split(int n);\n"
+        "    public int Count();\n"
+        "}")
+    assert render_level(tree, "Split", 3) == (
+        "public class Cart {\n"
+        "    public async Task<(bool Ok, string Error)> CheckoutAsync(string user);\n"
+        "    public (int, int) Split(int n) { return (n / 2, n - n / 2); }\n"
+        "    public int Count();\n"
+        "}")
+
+
 def reference_apply_edits(text: str, edits: list[tuple[int, int, str]]) -> str:
     """``_apply_edits`` with the merge of partly overlapping deletions that
     it once had: edits nested inside another are dropped, overlapping

@@ -7,12 +7,16 @@ keeps behaviour keeps every digest; an intended behaviour change updates the
 digest it moves and says why.
 
 Run ``PYTHONPATH=src python tests/test_snapshot.py`` to print the current digests.
+With ``--inputs`` it prints one line per input per family instead: the
+family, the input's index and the digest of that one output.  Diffing that
+listing across two commits names every input a digest move touched.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,8 +100,8 @@ def _digest(values: list) -> str:
 
 PINNED = {
     "cuts": "5dc2235763ce344acf20eb77db2a2e29ad8f50288cc9880b4ded77e569eb34dd",
-    "focal_trees": "1119094d012394a19b5fa275d5c0aaf2329f33ef9f617cebfd1b88995f25801a",
-    "renders": "074b8391abe549866b1131946f03ab408a8625375e36122b1dafb40e1a42d55f",
+    "focal_trees": "28de87156ff3cb117a9a3d43d1e806a0f7d33f384bf35d5f5c981ab1f1880991",
+    "renders": "6fd45fc6181c44564bb8aa88916d5ebed9a216c163126fa79b463000ed0d9eed",
     "reports": "0dca2afb1903724c70429f0019dd581486f7fa5909d36f373059dcaf9c7faa4e",
     "test_trees": "afbce26b530c43fcf7e211a69a5ad731412eb53b8e21deda43f2932e87361d87",
     "tokens": "0042ee6646821ed77c43dd9eba93a27bdc730fd40f1f14e5968f0cc758321b9c",
@@ -115,5 +119,11 @@ def test_snapshot_digest(digests, family):
 
 
 if __name__ == "__main__":
-    for family, digest in sorted({f: _digest(v) for f, v in _outputs().items()}.items()):
-        print(f'    "{family}": "{digest}",')
+    outputs = sorted(_outputs().items())
+    if sys.argv[1:] == ["--inputs"]:
+        for family, values in outputs:
+            for index, value in enumerate(values):
+                print(family, index, _digest([value]))
+    else:
+        for family, values in outputs:
+            print(f'    "{family}": "{_digest(values)}",')
