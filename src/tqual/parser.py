@@ -729,18 +729,20 @@ class _FocalParser(_Parser):
             name = None  # set at the parameter list
             while (terminator := self.scan(_MEMBER_END)) == "(":
                 # The first '(' opens the parameter list, unless it starts a
-                # tuple type: first in the type, or after ',' or a '<' that
-                # names no operator.
+                # tuple type: first in the type, after ',' or a '<' that
+                # names no operator, or after 'operator' when another '('
+                # group follows its own (a tuple conversion).
                 j = self.pos - 1
-                if name is None and j >= start and (
-                        toks[j][TEXT] not in ("<", ",") or toks[j - 1][TEXT] == "operator"):
+                self.scan(pairs=_PARENS, close=")")
+                tuple_type = (j < start
+                              or toks[j][TEXT] in ("<", ",") and toks[j - 1][TEXT] != "operator"
+                              or toks[j][TEXT] == "operator" and self.peek_text() == "(")
+                if name is None and not tuple_type:
                     if toks[j][TEXT] in (">", ">>"):  # past generic parameters
                         j = self.angles.get(j, 0) - 1
                     name = toks[j][TEXT] if j >= start and toks[j][KIND] is _IDENTIFIER else ""
-                    self.scan(pairs=_PARENS, close=")")
                     sig_end = self.char_span(self.pos - 1, self.pos - 1)[1]
-                else:  # a tuple type, 'new()' or 'base(...)'
-                    self.scan(pairs=_PARENS, close=")")
+                # Else a tuple type, 'new()' or 'base(...)', already skipped.
             if terminator == "{":
                 self.scan(pairs=_BRACES, close="}")
                 if self.peek_text() == "=":  # auto-property initializer

@@ -1,8 +1,10 @@
 """Scalar training math for the desk-scale RL core.
 
-Everything here is small enough to verify by hand or against finite
-differences; the trainer composes these pieces rather than hiding its own
-arithmetic.
+The trainer runs one function of this module, ``kl_penalized_reward``, once
+per episode.  The rest are scalar references, small enough to verify by hand
+or against finite differences: acceptance criterion 8 checks them, and the
+PPO pass's differential test checks the trainer's array pass against
+``clipped_surrogate_grad`` applied step by step.
 """
 
 from __future__ import annotations

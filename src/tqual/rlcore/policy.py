@@ -24,12 +24,12 @@ their cdf) depends only on the current state and the completion's token
 counts.  A caller that samples many completions from a frozen policy passes
 one draw-table dict to every ``sample_completion`` call: it maps
 ``(state, *counts)`` to that pair, so each nucleus is built once.  A miss
-builds it with numpy and stores it as a list of token indices and an
-``array("d")`` cdf, so every draw, hit or miss, is one ``bisect_right`` of
-one uniform with no numpy call.  A table stops growing at
-``DRAW_TABLE_SIZE`` entries, and greedy decoding never reads or fills it.
-The draws, and the generator's stream, are the same with or without a
-table.
+builds it with numpy from one sort of the row and stores it as a list of
+token indices and an ``array("d")`` cdf copied from the cdf's bytes, so
+every draw, hit or miss, is one ``bisect_right`` of one uniform with no
+numpy call.  A table stops growing at ``DRAW_TABLE_SIZE`` entries, and
+greedy decoding never reads or fills it.  The draws, and the generator's
+stream, are the same with or without a table.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def sample_completion(
                 adjusted = (policy.logits[state] / temperature
                             - frequency_penalty * np.array(counts, dtype=float))
                 keep, cdf = _nucleus_table(_softmax(adjusted), top_p)
-                table = keep.tolist(), array("d", cdf)
+                table = keep.tolist(), array("d", cdf.tobytes())
                 if len(tables) < DRAW_TABLE_SIZE:
                     tables[key] = table
             keep, cdf = table
@@ -259,13 +259,12 @@ def _nucleus_table(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndar
     ``rng.choice`` draws from the same nucleus with that uniform, and
     ``bisect_right`` on the cdf's floats finds the same position."""
     order = (-probs).argsort(kind="stable")
-    cumulative = probs[order].cumsum()
-    cut = int(cumulative.searchsorted(top_p, side="left")) + 1
-    keep = order[:cut]
-    kept = probs[keep]
+    ranked = probs[order]
+    cut = int(ranked.cumsum().searchsorted(top_p, side="left")) + 1
+    kept = ranked[:cut]
     cdf = (kept / kept.sum()).cumsum()
     if not math.isfinite(cdf[-1]):
         raise DomainError("next-token distribution is not finite; the logits overflowed")
     cdf /= cdf[-1]
-    return keep, cdf
+    return order[:cut], cdf
 

@@ -28,17 +28,16 @@ reason ``_sample`` draws each collected batch, and each
 completions: a nucleus is built once per (state, token counts) key and later
 draws from it are lookups.  A table holds at most ``DRAW_TABLE_SIZE`` (512)
 entries, so a long evaluation or ``tqual sample`` run cannot grow it without
-bound.  Collection groups a batch's steps by state as it scores them, once
-per batch, in the shape every PPO pass over the batch reads.  It reads the
-log-prob rows as lists, converted once per batch, so a step costs no numpy
-call, and an episode's KL is one ``np.add.reduce`` over the visited rows
-divided by their count: ``np.mean``'s arithmetic without its overhead.
+bound.
 
-A PPO pass makes no call per step.  Per state it reads the log-prob row
-once, takes each step's ratio with ``math.exp`` and the clip test of
-``clipped_surrogate_grad`` inline, and sums the kept steps' gradient terms
-with one sequential ``np.add.accumulate``, so every float of the update
-equals that of calling ``clipped_surrogate_grad`` step by step.
+Collection builds each batch once, in the shape every PPO pass over it
+reads: four flat arrays in collection order, of states, actions, old
+log-probs (one gather from the batch's ``log_prob_table``) and advantages
+(one ``np.repeat`` over the episode lengths).  The episode KLs of a batch
+or an evaluation take one ``np.add.reduce`` per distinct episode length:
+per episode, the arithmetic of ``np.mean``.  A PPO pass is a fixed set of
+whole-batch array calls with no loop over states or steps, bit-identical to
+``clipped_surrogate_grad`` applied step by step (see ``_ascend``).
 
 ``TrainConfig`` is defined in ``tqual.config``, which must not import numpy,
 and is re-exported here.  Its range checks are the only ones the decoding
@@ -52,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -81,9 +81,6 @@ __all__ = [
 
 RewardFn = Callable[[Sequence[str]], float]
 ReportFn = Callable[[Sequence[str]], QualityReport]
-# A PPO batch: each state's (action, old log-prob, advantage) steps, in
-# collection order.
-_Batch = dict[int, list[tuple[int, float, float]]]
 
 # Most reports one analyzer reward keeps.  A 2000-episode toy run renders a
 # few hundred distinct texts; past the bound the oldest report is dropped.
@@ -214,11 +211,22 @@ def generate_completions(
     return _sample(policy, cfg, np.random.default_rng(seed), count)
 
 
-def _episode_kl(kl: np.ndarray, completion: SampledCompletion) -> float:
-    """Mean reference KL over the rows a completion visited: the one
-    ``add.reduce`` and true division by the count that ``np.mean`` makes."""
-    states = completion.states
-    return float(np.add.reduce(kl[list(states)])) / len(states)
+def _episode_kls(kl: np.ndarray, completions: Sequence[SampledCompletion]) -> list[float]:
+    """Each completion's mean reference KL over the rows it visited.
+
+    Completions of one length are reduced together: one ``np.add.reduce``
+    along the rows of their visited entries, and true division by the
+    length.  A row's reduce is the 1-D reduce of that row, so each value is
+    the one ``add.reduce`` and division that ``np.mean`` makes.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, completion in enumerate(completions):
+        by_length.setdefault(len(completion.states), []).append(i)
+    kls = np.empty(len(completions))
+    for length, rows in by_length.items():
+        visited = kl[np.array([completions[i].states for i in rows])]
+        kls[rows] = np.add.reduce(visited, axis=1) / length
+    return kls.tolist()
 
 
 def _evaluate(
@@ -236,7 +244,7 @@ def _evaluate(
     )
     kl = policy.kl_table()
     rewards = [reward_fn(c.tokens) for c in completions]
-    kls = [_episode_kl(kl, c) for c in completions]
+    kls = _episode_kls(kl, completions)
 
     quality, frequencies = None, {}
     if report_fn is not None:
@@ -296,70 +304,71 @@ def train_toy_policy(
 
         start, done = done, min(done + cfg.batch_size, cfg.episodes)
         completions = _sample(work, cfg, rng, done - start)
-        log_probs = work.log_prob_table().tolist()
-        kl = work.kl_table()
-        batch: _Batch = {}
-        totals: list[float] = []
-        steps = 0
-        for completion in completions:
-            raw = float(reward_fn(completion.tokens))
-            total = kl_penalized_reward(raw, _episode_kl(kl, completion), cfg.beta)
-            totals.append(total)
-            advantage = total - baseline
-            for state, action in zip(completion.states, completion.actions):
-                batch.setdefault(state, []).append(
-                    (action, log_probs[state][action], advantage)
-                )
-            steps += len(completion.actions)
+        kls = _episode_kls(work.kl_table(), completions)
+        totals = [kl_penalized_reward(float(reward_fn(c.tokens)), kl, cfg.beta)
+                  for c, kl in zip(completions, kls)]
+        states = np.fromiter(chain.from_iterable(c.states for c in completions), np.intp)
+        actions = np.fromiter(chain.from_iterable(c.actions for c in completions), np.intp)
+        old_log_probs = work.log_prob_table()[states, actions]
+        advantages = np.repeat(np.array(totals) - baseline,
+                               [len(c.actions) for c in completions])
 
         baseline = cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * float(
             np.mean(totals)
         )
         for _ in range(cfg.ppo_epochs):
-            _ascend(work, batch, steps, cfg)
+            _ascend(work, states, actions, old_log_probs, advantages, cfg)
 
 
-def _ascend(policy: PolicyTable, batch: _Batch, steps: int, cfg: TrainConfig) -> None:
+def _ascend(
+    policy: PolicyTable,
+    states: np.ndarray,
+    actions: np.ndarray,
+    old_log_probs: np.ndarray,
+    advantages: np.ndarray,
+    cfg: TrainConfig,
+) -> None:
     """One gradient-ascent pass of the clipped surrogate over a batch of
-    ``steps`` steps grouped by state.
+    steps, given as flat arrays in collection order.
 
-    Each state's row is one array computation.  A step's ratio and clip
-    test are those of ``clipped_surrogate_grad``, taken with ``math.exp``
-    (numpy's ``exp`` may differ in the last bit) on the row's Python
-    floats, and a step whose gradient ``g`` is zero is dropped.  The kept
-    steps become a matrix of terms, per step ``-g * probs[state]`` and then
-    ``g`` at its action and ``0.0`` elsewhere.  ``np.add.accumulate`` sums
-    the rows in order, so its last row is, float for float, what
-    ``grad[state] -= g * probs[state]; grad[state, action] += g`` gives
-    step by step from a zeroed row: ``x - y`` is ``x + (-y)``, and adding
-    ``0.0`` changes only a ``-0.0``.  A first term can leave ``-0.0`` where
-    ``0.0 - 0.0`` gives ``+0.0``, but the step's second row adds ``0.0`` or
-    ``g`` there, and from then on no sum is ``-0.0``.
+    Every float equals that of ``clipped_surrogate_grad`` applied step by
+    step.  The ratios are taken with ``math.exp``, because numpy's ``exp``
+    may differ in the last bit.  The clip test's strict comparisons become
+    a mask, and a step is kept when it passes and its gradient ``g = ratio
+    * advantage`` is non-zero.  A kept step's terms are ``g * -probs[state]``
+    for each cell of its state's row, then ``g`` for its action's cell; one
+    ``np.add.at`` over the flattened gradient (its fast form) adds them in
+    index order.  So each cell sums its terms in collection order from
+    ``+0.0``, as ``grad[state] -= g * probs[state]; grad[state, action] +=
+    g`` does: ``x - y`` is ``x + (-y)`` and ``g * -p`` is ``-(g * p)``.
+    ``np.add.reduceat`` does not sum in sequence, and differs in the last
+    bit.  A dropped step adds nothing, as in the scalar loop (its terms
+    would be zeros, which leave a sum begun at ``+0.0`` unchanged), but it
+    counts in the step total that divides the update.  The update is
+    applied even when no step is kept: it turns ``-0.0`` logits into
+    ``+0.0``.
     """
+    steps = len(states)
     if not steps:
         return
-    grad = np.zeros_like(policy.logits)
+    size = policy.size
     log_probs = policy.log_prob_table()
-    probs = np.exp(log_probs)
+    log_ratios = (log_probs[states, actions] - old_log_probs).tolist()
+    ratios = np.fromiter(map(math.exp, log_ratios), float, steps)
     lo, hi = 1 - cfg.epsilon, 1 + cfg.epsilon
-    for state, group in batch.items():
-        row = log_probs[state].tolist()
-        actions: list[int] = []
-        gains: list[float] = []
-        for action, logprob_old, advantage in group:
-            ratio = math.exp(row[action] - logprob_old)
-            if advantage >= 0 and ratio > hi or advantage < 0 and ratio < lo:
-                continue
-            g = ratio * advantage
-            if g != 0.0:
-                actions.append(action)
-                gains.append(g)
-        if not gains:
-            continue
-        k = len(gains)
-        terms = np.zeros((2 * k, policy.size))
-        terms[0::2] = -(np.array(gains)[:, None] * probs[state])
-        terms[np.arange(1, 2 * k, 2), actions] = gains
-        grad[state] = np.add.accumulate(terms)[-1]
-
-    policy.logits = policy.logits + cfg.learning_rate * grad / steps
+    clipped = ((advantages >= 0) & (ratios > hi)) | ((advantages < 0) & (ratios < lo))
+    gains = ratios * advantages
+    kept = ~clipped & (gains != 0.0)
+    gains, kept_states = gains[kept], states[kept]
+    # Row s: the factors of g in a step's terms from state s; the last
+    # column is its action's cell.
+    factors = np.empty((size, size + 1))
+    factors[:, :size] = -np.exp(log_probs)
+    factors[:, size] = 1.0
+    first = kept_states * size
+    cells = np.empty((len(gains), size + 1), dtype=np.intp)
+    cells[:, :size] = first[:, None] + np.arange(size)
+    cells[:, size] = first + actions[kept]
+    grad = np.zeros(size * size)
+    np.add.at(grad, cells.ravel(), (gains[:, None] * factors[kept_states]).ravel())
+    policy.logits = policy.logits + cfg.learning_rate * grad.reshape(size, size) / steps

@@ -825,6 +825,10 @@ def members(tree) -> list:
       ("Inner", (15, 65), [("Stop", "public void Stop();", (41, 63))], [], [])], []),
     ("public ref struct S { }\nfile class H { }",
      [("S", (0, 23), [], [], []), ("H", (24, 40), [], [], [])], []),
+    # A conversion to a tuple type: the '(' after 'operator' starts the type.
+    ("class C {\n public static implicit operator (int, int)(C c) => (0, 0);\n}",
+     [("C", (0, 71),
+       [("", "public static implicit operator (int, int)(C c);", (11, 69))], [], [])], []),
 ])
 def test_focal_members_are_pinned(source, classes, diags):
     tree = parse_focal_file(source)

@@ -335,18 +335,29 @@ def _kl_rows(source: np.random.Generator):
         yield kl
 
 
-def test_episode_kl_is_np_mean_bit_for_bit():
+def test_episode_kls_are_np_mean_bit_for_bit():
     # ``np.add.reduce`` sums pairwise from eight entries on, so every length
-    # from 1 to 64 is checked.
+    # from 1 to 64 occurs.  One batch mixes the lengths in a shuffled order,
+    # with one length drawn once and the rest three times; the others hold
+    # one length only.
     source = np.random.default_rng(17)
     for kl in _kl_rows(np.random.default_rng(3)):
-        for length in range(1, 65):
-            for _ in range(3):
-                states = tuple(source.integers(0, len(kl), length).tolist())
-                completion = SampledCompletion((), states, states, True)
-                got = trainer._episode_kl(kl, completion)
-                assert type(got) is float
-                assert got.hex() == float(np.mean(kl[list(states)])).hex()
+        once = int(source.integers(1, 65))
+        mixed = [n for n in range(1, 65) for _ in range(1 if n == once else 3)]
+        batches = [source.permutation(mixed).tolist()]
+        batches += [[n] * 5 for n in (1, 7, 8, 9, 33, 64)]
+        for lengths in batches:
+            completions = [
+                SampledCompletion((), states, states, True)
+                for states in (tuple(source.integers(0, len(kl), n).tolist())
+                               for n in lengths)
+            ]
+            got = trainer._episode_kls(kl, completions)
+            assert len(got) == len(completions)
+            for value, completion in zip(got, completions):
+                want = float(np.mean(kl[list(completion.states)]))
+                assert type(value) is float
+                assert value.hex() == want.hex()
 
 
 # ── the PPO pass against the scalar loop ─────────────────────────────
@@ -392,13 +403,15 @@ def _old_for_ratio(new, target):
 
 @st.composite
 def _ppo_passes(draw):
-    """A policy, a batch grouped by state and a config for one PPO pass.
+    """A policy, a batch of steps in collection order and a config for one
+    PPO pass.
 
     Logits span scales where rows are near uniform to scales where some
     probabilities underflow to zero, with some entries set to ``+0.0`` or
     ``-0.0`` so a gradient's sign of zero shows in the updated logits.
-    States repeat, advantages take both signs and both zeros, and old
-    log-probs put ratios at 1, at the clip edges and anywhere between.
+    States repeat and interleave, advantages take both signs and both
+    zeros, and old log-probs put ratios at 1, at the clip edges and anywhere
+    between.  A step is ``(state, action, old log-prob, advantage)``.
     """
     size = draw(st.integers(2, 8))
     scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 5.0, 30.0, 1000.0]))
@@ -418,10 +431,9 @@ def _ppo_passes(draw):
     log_probs = policy.log_prob_table()
     advantages = (st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
                   | st.floats(-1e-300, 1e-300))
-    batch: dict[int, list[tuple[int, float, float]]] = {}
-    steps = draw(st.integers(0, 24))
+    steps: list[tuple[int, int, float, float]] = []
     distinct_states = draw(st.integers(1, size))
-    for _ in range(steps):
+    for _ in range(draw(st.integers(0, 24))):
         state = draw(st.integers(0, distinct_states - 1))
         action = draw(st.integers(0, size - 1))
         new = float(log_probs[state, action])
@@ -432,18 +444,26 @@ def _ppo_passes(draw):
             old = new + draw(st.floats(-1.0, 1.0))
         else:
             old = _old_for_ratio(new, 1 + epsilon if kind == "hi" else 1 - epsilon)
-        batch.setdefault(state, []).append((action, old, draw(advantages)))
-    return policy, batch, steps, cfg
+        steps.append((state, action, old, draw(advantages)))
+    return policy, steps, cfg
 
 
 @given(_ppo_passes())
 @settings(max_examples=400, deadline=None)
 def test_ppo_pass_matches_the_scalar_loop_bit_for_bit(case):
-    policy, batch, steps, cfg = case
+    policy, steps, cfg = case
+    # The pass reads flat arrays in collection order; the reference reads
+    # each state's steps grouped, in the same order.
+    columns = list(zip(*steps)) or [()] * 4
+    states, actions = (np.array(column, dtype=np.intp) for column in columns[:2])
+    old, advantages = (np.array(column, dtype=float) for column in columns[2:])
+    batch: dict[int, list[tuple[int, float, float]]] = {}
+    for state, action, logprob_old, advantage in steps:
+        batch.setdefault(state, []).append((action, logprob_old, advantage))
     fast, slow = policy.copy(), policy.copy()
     with np.errstate(all="ignore"):
-        trainer._ascend(fast, batch, steps, cfg)
-        _scalar_ascend(slow, batch, steps, cfg)
+        trainer._ascend(fast, states, actions, old, advantages, cfg)
+        _scalar_ascend(slow, batch, len(steps), cfg)
     assert np.array_equal(fast.logits, slow.logits, equal_nan=True)
     assert np.array_equal(np.signbit(fast.logits), np.signbit(slow.logits))
 
