@@ -12,12 +12,15 @@ depth-zero ';', or fatally.  The keywords left outside the subset
 (``break``, ``continue``, ``goto``, ``yield``, ``lock``, ``fixed``,
 ``unsafe``, ``checked``, ``unchecked``) give unknown statements by that
 rule; the last five may also end at the '}' that closes their block.  A
-switch section needs a statement after its labels.  A focal file yields
-names and spans only: of its classes, methods and their signatures, fields
-and other members.  Each member is read in one scan to its terminator,
-stepping over every '(' group but the parameter list; a '(' first in the
-member's type, or after ',' or a '<' that names no operator, starts a
-tuple type instead.
+switch section needs a statement after its labels.
+
+One reader, ``_Parser.read_header``, reads the test method's header and
+each focal member's.  The test method's name must be an identifier after
+none or one type: predefined, a tuple, or a name of parts joined by '.' or
+'::', each with any generic arguments; then any '?', '*' and array ranks.
+Else the header is fatal, and its tokens are read as statements from the
+first one after the modifiers.  Of a focal file only names and spans are
+kept: of classes, methods and signatures, fields and other members.
 
 Every skip over a run of tokens goes through one of two primitives:
 ``_Parser.scan`` walks forward counting depth over a chosen set of
@@ -98,6 +101,8 @@ _TYPE_BODY = frozenset({"{", ";"})
 
 # Generic angle brackets: how many angles each opens (> 0) or closes (< 0).
 _ANGLES = {"<": 1, "<<": 2, ">": -1, ">>": -2}
+# Punctuation a tuple type or a generic argument list may hold.
+_TYPE_PUNCTUATION = frozenset({*",.?[]*()", "::", *_ANGLES})
 
 _HEADED = {"if": "if", "while": "while", "for": "for", "foreach": "foreach",
            "using": "using-statement"}
@@ -210,6 +215,24 @@ class _Parser:
         self.scan(_STATEMENT_END)
         self.accept(";")
 
+    def read_header(self) -> int | None:
+        """Read a member header to past its parameter list, the first depth-zero
+        '(' group that starts no tuple type (as one first in the type, after ','
+        or a '<' naming no operator, or after 'operator' before another '(').
+        The name's index, -1 if no identifier precedes the list and its generic
+        parameters, or None at a member terminator or the end of input."""
+        toks, start = self.toks, self.pos
+        while self.scan(_MEMBER_END) == "(":
+            j = self.pos - 1
+            self.scan(pairs=_PARENS, close=")")
+            if not (j < start
+                    or toks[j][TEXT] in ("<", ",") and toks[j - 1][TEXT] != "operator"
+                    or toks[j][TEXT] == "operator" and self.peek_text() == "("):
+                if toks[j][TEXT] in (">", ">>"):  # past generic parameters
+                    j = self.angles.get(j, 0) - 1
+                return j if j >= start and toks[j][KIND] is _IDENTIFIER else -1
+        return None
+
     def fatal(self, message: str) -> None:
         self.diags.append(SyntaxDiagnostic(message, self.offset()))
 
@@ -224,46 +247,53 @@ class _Parser:
         return True
 
 
-def _type_end(toks: list[Row], angles: dict[int, int], k: int, *, strict: bool) -> int:
-    """Index just past the type reference at ``toks[k]`` (predefined type or
-    dotted name, generic arguments, ``?``, array ranks), or -1 when there is
-    none.  ``strict`` also gives -1 for generic arguments that are not
-    type-like and for an array rank left open.  ``angles`` is the angle
-    table of ``toks``; an unclosed ``<`` runs to the end."""
+def _type_end(toks: list[Row], angles: dict[int, int], k: int) -> int:
+    """Index just past the type at ``toks[k]`` (see the module docstring), or
+    -1.  Its tuple and generic argument lists are read by ``_group_end``."""
     n = len(toks)
-    if k >= n:
-        return -1
-    kind, text, _ = toks[k]
-    if kind is _KEYWORD and text in PREDEFINED_TYPES:
+    if k < n and toks[k][TEXT] == "(":
+        k = _group_end(toks, angles, k)
+    elif k < n and toks[k][KIND] is _KEYWORD and toks[k][TEXT] in PREDEFINED_TYPES:
         k += 1
-    elif kind is _IDENTIFIER:
-        k += 1
-        while k + 1 < n and toks[k][TEXT] == "." and toks[k + 1][KIND] is _IDENTIFIER:
-            k += 2
-    else:
-        return -1
-    if k < n and toks[k][TEXT] == "<":
-        end = angles.get(k, n - 1) + 1
-        # By index: a slice of an unclosed '<' copies the rest of the stream.
-        if strict and not all(
-                kind is _IDENTIFIER or kind is _KEYWORD
-                or text in (",", ".", "?", "[", "]") or text in _ANGLES
-                for kind, text, _ in map(toks.__getitem__, range(k + 1, end))):
-            return -1
-        k = end
-    if k < n and toks[k][TEXT] == "?":
-        k += 1
-    while k < n and toks[k][TEXT] == "[":
-        k += 1
-        while k < n and toks[k][TEXT] == ",":
+    else:  # a name: parts joined by '.' or '::', each with its generic arguments
+        while k < n and toks[k][KIND] is _IDENTIFIER:
             k += 1
-        if k < n and toks[k][TEXT] == "]":
+            if k < n and toks[k][TEXT] == "<":
+                k = _group_end(toks, angles, k)
+            if not 0 <= k < n or toks[k][TEXT] not in (".", "::"):
+                break
             k += 1
-        elif strict:
+        else:  # no name part where one must be
             return -1
-        else:
-            break
-    return k
+    in_rank = False  # between an array rank's '[' and its ']'
+    while 0 <= k < n and toks[k][TEXT] in ((",", "]") if in_rank else ("?", "*", "[")):
+        in_rank = toks[k][TEXT] in ("[", ",")
+        k += 1
+    return -1 if in_rank else k  # k is -1 after a refused group
+
+
+def _group_end(toks: list[Row], angles: dict[int, int], k: int) -> int:
+    """Index just past the tuple or generic argument list opened at
+    ``toks[k]``, or -1 at a token in it that is not an identifier, keyword or
+    ``_TYPE_PUNCTUATION`` or that closes a group opened before it (so no open
+    '(' or '<' reads past its statement), or for a one-element tuple.  A
+    tuple steps over its argument lists through the angle table."""
+    is_tuple = toks[k][TEXT] == "("
+    end = len(toks) if is_tuple else angles.get(k, len(toks) - 1) + 1
+    depth = commas = 0
+    while 0 <= k < end:  # -1 from an argument list ends a tuple's walk
+        kind, text, _ = toks[k]
+        if is_tuple and text in _ANGLES:  # a '<' and its generic arguments
+            k = _group_end(toks, angles, k) if text == "<" else -1
+            continue
+        depth += _ALL.get(text, 0)
+        if depth < 0 or not (kind is _IDENTIFIER or kind is _KEYWORD or text in _TYPE_PUNCTUATION):
+            return -1
+        commas += depth == 1 and text == ","
+        if is_tuple and depth == 0:
+            return k + 1 if commas else -1
+        k += 1
+    return -1 if is_tuple else end
 
 
 # ── shared checks ────────────────────────────────────────────────────────
@@ -436,6 +466,10 @@ class _StatementParser(_Parser):
             return self._make("unknown-statement", start,
                               expr=(start, self._consume_simple_statement("}")))
         self.depth += 1
+        if (text == "await" and self.peek_text(1) in ("foreach", "using")
+                and self.peek_text(2) == "("):  # an awaited headed statement
+            self.advance()  # its span keeps the 'await'
+            text = self.peek_text()
         if text == "{":
             self.advance()
             stmt = self._make("block", start, children=self.parse_block("block not closed"))
@@ -548,14 +582,10 @@ class _StatementParser(_Parser):
 
     def _looks_like_declaration(self) -> bool:
         toks = self.toks
-        k = self.pos
-        if k < len(toks) and toks[k][TEXT] == "const":
-            k += 1
-        if k >= len(toks):
-            return False
-        if toks[k][TEXT] == "var" and toks[k][KIND] is _IDENTIFIER:
+        k = self.pos + (toks[self.pos][TEXT] == "const")
+        if k < len(toks) and toks[k][TEXT] == "var" and toks[k][KIND] is _IDENTIFIER:
             return k + 1 < len(toks) and toks[k + 1][KIND] is _IDENTIFIER
-        k = _type_end(toks, self.angles, k, strict=True)
+        k = _type_end(toks, self.angles, k)
         return (0 <= k < len(toks) - 1 and toks[k][KIND] is _IDENTIFIER
                 and toks[k + 1][TEXT] in ("=", ";", ","))
 
@@ -571,49 +601,30 @@ def parse_test_method(source: str) -> TestSyntaxTree:
     while sp.peek_text() in MODIFIER_WORDS:
         sp.advance()
 
-    method_name = ""
     statements: list[Statement] = []
     problem = ""
-
-    type_start = sp.pos
-    type_end = _type_end(sp.toks, sp.angles, type_start, strict=False)
-    if type_end >= 0:
-        sp.pos = type_end
-    name_tok = sp.peek()
-    if name_tok is not None and name_tok[KIND] is _IDENTIFIER:
-        method_name = sp.advance()[TEXT]
-    elif (sp.peek_text() == "(" and sp.pos == type_start + 1
-          and sp.toks[type_start][KIND] is _IDENTIFIER):
-        # Constructor-shaped header: the lone identifier was the name.
-        method_name = sp.toks[type_start][TEXT]
-    else:
-        problem = "malformed method header"
-
-    if not problem:
-        if sp.peek_text() == "<":  # generic test methods: consume and ignore
-            sp.pos = sp.angles.get(sp.pos, len(sp.toks) - 1) + 1
-        if sp.peek_text() == "(":
-            sp._consume_parens()
-        else:
-            problem = "method header missing parameter list"
-
-    if not problem:
-        if sp.accept("{"):
-            statements = sp.parse_block("method body not closed")
-        elif sp.accept("=>"):
-            expr_start = sp.pos
-            if sp.peek_text() in ("", ";"):  # no expression: end of input or '=> ;'
-                sp.fatal("method body missing")
-            end = sp._consume_simple_statement()
-            statements = [sp._make("expression-statement", expr_start, expr=(expr_start, end))]
-        elif not sp.accept(";"):  # a bodiless declaration has nothing to analyze
-            problem = "method body missing"
+    type_start = sp.pos  # where a refused header's tokens are read again
+    name_at = sp.read_header()
+    if name_at is None or name_at < 0 or name_at not in (
+            type_start, _type_end(sp.toks, sp.angles, type_start)):
+        name_at, problem, sp.pos = None, "malformed method header", type_start
+    elif sp.accept("{"):
+        statements = sp.parse_block("method body not closed")
+    elif sp.accept("=>"):
+        expr_start = sp.pos
+        if sp.peek_text() in ("", ";"):  # no expression: end of input or '=> ;'
+            sp.fatal("method body missing")
+        end = sp._consume_simple_statement()
+        statements = [sp._make("expression-statement", expr_start, expr=(expr_start, end))]
+    elif not sp.accept(";"):  # a bodiless declaration has nothing to analyze
+        problem = "method body missing"
 
     if problem or not sp.at_end:
         sp.fatal(problem or "unexpected content after method")
         # Keep parsing so detectors can still see the trailing statements.
         statements += sp.parse_block(None)
 
+    method_name = "" if name_at is None else sp.toks[name_at][TEXT]
     return TestSyntaxTree(method_name, sp.diags, source, sp.comments, statements)
 
 
@@ -713,7 +724,6 @@ class _FocalParser(_Parser):
         return node
 
     def parse_members(self, node: ClassNode) -> None:
-        toks = self.toks
         while not self.at_end and self.peek_text() != "}":
             member_start = self.pos
             while (tok := self.peek()) is not None and tok[KIND] is _ATTRIBUTE:
@@ -726,23 +736,11 @@ class _FocalParser(_Parser):
             while self.peek_text() in MODIFIER_WORDS:
                 self.advance()
             start = self.pos
-            name = None  # set at the parameter list
+            name_at = self.read_header()
+            if name_at is not None:  # then step over 'base(...)' and 'new()'
+                sig_end = self.char_span(self.pos - 1, self.pos - 1)[1]
             while (terminator := self.scan(_MEMBER_END)) == "(":
-                # The first '(' opens the parameter list, unless it starts a
-                # tuple type: first in the type, after ',' or a '<' that
-                # names no operator, or after 'operator' when another '('
-                # group follows its own (a tuple conversion).
-                j = self.pos - 1
                 self.scan(pairs=_PARENS, close=")")
-                tuple_type = (j < start
-                              or toks[j][TEXT] in ("<", ",") and toks[j - 1][TEXT] != "operator"
-                              or toks[j][TEXT] == "operator" and self.peek_text() == "(")
-                if name is None and not tuple_type:
-                    if toks[j][TEXT] in (">", ">>"):  # past generic parameters
-                        j = self.angles.get(j, 0) - 1
-                    name = toks[j][TEXT] if j >= start and toks[j][KIND] is _IDENTIFIER else ""
-                    sig_end = self.char_span(self.pos - 1, self.pos - 1)[1]
-                # Else a tuple type, 'new()' or 'base(...)', already skipped.
             if terminator == "{":
                 self.scan(pairs=_BRACES, close="}")
                 if self.peek_text() == "=":  # auto-property initializer
@@ -760,7 +758,8 @@ class _FocalParser(_Parser):
             # Else no member terminator before the type's end or end of
             # input: the whole run is one member.
             span = self.char_span(member_start, self.pos - 1)
-            if name is not None:
+            if name_at is not None:
+                name = self.toks[name_at][TEXT] if name_at >= 0 else ""
                 node.methods.append(MethodNode(name, span, sig_end))
             elif terminator in (";", "="):
                 node.fields.append(span)

@@ -459,6 +459,48 @@ def test_a_statement_that_ends_by_the_rule_is_correct(body, shape):
     assert check_syntax(source).correct
 
 
+_CALL_BLOCK = ("block", ["expression-statement"])
+
+
+@pytest.mark.parametrize("body, shape, loop", [
+    # 'await' prefixes the headed statement, last or not.
+    ("await foreach (var x in xs) { x.Run(); }", [("foreach", [_CALL_BLOCK])], True),
+    ("await foreach (var x in xs) { x.Run(); }\n    Stop();",
+     [("foreach", [_CALL_BLOCK]), "expression-statement"], True),
+    ("await using (var s = Open()) { s.Run(); }", [("using-statement", [_CALL_BLOCK])], False),
+    ("await using (var s = Open()) { s.Run(); }\n    Stop();",
+     [("using-statement", [_CALL_BLOCK]), "expression-statement"], False),
+    # Without a '(' after the keyword, or with no keyword, nothing changes.
+    ("await using var s = Open();", ["expression-statement"], False),
+    ("await x;", ["local-declaration"], False),
+])
+def test_await_prefixes_a_headed_statement(body, shape, loop):
+    source = f"{HEAD}    {body}\n}}"
+    assert outline(parse_test_method(source).statements()) == shape
+    assert check_syntax(source).correct
+    assert analyze(source, "Run").conditional_or_exception is loop
+
+
+@pytest.mark.parametrize("body, kind", [
+    # Tuple, '::'-qualified, continued-generic and pointer types declare locals.
+    ('(int, string) t = (1, "a");', "local-declaration"),
+    ("global::System.Int32 n = 0;", "local-declaration"),
+    ("A.B<C>.D d = null;", "local-declaration"),
+    ("int* p = &v;", "local-declaration"),
+    ("Dictionary<string, (int, int)> m = null;", "local-declaration"),
+    # A deconstruction and a product stay expressions.
+    ("(a, b) = (b, a);", "expression-statement"),
+    ("Assert.AreEqual(a * b, c);", "expression-statement"),
+    ("(x as IDisposable).Dispose();", "expression-statement"),
+    # A predefined type is a whole name, never a qualified name's part.
+    ("System.int n = 0;", "expression-statement"),
+])
+def test_a_statement_is_a_declaration_when_a_type_and_a_name_start_it(body, kind):
+    source = f"{HEAD}    {body}\n}}"
+    assert outline(parse_test_method(source).statements()) == [kind]
+    assert check_syntax(source).correct
+
+
 # ── token diagnostics against the two passes they merged ─────────────
 
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
@@ -571,6 +613,43 @@ def test_generic_test_method_header(source):
     assert tree.method_name == "T"
     assert not tree.has_fatal
     assert invocations(source) == [Invocation(("x", "Run"))]
+
+
+@pytest.mark.parametrize("header", [
+    "public (int, int) TestA()",
+    "public (int a, int b)[] TestA()",
+    "public global::System.Threading.Tasks.Task TestA()",
+    "public A.B<C>.D TestA()",
+    "public unsafe int* TestA()",
+])
+def test_a_header_returning_any_type_names_its_method(header):
+    tree = parse_test_method(f"[TestMethod]\n{header}\n{{\n    x.Run();\n}}")
+    assert (tree.method_name, tree.diagnostics) == ("TestA", [])
+
+
+@pytest.mark.parametrize("header", [
+    "public void Test Foo()",  # two names
+    "public (1 + 2) TestA()",  # an expression where the type goes
+    "public List<1> TestA()",  # a literal as a generic argument
+    "public int[ TestA()",  # an array rank left open
+    "public void ()",  # no name
+    "public (int) TestA()",  # a tuple of one element
+    "public () TestA()",  # a tuple of none
+    "public (int[,]) TestA()",  # a rank's comma parts no tuple
+    "public (a>, b) TestA()",  # a stray angle in a tuple
+    "public System.int TestA()",  # a predefined type as a qualified name's part
+    "public A::void TestA()",
+])
+def test_a_header_that_is_not_a_type_and_a_name_is_fatal(header):
+    source = f"[TestMethod]\n{header}\n{{\n    x.Run();\n}}"
+    tree = parse_test_method(source)
+    assert not check_syntax(source).correct
+    assert tree.method_name == ""
+    # Statements are read again from the first token after the modifiers.
+    after_modifiers = len("[TestMethod]\npublic ")
+    assert ("malformed method header", after_modifiers) in diagnostics(tree)
+    assert tree.statements()[0].span[0] == after_modifiers
+    assert Invocation(("x", "Run")) in invocations(source)
 
 
 # ── call sites from the '(' index against the slice and two walks ────
@@ -861,6 +940,34 @@ def test_a_member_reads_the_same_whatever_its_type(members):
                                   for m, t in zip(cls.methods, method_types)])
 
     assert read([t for _, t in members]) == read(["int"] * len(members))
+
+
+# Return types: the member types above, more predefined and tuple types, and
+# names qualified by 'global::' or continued after generic arguments.
+_NAME_PARTS = st.tuples(st.sampled_from(["A", "Task", "List"]),
+                        st.sampled_from(["", "<C>", "<int, string>", "<(int, int)>"]))
+_QUALIFIED = st.builds(
+    lambda root, parts: root + ".".join(name + args for name, args in parts),
+    st.sampled_from(["", "global::"]), st.lists(_NAME_PARTS, min_size=1, max_size=3))
+_RETURN_TYPES = st.one_of(
+    st.sampled_from(_MEMBER_TYPES + ["void", "string[]", "(int a, int b)[]", "int*"]), _QUALIFIED)
+_HEADERS = st.builds(
+    lambda attributes, modifiers, returns, generic, parameters:
+        f"{attributes}{' '.join(modifiers)} {returns} TestA{generic}({parameters})",
+    st.sampled_from(["", "[TestMethod]\n", "[Fact]\n[Trait(\"a\", \"b\")]\n"]),
+    st.lists(st.sampled_from(sorted(parser.MODIFIER_WORDS)), max_size=3),
+    _RETURN_TYPES,
+    st.sampled_from(["", "<T>", "<T, U>"]),
+    st.sampled_from(["", "int a", "(int, int) p", "List<(int, int)> xs"]))
+
+
+@given(_HEADERS, st.sampled_from(["\n{\n    x.Run();\n}", " => x.Run();"]))
+@settings(max_examples=300, deadline=None)
+def test_the_test_and_focal_parsers_read_one_name_from_each_header(header, body):
+    (cls,) = parse_focal_file("class C { " + header + body + " }").classes
+    assert [m.name for m in cls.methods] == ["TestA"]
+    assert parse_test_method(header + body).method_name == "TestA"
+    assert check_syntax(header + body).correct
 
 
 # ── nesting cap ──────────────────────────────────────────────────────

@@ -71,6 +71,8 @@ CASES = {
     "[a] lines": (800, _body("[a]\n"), _analyze),
     "a<b;": (400, _body("a<b;"), _analyze),
     "a<b<c;": (400, _body("a<b<c;"), _analyze),
+    "a<b)": (400, _body("a<b)"), _analyze),
+    "(a<<))": (300, _body("(a<<))"), _analyze),
     # focal files
     "operator >( members": (200, _members("bool operator >(C a, C b) => true;\n"),
                             parse_focal_file),
@@ -174,5 +176,15 @@ def test_type_references_read_no_further_than_their_first_foreign_token():
     toks = _CountingTokens(significant)
     *_, angles = parser._token_diagnostics(significant)
     for k in range(0, len(toks), 4):
-        assert parser._type_end(toks, angles, k, strict=True) == -1
+        assert parser._type_end(toks, angles, k) == -1
     assert toks.reads < 10 * len(toks)
+    # Every '(' and '<' is unclosed, or closes only after a ')' of the
+    # fragment before, so a tuple walk or generic list that read on to its
+    # closer would read the rest of the stream from each fragment.
+    for fragment in ["(a;", "a<b)", "(a<<))"]:
+        significant, _ = scan(fragment * 2000)
+        toks = _CountingTokens(significant)
+        *_, angles = parser._token_diagnostics(significant)
+        for k in range(0, len(toks), len(toks) // 2000):
+            assert parser._type_end(toks, angles, k) == -1
+        assert toks.reads < 10 * len(toks)

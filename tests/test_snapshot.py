@@ -8,8 +8,10 @@ digest it moves and says why.
 
 Run ``PYTHONPATH=src python tests/test_snapshot.py`` to print the current digests.
 With ``--inputs`` it prints one line per input per family instead: the
-family, the input's index and the digest of that one output.  Diffing that
-listing across two commits names every input a digest move touched.
+family, the input's index, the digest of that one output and the input's
+origin (labeled, soup, method-wrapped soup, fixture or class-wrapped soup).
+Diffing that listing across two commits names every input a digest move
+touched, and what kind of input it was.
 """
 
 from __future__ import annotations
@@ -53,13 +55,15 @@ def _as_class(body: str) -> str:
     return f"namespace N {{\nclass C {{\n{body}\n}}\n}}"
 
 
-def _outputs() -> dict[str, list]:
-    fixtures = [p.read_text(encoding="utf-8") for p in sorted(FOCAL_FILES.glob("*.cs"))]
-    soups = _soups()
-    classes = [_as_class(s) for s in soups]
-    cases = [(c["test"], c["focal"]) for c in LABELED_TESTS]
-    tests = cases + [(s, "Run") for s in soups] + [(_as_method(s), "Run") for s in soups]
-    focal_sources = fixtures + soups + classes
+def _outputs() -> dict[str, list[tuple[str, object]]]:
+    """Each family's outputs in input order, each with its input's origin."""
+    fixtures = [(p.read_text(encoding="utf-8"), "fixture")
+                for p in sorted(FOCAL_FILES.glob("*.cs"))]
+    soups = [(s, "soup") for s in _soups()]
+    classes = [(_as_class(s), "class-wrapped soup") for s, _ in soups]
+    tests = ([(c["test"], c["focal"], "labeled") for c in LABELED_TESTS]
+             + [(s, "Run", origin) for s, origin in soups]
+             + [(_as_method(s), "Run", "method-wrapped soup") for s, _ in soups])
 
     def test_tree(source: str) -> tuple:
         tree = parse_test_method(source)
@@ -78,14 +82,15 @@ def _outputs() -> dict[str, list]:
 
     hint = prompt_hint_for("Run")
 
-    lossless = [s for s, _ in tests] + fixtures
+    lossless = [(s, origin) for s, _, origin in tests] + fixtures
     return {
-        "tokens": [[(t.kind.value, t.text, t.offset) for t in tokenize(s)] for s in lossless],
-        "reports": [analyze(s, focal).to_dict() for s, focal in tests],
-        "test_trees": [test_tree(s) for s, _ in tests],
-        "focal_trees": [parse_focal_file(s) for s in focal_sources],
-        "renders": [renders(s) for s in fixtures + classes],
-        "cuts": [len(truncate_completion(RawCompletion(hint, s))) for s, _ in tests],
+        "tokens": [(o, [(t.kind.value, t.text, t.offset) for t in tokenize(s)])
+                   for s, o in lossless],
+        "reports": [(o, analyze(s, focal).to_dict()) for s, focal, o in tests],
+        "test_trees": [(o, test_tree(s)) for s, _, o in tests],
+        "focal_trees": [(o, parse_focal_file(s)) for s, o in fixtures + soups + classes],
+        "renders": [(o, renders(s)) for s, o in fixtures + classes],
+        "cuts": [(o, len(truncate_completion(RawCompletion(hint, s)))) for s, _, o in tests],
     }
 
 
@@ -102,15 +107,16 @@ PINNED = {
     "cuts": "5dc2235763ce344acf20eb77db2a2e29ad8f50288cc9880b4ded77e569eb34dd",
     "focal_trees": "28de87156ff3cb117a9a3d43d1e806a0f7d33f384bf35d5f5c981ab1f1880991",
     "renders": "6fd45fc6181c44564bb8aa88916d5ebed9a216c163126fa79b463000ed0d9eed",
-    "reports": "0dca2afb1903724c70429f0019dd581486f7fa5909d36f373059dcaf9c7faa4e",
-    "test_trees": "afbce26b530c43fcf7e211a69a5ad731412eb53b8e21deda43f2932e87361d87",
+    "reports": "583ff8dc3a2ee4df924ffec162e0c97f9d28d1eaa3a893e976e7a33d84e6e39b",
+    "test_trees": "d49144bc22b61733194769e54735f6debe338ed79062b8572039d35e0cfe1ba9",
     "tokens": "0042ee6646821ed77c43dd9eba93a27bdc730fd40f1f14e5968f0cc758321b9c",
 }
 
 
 @pytest.fixture(scope="module")
 def digests() -> dict[str, str]:
-    return {family: _digest(values) for family, values in _outputs().items()}
+    return {family: _digest([value for _, value in outputs])
+            for family, outputs in _outputs().items()}
 
 
 @pytest.mark.parametrize("family", sorted(PINNED))
@@ -122,8 +128,8 @@ if __name__ == "__main__":
     outputs = sorted(_outputs().items())
     if sys.argv[1:] == ["--inputs"]:
         for family, values in outputs:
-            for index, value in enumerate(values):
-                print(family, index, _digest([value]))
+            for index, (origin, value) in enumerate(values):
+                print(family, index, _digest([value]), origin)
     else:
         for family, values in outputs:
-            print(f'    "{family}": "{_digest(values)}",')
+            print(f'    "{family}": "{_digest([value for _, value in values])}",')
