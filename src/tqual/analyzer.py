@@ -21,11 +21,22 @@ conservative:
 When the parse has a fatal problem the booleans are still computed from
 whatever statements were recovered and the report is marked
 ``low_confidence``.
+
+``analyze`` is a pure function of its two arguments and ``QualityReport`` is
+frozen, so ``analyze`` memoises: one ``functools.lru_cache`` keyed by
+``(raw_test, focal_name)`` answers a repeated text with the stored report,
+for every caller (the CLI commands, the trainer's reward and any loop that
+scores completions with it).  It holds at most ``REPORT_CACHE_SIZE`` entries
+and drops the least recently used past that, so what it retains is bounded
+by that many entries times the longest input among them.
+``analyze.__wrapped__`` is the analysis itself, and ``analyze.cache_clear()``
+empties the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .corpus import REQUIRED, decode, encode
@@ -76,6 +87,10 @@ PROPERTIES = (
 PROPERTY_FIELDS = tuple(p.name for p in PROPERTIES)
 
 _SCHEMA = "report.v1"
+
+# Most reports ``analyze`` keeps.  A 2000-episode toy run renders a few
+# hundred distinct texts; past the bound the least recently used is dropped.
+REPORT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -170,6 +185,7 @@ def _is_descriptive(method_name: str, focal_name: str) -> bool:
 # ── entry points ─────────────────────────────────────────────────────────
 
 
+@lru_cache(maxsize=REPORT_CACHE_SIZE)
 def analyze(raw_test: str, focal_name: str) -> QualityReport:
     """Parse one test method and evaluate all seven quality properties."""
     tree = parse_test_method(raw_test)

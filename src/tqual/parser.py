@@ -18,9 +18,13 @@ One reader, ``_Parser.read_header``, reads the test method's header and
 each focal member's.  The test method's name must be an identifier after
 none or one type: predefined, a tuple, or a name of parts joined by '.' or
 '::', each with any generic arguments; then any '?', '*' and array ranks.
-Else the header is fatal, and its tokens are read as statements from the
-first one after the modifiers.  Of a focal file only names and spans are
-kept: of classes, methods and signatures, fields and other members.
+The only keywords a tuple or generic argument list may hold are predefined
+types.  Generic parameters after the name are identifiers, each after any
+'[...]' attribute groups and before any generic argument list, with ','
+between.  Else the header is fatal, and its tokens are read as statements
+from the first one after the modifiers.  Of a focal file only names and
+spans are kept: of classes, methods and signatures, fields and other
+members.
 
 Every skip over a run of tokens goes through one of two primitives:
 ``_Parser.scan`` walks forward counting depth over a chosen set of
@@ -274,10 +278,11 @@ def _type_end(toks: list[Row], angles: dict[int, int], k: int) -> int:
 
 def _group_end(toks: list[Row], angles: dict[int, int], k: int) -> int:
     """Index just past the tuple or generic argument list opened at
-    ``toks[k]``, or -1 at a token in it that is not an identifier, keyword or
-    ``_TYPE_PUNCTUATION`` or that closes a group opened before it (so no open
-    '(' or '<' reads past its statement), or for a one-element tuple.  A
-    tuple steps over its argument lists through the angle table."""
+    ``toks[k]``, or -1 at a token in it that is not an identifier, a
+    predefined type or ``_TYPE_PUNCTUATION`` or that closes a group opened
+    before it (so no open '(' or '<' reads past its statement), or for a
+    one-element tuple.  A tuple steps over its argument lists through the
+    angle table."""
     is_tuple = toks[k][TEXT] == "("
     end = len(toks) if is_tuple else angles.get(k, len(toks) - 1) + 1
     depth = commas = 0
@@ -287,13 +292,39 @@ def _group_end(toks: list[Row], angles: dict[int, int], k: int) -> int:
             k = _group_end(toks, angles, k) if text == "<" else -1
             continue
         depth += _ALL.get(text, 0)
-        if depth < 0 or not (kind is _IDENTIFIER or kind is _KEYWORD or text in _TYPE_PUNCTUATION):
+        if depth < 0 or not (kind is _IDENTIFIER or text in _TYPE_PUNCTUATION
+                             or kind is _KEYWORD and text in PREDEFINED_TYPES):
             return -1
         commas += depth == 1 and text == ","
         if is_tuple and depth == 0:
             return k + 1 if commas else -1
         k += 1
     return -1 if is_tuple else end
+
+
+def _type_parameters_valid(p: _Parser, k: int) -> bool:
+    """Whether ``p.toks[k]``, after a method's name, is the '(' of its
+    parameter list or opens a generic parameter list: identifiers, each after
+    any '[...]' attribute groups and before any generic argument list, with
+    ',' between.  ``p.pos`` is left where it was."""
+    toks, angles, pos = p.toks, p.angles, p.pos
+    if toks[k][TEXT] == "(":
+        return True
+    end = angles.get(k, k)  # the list's closer
+    valid = False
+    while 0 <= k < end and toks[k][TEXT] in ("<", ","):
+        p.pos = k + 1
+        while p.peek_text() == "[":
+            p.scan(close="]")
+        k = p.pos
+        if k >= end or toks[k][KIND] is not _IDENTIFIER:
+            break
+        k += 1
+        if toks[k][TEXT] == "<":  # its argument list may close the list too, by '>>'
+            k = _group_end(toks, angles, k)
+        valid = k == end + 1 or k == end and toks[k][TEXT] == ">"
+    p.pos = pos
+    return valid
 
 
 # ── shared checks ────────────────────────────────────────────────────────
@@ -605,8 +636,9 @@ def parse_test_method(source: str) -> TestSyntaxTree:
     problem = ""
     type_start = sp.pos  # where a refused header's tokens are read again
     name_at = sp.read_header()
-    if name_at is None or name_at < 0 or name_at not in (
-            type_start, _type_end(sp.toks, sp.angles, type_start)):
+    if (name_at is None or name_at < 0
+            or name_at not in (type_start, _type_end(sp.toks, sp.angles, type_start))
+            or not _type_parameters_valid(sp, name_at + 1)):
         name_at, problem, sp.pos = None, "malformed method header", type_start
     elif sp.accept("{"):
         statements = sp.parse_block("method body not closed")

@@ -86,10 +86,11 @@ def property_score(report: QualityReport, prop: str) -> int:
 
 def reward_for(report: QualityReport, scheme: RewardScheme) -> int:
     """-1 for broken syntax, else how many of the scheme's properties are in
-    their desirable state."""
+    their desirable state.  The scheme's names are canonical already."""
     if not report.correct_syntax:
         return -1
-    return sum(property_score(report, p) for p in scheme.properties)
+    return sum(bool(getattr(report, p)) == (p in POSITIVE_PROPERTIES)
+               for p in scheme.properties)
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,13 @@ Rewards are pluggable.  ``make_analyzer_reward`` renders token sequences as
 test methods and scores them with the static analyzer;
 ``make_model_reward`` does the same through a trained reward model.
 
-Each piece of work is done once.  ``analyze`` is pure, so the analyzer
-reward memoises reports per run in a bounded dict keyed by the rendered
-text, and its reward and report functions share it: sampled texts repeat
-often, and evaluation's quality pass only reads back what its reward pass
-stored.  The policy is frozen while a batch is collected, while an
-evaluation runs and during each PPO pass, so each of these reads its
-reference KL and log-probabilities from whole tables built once
-(``kl_table``, ``log_prob_table``) instead of row by row.  For the same
+Each piece of work is done once.  ``analyze`` memoises its reports (see
+``tqual.analyzer``), so the analyzer reward and report functions render and
+call it: sampled texts repeat often, and evaluation's quality pass reads
+back what its reward pass stored.  The policy is frozen while a batch is
+collected, while an evaluation runs and during each PPO pass, so each of
+these reads its reference KL and log-probabilities from whole tables built
+once (``kl_table``, ``log_prob_table``) instead of row by row.  For the same
 reason ``_sample`` draws each collected batch, and each
 ``generate_completions`` call, with one draw table shared across its
 completions: a nucleus is built once per (state, token counts) key and later
@@ -82,10 +81,6 @@ __all__ = [
 RewardFn = Callable[[Sequence[str]], float]
 ReportFn = Callable[[Sequence[str]], QualityReport]
 
-# Most reports one analyzer reward keeps.  A 2000-episode toy run renders a
-# few hundred distinct texts; past the bound the oldest report is dropped.
-REPORT_CACHE_SIZE = 4096
-
 # Count added to every bigram transition of a seeded policy.
 BIGRAM_SMOOTHING = 0.5
 
@@ -130,29 +125,15 @@ def make_analyzer_reward(
     scheme: RewardScheme, focal_name: str
 ) -> tuple[RewardFn, ReportFn]:
     """Reward straight from the static analyzer, plus the matching report
-    function for metrics and checkpoint scoring.
-
-    Both read one dict of reports keyed by the rendered text, so a text is
-    analyzed once while it stays among the last ``REPORT_CACHE_SIZE``
-    stored.  ``report_fn.reports`` is that dict.
-    """
-    reports: dict[str, QualityReport] = {}
-    bound = REPORT_CACHE_SIZE
+    function for metrics and checkpoint scoring.  ``analyze`` memoises, so a
+    text rendered again is not analyzed again."""
 
     def report_fn(tokens: Sequence[str]) -> QualityReport:
-        text = render_toy_test(tokens, focal_name)
-        report = reports.get(text)
-        if report is None:
-            report = analyze(text, focal_name)
-            if len(reports) >= bound:
-                del reports[next(iter(reports))]
-            reports[text] = report
-        return report
+        return analyze(render_toy_test(tokens, focal_name), focal_name)
 
     def reward_fn(tokens: Sequence[str]) -> float:
         return reward_for(report_fn(tokens), scheme)
 
-    report_fn.reports = reports  # type: ignore[attr-defined]
     return reward_fn, report_fn
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from tqual.analyzer import analyze
+
 FIXTURES = Path(__file__).parent / "fixtures"
 FOCAL_FILES = FIXTURES / "focal_files"
 
@@ -24,6 +26,13 @@ _CRITERIA = {
     10: "sequential strategy",
     11: "reporting fidelity",
 }
+
+
+@pytest.fixture(autouse=True)
+def _fresh_analyze_memo():
+    """Each test starts with ``analyze``'s memo empty, so no test sees the
+    reports another test left there."""
+    analyze.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tqual.analyzer
 import tqual.nodes
 import tqual.parser
 from labeled_corpus import LABELED_TESTS, PROPERTIES
+from test_lexer import CODE_FRAGMENTS
 from tqual.analyzer import (
     PROPERTY_FIELDS,
+    REPORT_CACHE_SIZE,
     CorpusStats,
     QualityReport,
     ScoreConfig,
@@ -200,6 +206,43 @@ def test_detectors_walk_any_depth_without_recursion(monkeypatch):
     report = analyze(source, "Stop")
     assert report.has_assertion and report.invokes_focal and report.duplicate_assertion
     assert not report.conditional_or_exception
+
+
+# ── the memo ─────────────────────────────────────────────────────────
+
+
+def _agrees_with_the_analysis(stream: list[tuple[str, str]]) -> None:
+    """The memoised ``analyze`` answers every key of ``stream``, in order, as
+    the analysis itself does."""
+    for key in stream:
+        assert analyze(*key) == analyze.__wrapped__(*key), key
+
+
+def test_the_memo_answers_as_the_analysis_does_in_any_order_and_past_its_bound():
+    rng = random.Random(33)
+    focals = sorted({c["focal"] for c in LABELED_TESTS})
+    labeled = [(c["test"], focal) for c in LABELED_TESTS for focal in focals]
+    soups = {"".join(rng.choices(CODE_FRAGMENTS, k=rng.randrange(1, 41)))
+             for _ in range(REPORT_CACHE_SIZE)}
+    keys = labeled + [(soup, "Run") for soup in sorted(soups)]
+    assert len(set(keys)) > REPORT_CACHE_SIZE
+    # Every key, then repeats: some still held, some evicted long ago.
+    stream = rng.sample(keys, len(keys)) + rng.choices(keys, k=len(keys) // 4)
+    _agrees_with_the_analysis(stream)
+    info = analyze.cache_info()
+    assert info.currsize == REPORT_CACHE_SIZE
+    assert info.hits > 0 and info.misses > len(set(keys))
+
+
+@given(st.lists(st.lists(st.sampled_from(CODE_FRAGMENTS), max_size=40).map("".join),
+                min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_the_memo_answers_as_the_analysis_does_on_repeated_soups(soups, rng):
+    keys = [(soup, focal) for soup in soups for focal in ("Run", "IsTrue")]
+    stream = keys + [rng.choice(keys) for _ in range(len(keys))]
+    rng.shuffle(stream)
+    _agrees_with_the_analysis(stream)
 
 
 # ── corpus scoring ───────────────────────────────────────────────────

@@ -621,6 +621,10 @@ def test_generic_test_method_header(source):
     "public global::System.Threading.Tasks.Task TestA()",
     "public A.B<C>.D TestA()",
     "public unsafe int* TestA()",
+    "public void TestA<U>()",  # generic parameters: identifiers,
+    "public void TestA<U, V>()",
+    "public void TestA<[A] U>()",  # each after any attribute groups
+    "public void TestA<[A(1)] [B] U, [C] V>()",
 ])
 def test_a_header_returning_any_type_names_its_method(header):
     tree = parse_test_method(f"[TestMethod]\n{header}\n{{\n    x.Run();\n}}")
@@ -639,6 +643,19 @@ def test_a_header_returning_any_type_names_its_method(header):
     "public (a>, b) TestA()",  # a stray angle in a tuple
     "public System.int TestA()",  # a predefined type as a qualified name's part
     "public A::void TestA()",
+    "public List<return> TestA()",  # a keyword other than a predefined type
+    "public (int, new) TestA()",
+    "public Dictionary<string, this> TestA()",
+    "public (int a, null b) TestA()",
+    "public Task<(bool, if)> TestA()",
+    "public void TestA<1 + 2>()",  # generic parameters that are not identifiers
+    "public void TestA<int>()",
+    "public void TestA<U V>()",
+    "public void TestA<U,>()",
+    "public void TestA<>()",
+    "public void TestA<[A]>()",
+    "public void TestA<U.V>()",
+    "public void TestA<U, V<1>>()",
 ])
 def test_a_header_that_is_not_a_type_and_a_name_is_fatal(header):
     source = f"[TestMethod]\n{header}\n{{\n    x.Run();\n}}"

@@ -34,7 +34,7 @@ def _as_class(body: str) -> str:
 
 
 def _analyze(source: str) -> None:
-    analyze(source, "Run")
+    analyze.__wrapped__(source, "Run")  # the analysis itself: a memo hit reads nothing
 
 
 def _truncate(completion: str) -> None:

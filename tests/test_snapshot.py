@@ -107,8 +107,8 @@ PINNED = {
     "cuts": "5dc2235763ce344acf20eb77db2a2e29ad8f50288cc9880b4ded77e569eb34dd",
     "focal_trees": "28de87156ff3cb117a9a3d43d1e806a0f7d33f384bf35d5f5c981ab1f1880991",
     "renders": "6fd45fc6181c44564bb8aa88916d5ebed9a216c163126fa79b463000ed0d9eed",
-    "reports": "583ff8dc3a2ee4df924ffec162e0c97f9d28d1eaa3a893e976e7a33d84e6e39b",
-    "test_trees": "d49144bc22b61733194769e54735f6debe338ed79062b8572039d35e0cfe1ba9",
+    "reports": "fdf41c05d19b923b86fde459b17a3ca15c4a771c5e4caa2185ae821696cb2760",
+    "test_trees": "d325d57fb800a31c1905c4e674bec7ef030f1e9d73eb26e3ddec17f2386e3e69",
     "tokens": "0042ee6646821ed77c43dd9eba93a27bdc730fd40f1f14e5968f0cc758321b9c",
 }
 

@@ -23,6 +23,9 @@ SRC = Path(tqual.__file__).resolve().parent
 KEPT = {
     "parser.py:check_syntax": "a documented contract: the soundness floor of correct_syntax",
     "rewards.py:NEGATIVE_PROPERTIES": "exported beside POSITIVE_PROPERTIES in rewards.__all__",
+    "rewards.py:property_score":
+        "library score of one property by any name a scheme accepts; reward_for reads "
+        "its scheme's canonical names directly",
     "rewards.py:RewardScheme.individual": "library constructor of a one-property scheme",
     "rewards.py:RewardScheme.combined": "library constructor of a many-property scheme",
     "rewards.py:RewardScheme.k": "the scheme's property count, read by acceptance criterion 3",

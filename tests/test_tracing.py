@@ -62,14 +62,18 @@ def test_traced_pipeline_counts_statements_and_fatal_parses(tmp_path):
                                     ["truncate", "raw.jsonl"]])
 
     # The corpus holds each of TESTS eight times; one of them is unparsable.
+    # ``analyze`` is called once per record and parses each distinct text
+    # once: the repeats are memo hits.
     trees = [parse_test_method(test) for test in TESTS]
+    assert len(set(TESTS)) == len(TESTS)
     assert summary["codes"] == [0, 0, 0]
     assert summary["calls"]["analyzer.analyze"] == 24
+    assert summary["calls"]["parser.parse_test_method"] == len(TESTS)
     assert summary["calls"]["prompting.build_prompt"] == 1
     assert summary["calls"]["completion.truncate_completion"] == 1
-    assert summary["counters"]["parser.statements"] == 8 * sum(
+    assert summary["counters"]["parser.statements"] == sum(
         count_statements(tree.statements()) for tree in trees)
-    assert summary["counters"]["parser.fatal"] == 8 * sum(tree.has_fatal for tree in trees) == 8
+    assert summary["counters"]["parser.fatal"] == sum(tree.has_fatal for tree in trees) == 1
 
 
 def test_traced_train_toy_samples_and_makes_no_per_step_gradient_call(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 
@@ -16,6 +17,7 @@ from toy_setup import (
     assert_seeded_policy,
     toy_config,
 )
+from tqual import analyzer
 from tqual.analyzer import PROPERTY_FIELDS
 from tqual.errors import DomainError
 from tqual.rewards import RewardScheme
@@ -482,26 +484,23 @@ def test_the_clip_edges_are_drawn_exactly():
 
 
 def _counted_run(monkeypatch, cfg):
-    """Train with counters on ``analyze`` and on the policy's table and row
-    distribution methods.
+    """Train with counters on the analyzer's parses and on the policy's table
+    and row distribution methods.
 
-    Returns the analyzed texts, the (method, phase) of each table or row
-    computation, the sizes of the report dict seen at each analysis, the
-    dict itself and the metrics.
+    Returns the parsed texts, the (method, phase) of each table or row
+    computation and the metrics.
     """
     texts: list[str] = []
     builds: list[tuple[str, str]] = []
-    sizes: list[int] = []
     phase = ["collect"]
 
-    real_analyze = trainer.analyze
+    real_parse = analyzer.parse_test_method
     real_evaluate = trainer._evaluate
     real_ascend = trainer._ascend
 
-    def counting_analyze(source, focal):
+    def counting_parse(source):
         texts.append(source)
-        sizes.append(len(report_fn.reports))
-        return real_analyze(source, focal)
+        return real_parse(source)
 
     def counted(name):
         real = getattr(PolicyTable, name)
@@ -520,7 +519,7 @@ def _counted_run(monkeypatch, cfg):
                 phase[0] = "collect"
         return wrapper
 
-    monkeypatch.setattr(trainer, "analyze", counting_analyze)
+    monkeypatch.setattr(analyzer, "parse_test_method", counting_parse)
     for name in ("log_prob_table", "kl_table", "log_probs", "kl_from_reference"):
         monkeypatch.setattr(PolicyTable, name, counted(name))
     monkeypatch.setattr(trainer, "_evaluate", marked("eval", real_evaluate))
@@ -529,18 +528,19 @@ def _counted_run(monkeypatch, cfg):
         RewardScheme.individual("has_assertion"), TOY_FOCAL
     )
     _, metrics = train_toy_policy(assert_seeded_policy(), reward_fn, cfg, report_fn)
-    return texts, builds, sizes, report_fn.reports, metrics
+    return texts, builds, metrics
 
 
 def test_each_text_is_analyzed_and_each_row_computed_once(monkeypatch):
     cfg = toy_config(episodes=300, eval_interval=100, eval_samples=30)
-    texts, builds, sizes, reports, _ = _counted_run(monkeypatch, cfg)
+    texts, builds, _ = _counted_run(monkeypatch, cfg)
 
     # Once per distinct rendered text per run: evaluation's report pass and
-    # repeated samples are all served from the dict.
+    # repeated samples are all served from analyze's memo.
     assert texts and max(Counter(texts).values()) == 1
-    assert len(reports) == len(texts)
-    assert max(sizes) < trainer.REPORT_CACHE_SIZE
+    info = analyzer.analyze.cache_info()
+    assert info.misses == info.currsize == len(texts) < analyzer.REPORT_CACHE_SIZE
+    assert info.hits > 0
 
     # The weights are frozen within a batch, an evaluation and an ascent
     # pass, so each builds the tables it reads once and no row on its own.
@@ -554,15 +554,18 @@ def test_each_text_is_analyzed_and_each_row_computed_once(monkeypatch):
     }
 
 
-def test_report_dict_stays_within_its_bound(monkeypatch):
+def test_report_memo_stays_within_its_bound(monkeypatch):
+    assert analyzer.analyze.cache_info().maxsize == analyzer.REPORT_CACHE_SIZE
     cfg = toy_config(episodes=200, eval_interval=100, eval_samples=30)
-    _, _, _, _, unbounded = _counted_run(monkeypatch, cfg)
+    _, _, unbounded = _counted_run(monkeypatch, cfg)
     monkeypatch.undo()
 
-    monkeypatch.setattr(trainer, "REPORT_CACHE_SIZE", 8)
-    texts, _, sizes, reports, bounded = _counted_run(monkeypatch, cfg)
-    assert max(sizes) <= 8 and len(reports) == 8
-    # Evicted texts are analyzed again, and the run's output is unchanged.
+    # The same memo over the same analysis, bounded at 8 entries.
+    small = functools.lru_cache(maxsize=8)(analyzer.analyze.__wrapped__)
+    monkeypatch.setattr(trainer, "analyze", small)
+    texts, _, bounded = _counted_run(monkeypatch, cfg)
+    assert small.cache_info().currsize == 8
+    # Evicted texts are parsed again, and the run's output is unchanged.
     assert len(texts) > len(set(texts))
     assert [m.to_dict() for m in bounded] == [m.to_dict() for m in unbounded]
 
