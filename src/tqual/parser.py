@@ -20,11 +20,10 @@ none or one type: predefined, a tuple, or a name of parts joined by '.' or
 '::', each with any generic arguments; then any '?', '*' and array ranks.
 The only keywords a tuple or generic argument list may hold are predefined
 types.  Generic parameters after the name are identifiers, each after any
-'[...]' attribute groups and before any generic argument list, with ','
-between.  Else the header is fatal, and its tokens are read as statements
-from the first one after the modifiers.  Of a focal file only names and
-spans are kept: of classes, methods and signatures, fields and other
-members.
+'[...]' attribute groups, with ',' between.  Else the header is fatal, and
+its tokens are read as statements from the first one after the modifiers.
+Of a focal file only names and spans are kept: of classes, methods and
+signatures, fields and other members.
 
 Every skip over a run of tokens goes through one of two primitives:
 ``_Parser.scan`` walks forward counting depth over a chosen set of
@@ -305,14 +304,14 @@ def _group_end(toks: list[Row], angles: dict[int, int], k: int) -> int:
 def _type_parameters_valid(p: _Parser, k: int) -> bool:
     """Whether ``p.toks[k]``, after a method's name, is the '(' of its
     parameter list or opens a generic parameter list: identifiers, each after
-    any '[...]' attribute groups and before any generic argument list, with
-    ',' between.  ``p.pos`` is left where it was."""
+    any '[...]' attribute groups, with ',' between.  ``p.pos`` is left where
+    it was."""
     toks, angles, pos = p.toks, p.angles, p.pos
     if toks[k][TEXT] == "(":
         return True
     end = angles.get(k, k)  # the list's closer
     valid = False
-    while 0 <= k < end and toks[k][TEXT] in ("<", ","):
+    while k < end and toks[k][TEXT] in ("<", ","):
         p.pos = k + 1
         while p.peek_text() == "[":
             p.scan(close="]")
@@ -320,9 +319,7 @@ def _type_parameters_valid(p: _Parser, k: int) -> bool:
         if k >= end or toks[k][KIND] is not _IDENTIFIER:
             break
         k += 1
-        if toks[k][TEXT] == "<":  # its argument list may close the list too, by '>>'
-            k = _group_end(toks, angles, k)
-        valid = k == end + 1 or k == end and toks[k][TEXT] == ">"
+        valid = k == end and toks[k][TEXT] == ">"
     p.pos = pos
     return valid
 

@@ -24,12 +24,12 @@ their cdf) depends only on the current state and the completion's token
 counts.  A caller that samples many completions from a frozen policy passes
 one draw-table dict to every ``sample_completion`` call: it maps
 ``(state, *counts)`` to that pair, so each nucleus is built once.  A miss
-builds it with numpy from one sort of the row and stores it as a list of
-token indices and an ``array("d")`` cdf copied from the cdf's bytes, so
-every draw, hit or miss, is one ``bisect_right`` of one uniform with no
-numpy call.  A table stops growing at ``DRAW_TABLE_SIZE`` entries, and
-greedy decoding never reads or fills it.  The draws, and the generator's
-stream, are the same with or without a table.
+builds it on Python floats, bit for bit as numpy would (``_nucleus``), and
+stores it as a list of token indices and an ``array("d")`` cdf, so every
+draw, hit or miss, is one ``bisect_right`` of one uniform.  A table stops growing
+at ``DRAW_TABLE_SIZE`` entries, and greedy decoding never reads or fills
+it.  The draws, and the generator's stream, are the same with or without a
+table.
 """
 
 from __future__ import annotations
@@ -37,8 +37,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from typing import Any
 
 import numpy as np
@@ -226,10 +229,8 @@ def sample_completion(
             key = (state, *counts)
             table = tables.get(key)
             if table is None:
-                adjusted = (policy.logits[state] / temperature
-                            - frequency_penalty * np.array(counts, dtype=float))
-                keep, cdf = _nucleus_table(_softmax(adjusted), top_p)
-                table = keep.tolist(), array("d", cdf.tobytes())
+                table = _nucleus(policy.logits[state].tolist(), temperature,
+                                 counts, frequency_penalty, top_p)
                 if len(tables) < DRAW_TABLE_SIZE:
                     tables[key] = table
             keep, cdf = table
@@ -252,19 +253,53 @@ def sample_completion(
     )
 
 
-def _nucleus_table(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest probability-sorted prefix with mass >= top_p: its token
-    indices and their normalised cdf, ending at exactly 1.  For one uniform
-    ``u``, ``keep[cdf.searchsorted(u, side="right")]`` is the index that
-    ``rng.choice`` draws from the same nucleus with that uniform, and
-    ``bisect_right`` on the cdf's floats finds the same position."""
-    order = (-probs).argsort(kind="stable")
-    ranked = probs[order]
-    cut = int(ranked.cumsum().searchsorted(top_p, side="left")) + 1
-    kept = ranked[:cut]
-    cdf = (kept / kept.sum()).cumsum()
-    if not math.isfinite(cdf[-1]):
+def _nucleus(row: list[float], temperature: float, counts: list[int],
+             frequency_penalty: float, top_p: float) -> tuple[list[int], array]:
+    """The nucleus of one draw from the logits ``row``: the smallest
+    probability-sorted prefix of the decoding distribution with mass >=
+    top_p, as its token indices and their normalised cdf, ending at exactly
+    1.  It is built on Python floats with one ``np.exp`` call, and every
+    float equals the one that numpy's softmax, ``argsort(kind="stable")``,
+    ``cumsum`` and ``searchsorted`` give: both sums follow numpy's pairwise
+    order (``_pairwise_sum``), and ``np.exp`` stays because ``math.exp``
+    differs from it in the last bit on some inputs."""
+    row = [x / temperature - frequency_penalty * c for x, c in zip(row, counts)]
+    top = max(row)
+    exps = np.exp([x - top for x in row]).tolist()
+    total = _pairwise_sum(exps)
+    # Each shifted term is at most 0, so the sum lies in [1, len(row)]
+    # unless a term is NaN: an overflowed (inf - inf) or NaN logit.  With
+    # the sum checked, no later division is by zero or by a NaN.
+    if not math.isfinite(total):
         raise DomainError("next-token distribution is not finite; the logits overflowed")
-    cdf /= cdf[-1]
-    return order[:cut], cdf
+    probs = [e / total for e in exps]
+    order = sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
+    ranked = [probs[i] for i in order]
+    cut = bisect_left(list(accumulate(ranked)), top_p) + 1
+    kept = ranked[:cut]
+    kept_total = _pairwise_sum(kept)
+    cdf = list(accumulate([p / kept_total for p in kept]))
+    last = cdf[-1]
+    return order[:cut], array("d", [c / last for c in cdf])
 
+
+def _pairwise_sum(values: list[float]) -> float:
+    """``np.sum`` of non-negative ``values``, bit for bit, in numpy's
+    pairwise order: left to right below 8 terms; up to 128 terms, eight
+    running sums combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and
+    then the tail left to right; above that, the sums of two halves split
+    at half the length rounded down to a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        # Not ``sum``: from Python 3.12 it compensates for rounding.
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        whole = n - n % 8
+        r = values[:8]
+        for i in range(8, whole, 8):
+            r = list(map(add, r, values[i:i + 8]))
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[whole:], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])

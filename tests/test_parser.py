@@ -605,7 +605,7 @@ def test_angle_table_pairs_double_angles():
 
 
 @pytest.mark.parametrize("source", [
-    "[TestMethod]\npublic void T<U, V<W>>()\n{\n    x.Run<V<W>>();\n}",
+    "[TestMethod]\npublic void T<U, V>()\n{\n    x.Run<V<W>>();\n}",
     "[TestMethod]\npublic Task<List<int>> T()\n{\n    x.Run();\n}",
 ])
 def test_generic_test_method_header(source):
@@ -656,6 +656,7 @@ def test_a_header_returning_any_type_names_its_method(header):
     "public void TestA<[A]>()",
     "public void TestA<U.V>()",
     "public void TestA<U, V<1>>()",
+    "public void TestA<U, V<W>>()",  # a generic parameter takes no argument list
 ])
 def test_a_header_that_is_not_a_type_and_a_name_is_fatal(header):
     source = f"[TestMethod]\n{header}\n{{\n    x.Run();\n}}"

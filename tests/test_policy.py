@@ -18,7 +18,8 @@ from tqual.rlcore.policy import (
     DRAW_TABLE_SIZE,
     PolicyTable,
     SampledCompletion,
-    _nucleus_table,
+    _nucleus,
+    _pairwise_sum,
     sample_completion,
 )
 
@@ -267,10 +268,138 @@ def test_overflowing_logits_are_a_domain_error():
     policy.logits[0, 1] = 1e305
     # Dividing by the temperature overflows the row to inf, so the softmax
     # turns to NaN; the draw must refuse it rather than return an index.
-    with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
+    with pytest.raises(DomainError, match="not finite"):
         draw(policy, temperature=1e-7)
     with pytest.raises(DomainError, match="not finite"):
-        _nucleus_table(np.full(4, np.nan), 1.0)
+        _nucleus([math.nan] * 4, 1.0, [0] * 4, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("row", [
+    [1e305, 0.0, -1.0],  # inf after scaling: inf - inf
+    [0.0, -1.0, 1e305],
+    [1e305, 1e305, 1e305],
+    [-1e305, -1e305, -1e305],  # all -inf: -inf - -inf
+    [math.nan, 0.0, 1.0],  # a NaN first, where max() returns it
+    [0.0, math.nan, 1.0],  # and later, where max() passes over it
+])
+@pytest.mark.parametrize("frequency_penalty", [0.0, 0.5])
+def test_a_non_finite_distribution_is_a_domain_error_from_the_kernel(row, frequency_penalty):
+    # Never a ZeroDivisionError or OverflowError from the float arithmetic,
+    # and never a nucleus; the numpy path refused each of these too.
+    with pytest.raises(DomainError, match="not finite"):
+        _nucleus(row, 1e-7, [1, 0, 2], frequency_penalty, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
+        _numpy_nucleus(row, 1e-7, [1, 0, 2], frequency_penalty, 1.0)
+
+
+# ── the float kernel against the numpy miss path it replaced ─────────
+
+
+def _nucleus_table(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest probability-sorted prefix with mass >= top_p: its token
+    indices and their normalised cdf, ending at exactly 1.  For one uniform
+    ``u``, ``keep[cdf.searchsorted(u, side="right")]`` is the index that
+    ``rng.choice`` draws from the same nucleus with that uniform, and
+    ``bisect_right`` on the cdf's floats finds the same position."""
+    order = (-probs).argsort(kind="stable")
+    ranked = probs[order]
+    cut = int(ranked.cumsum().searchsorted(top_p, side="left")) + 1
+    kept = ranked[:cut]
+    cdf = (kept / kept.sum()).cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise DomainError("next-token distribution is not finite; the logits overflowed")
+    cdf /= cdf[-1]
+    return order[:cut], cdf
+
+
+def _numpy_probs(row, temperature, counts, frequency_penalty):
+    """The decoding distribution as numpy built it: temperature, penalty
+    and softmax."""
+    adjusted = (np.asarray(row, dtype=float) / temperature
+                - frequency_penalty * np.asarray(counts, dtype=float))
+    return policy_module._softmax(adjusted)
+
+
+def _numpy_nucleus(row, temperature, counts, frequency_penalty, top_p):
+    """A draw-table miss as numpy built it before the float kernel."""
+    return _nucleus_table(_numpy_probs(row, temperature, counts, frequency_penalty), top_p)
+
+
+def _assert_kernel_matches_numpy(row, temperature, counts, frequency_penalty, top_p):
+    """The same token list and cdf bytes, or the same refusal.  Returns
+    whether a nucleus was built."""
+    try:
+        with np.errstate(all="ignore"):
+            keep, cdf = _numpy_nucleus(row, temperature, counts, frequency_penalty, top_p)
+    except DomainError:
+        with pytest.raises(DomainError, match="not finite"):
+            _nucleus(row, temperature, counts, frequency_penalty, top_p)
+        return False
+    tokens, floats = _nucleus(row, temperature, counts, frequency_penalty, top_p)
+    assert tokens == keep.tolist()
+    assert floats.tobytes() == cdf.tobytes()
+    return True
+
+
+def _miss_rows(source: np.random.Generator, width: int):
+    """Spread, rounded (tied), uniform, one-hot (+30) and large-magnitude
+    logits rows; the last overflow at small temperatures."""
+    yield source.normal(0.0, 3.0, width)
+    yield np.round(source.normal(0.0, 3.0, width))
+    yield np.zeros(width)
+    one_hot = source.normal(0.0, 3.0, width)
+    one_hot[int(source.integers(width))] += 30.0
+    yield one_hot
+    yield source.normal(0.0, 1.0, width) * 10.0 ** float(source.choice([3, 30, 300, 307]))
+
+
+def test_the_kernel_builds_what_the_numpy_path_built():
+    # Widths past 128 take numpy's pairwise split; 8, 16 and 128 are the
+    # edges of its blocks.
+    source = np.random.default_rng(34)
+    built = refused = 0
+    for width in (*range(1, 41), 63, 64, 120, 127, 128, 129, 136, 200):
+        for row in _miss_rows(source, width):
+            for frequency_penalty in (0.0, 0.5, float(source.uniform(0.0, 5.0))):
+                for counts in ([0] * width, source.integers(0, 17, width).tolist()):
+                    temperature = float(source.uniform(0.05, 2.0))
+                    top_p = 1.0 if source.random() < 0.5 else 1.0 - float(source.random())
+                    if _assert_kernel_matches_numpy(row.tolist(), temperature, counts,
+                                                    frequency_penalty, top_p):
+                        built += 1
+                    else:
+                        refused += 1
+    assert built > 1200 and refused > 0
+
+
+@st.composite
+def _miss_cases(draw):
+    """One draw-table miss: a row 1 to 200 wide in one of ``_miss_rows``'
+    styles, counts 0 to 16 (all zero half the time), a penalty of 0, 0.5 or
+    any in [0, 10], a temperature in [0.05, 2] and top_p in (0, 1]."""
+    width = draw(st.integers(min_value=1, max_value=200))
+    source = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = list(_miss_rows(source, width))
+    row = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+    counts = ([0] * width if draw(st.booleans())
+              else source.integers(0, 17, width).tolist())
+    frequency_penalty = draw(st.sampled_from([0.0, 0.5])
+                             | st.floats(min_value=0.0, max_value=10.0))
+    temperature = draw(st.floats(min_value=0.05, max_value=2.0))
+    top_p = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    return row.tolist(), temperature, counts, frequency_penalty, top_p
+
+
+@given(_miss_cases())
+@settings(max_examples=400, deadline=None)
+def test_the_kernel_matches_the_numpy_path_on_any_miss(case):
+    _assert_kernel_matches_numpy(*case)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=400))
+@settings(max_examples=300, deadline=None)
+def test_pairwise_sum_is_numpys_sum(values):
+    assert _pairwise_sum(values) == np.sum(np.array(values))
 
 
 # ── the nucleus draw against rng.choice ──────────────────────────────
@@ -281,15 +410,7 @@ def test_overflowing_logits_are_a_domain_error():
 
 def _per_draw_nucleus(probs, top_p, rng):
     """The nucleus draw as it was before draw tables: built on every draw."""
-    order = (-probs).argsort(kind="stable")
-    cumulative = probs[order].cumsum()
-    cut = int(cumulative.searchsorted(top_p, side="left")) + 1
-    keep = order[:cut]
-    kept = probs[keep]
-    cdf = (kept / kept.sum()).cumsum()
-    if not math.isfinite(cdf[-1]):
-        raise DomainError("next-token distribution is not finite; the logits overflowed")
-    cdf /= cdf[-1]
+    keep, cdf = _nucleus_table(probs, top_p)
     return int(keep[cdf.searchsorted(rng.random(), side="right")])
 
 
@@ -421,10 +542,8 @@ def _per_draw_sample(policy, rng, *, max_tokens, temperature, top_p, frequency_p
         if temperature <= 1e-8:
             action = int(np.argmax(row - frequency_penalty * counts))
         else:
-            adjusted = row / temperature - frequency_penalty * counts
-            shifted = adjusted - adjusted.max()
-            exp = np.exp(shifted)
-            action = _per_draw_nucleus(exp / exp.sum(), top_p, rng)
+            probs = _numpy_probs(row, temperature, counts, frequency_penalty)
+            action = _per_draw_nucleus(probs, top_p, rng)
         states.append(state)
         actions.append(action)
         if action == policy.stop_index:

@@ -576,12 +576,12 @@ def _spy_on_draw_tables(monkeypatch):
     Each table is kept alive, so no two share an ``id``."""
     stats: dict[int, dict] = {}
     builds = [0]
-    real_table = policy_module._nucleus_table
+    real_nucleus = policy_module._nucleus
     real_sample = trainer.sample_completion
 
-    def counting_table(probs, top_p):
+    def counting_nucleus(*args):
         builds[0] += 1
-        return real_table(probs, top_p)
+        return real_nucleus(*args)
 
     def counting_sample(*args, tables, **kwargs):
         before = builds[0]
@@ -595,7 +595,7 @@ def _spy_on_draw_tables(monkeypatch):
         entry["size"] = max(entry["size"], len(tables))
         return completion
 
-    monkeypatch.setattr(policy_module, "_nucleus_table", counting_table)
+    monkeypatch.setattr(policy_module, "_nucleus", counting_nucleus)
     monkeypatch.setattr(trainer, "sample_completion", counting_sample)
     return stats
 
@@ -626,7 +626,7 @@ def test_generate_completions_keeps_its_table_within_the_cap(monkeypatch):
 
 def test_greedy_sampling_builds_no_table_and_draws_no_uniform(monkeypatch):
     builds = []
-    monkeypatch.setattr(policy_module, "_nucleus_table", lambda *args: builds.append(args))
+    monkeypatch.setattr(policy_module, "_nucleus", lambda *args: builds.append(args))
     policy = assert_seeded_policy()
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
