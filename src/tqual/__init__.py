@@ -30,7 +30,6 @@ from .errors import (
     EmptyCorpus,
     FocalNotFound,
     InsufficientData,
-    LengthMismatch,
     PipelineError,
     PromptTooLong,
     TooFewRepos,
@@ -68,7 +67,6 @@ __all__ = [
     "EmptyCorpus",
     "FocalNotFound",
     "InsufficientData",
-    "LengthMismatch",
     "PipelineError",
     "PromptTooLong",
     "TooFewRepos",

@@ -219,9 +219,13 @@ class ScoreConfig:
         p.name for p in PROPERTIES if p.desirable is False)
 
     def __post_init__(self):
+        seen = set()
         for prop in self.positive_properties + self.smell_properties:
             if prop not in PROPERTY_FIELDS:
                 raise ValueError(f"unknown quality property: {prop!r}")
+            if prop in seen:
+                raise ValueError(f"quality property {prop!r} is listed more than once")
+            seen.add(prop)
 
 
 @dataclass(frozen=True)

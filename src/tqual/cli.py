@@ -134,6 +134,14 @@ _PROMPT_FIELDS = {"focal_path": (str, REQUIRED), "focal_method": (str, REQUIRED)
 
 def cmd_prompt(args: argparse.Namespace) -> int:
     cfg = args.config.budget()
+    if args.out not in (None, "-"):
+        # ``_stream`` opens the output before it reads the first request.
+        check_input(args.input)
+        for line_no, obj, _ in iter_jsonl(args.input):
+            path = obj and obj.get("focal_path")
+            if isinstance(path, str) and os.path.isfile(path) and _same_file(path, args.out):
+                raise ValueError(f"--out {args.out} is the focal file of {args.input} "
+                                 f"line {line_no}; it would be emptied")
     trees: dict[str, Any] = {}
 
     def handle(obj: dict) -> dict:

@@ -25,10 +25,6 @@ class InsufficientData(PipelineError):
     """A required reward class is empty or the data is single-class."""
 
 
-class LengthMismatch(PipelineError):
-    """Paired sequences differ in length or are empty."""
-
-
 class DomainError(PipelineError):
     """An input the operation does not accept: a value outside its domain,
     a malformed record field, or an unreadable or invalid file."""

@@ -1,14 +1,12 @@
-"""Desk-scale RL core: training math, tabular policy, reward model, trainer."""
+"""Desk-scale RL core: tabular policy, reward model and PPO trainer.
 
-from .math import (
-    TrajectoryStep,
-    clipped_surrogate,
-    clipped_surrogate_grad,
-    kl_divergence,
-    kl_penalized_reward,
-    mse_grad,
-    mse_loss,
-)
+The training math lives where it runs: the KL to the reference in
+``policy.kl_table``, the clipped-surrogate step in ``trainer._ascend`` (with
+the per-step rule ``trainer.clipped_surrogate_grad``) and the least-squares
+fit in ``reward_model.train_reward_model``.  Acceptance criterion 8 checks
+all three.
+"""
+
 from .policy import PolicyTable, SampledCompletion, sample_completion
 from .reward_model import LinearRewardModel, train_reward_model
 from .trainer import (
@@ -16,6 +14,7 @@ from .trainer import (
     MetricsEntry,
     TrainConfig,
     bigram_policy_from_corpus,
+    clipped_surrogate_grad,
     generate_completions,
     make_analyzer_reward,
     make_model_reward,
@@ -24,13 +23,6 @@ from .trainer import (
 )
 
 __all__ = [
-    "TrajectoryStep",
-    "clipped_surrogate",
-    "clipped_surrogate_grad",
-    "kl_divergence",
-    "kl_penalized_reward",
-    "mse_grad",
-    "mse_loss",
     "PolicyTable",
     "SampledCompletion",
     "sample_completion",
@@ -40,6 +32,7 @@ __all__ = [
     "MetricsEntry",
     "TrainConfig",
     "bigram_policy_from_corpus",
+    "clipped_surrogate_grad",
     "generate_completions",
     "make_analyzer_reward",
     "make_model_reward",

@@ -36,7 +36,11 @@ log-probs (one gather from the batch's ``log_prob_table``) and advantages
 or an evaluation take one ``np.add.reduce`` per distinct episode length:
 per episode, the arithmetic of ``np.mean``.  A PPO pass is a fixed set of
 whole-batch array calls with no loop over states or steps, bit-identical to
-``clipped_surrogate_grad`` applied step by step (see ``_ascend``).
+the scalar rule ``clipped_surrogate_grad``, defined beside ``_ascend``,
+applied step by step.  Acceptance criterion 8 checks the step ``_ascend``
+takes against central differences of the batch's clipped-surrogate mean,
+``kl_table`` against a direct sum, and ``train_reward_model``'s fit against
+the normal equations.
 
 ``TrainConfig`` is defined in ``tqual.config``, which must not import numpy,
 and is re-exported here.  Its range checks are the only ones the decoding
@@ -60,9 +64,6 @@ from ..completion import prompt_hint_for
 from ..config import TrainConfig
 from ..corpus import encode
 from ..rewards import RewardScheme, reward_for
-# ``_ascend`` inlines clipped_surrogate_grad; the import stays because
-# perfbench/tracing.py wraps this module's binding of it.
-from .math import clipped_surrogate_grad, kl_penalized_reward
 from .policy import DrawTable, PolicyTable, SampledCompletion, sample_completion
 from .reward_model import LinearRewardModel
 
@@ -75,6 +76,7 @@ __all__ = [
     "make_analyzer_reward",
     "make_model_reward",
     "bigram_policy_from_corpus",
+    "clipped_surrogate_grad",
     "DEFAULT_VOCAB",
 ]
 
@@ -286,7 +288,7 @@ def train_toy_policy(
         start, done = done, min(done + cfg.batch_size, cfg.episodes)
         completions = _sample(work, cfg, rng, done - start)
         kls = _episode_kls(work.kl_table(), completions)
-        totals = [kl_penalized_reward(float(reward_fn(c.tokens)), kl, cfg.beta)
+        totals = [float(reward_fn(c.tokens)) - cfg.beta * kl
                   for c, kl in zip(completions, kls)]
         states = np.fromiter(chain.from_iterable(c.states for c in completions), np.intp)
         actions = np.fromiter(chain.from_iterable(c.actions for c in completions), np.intp)
@@ -299,6 +301,19 @@ def train_toy_policy(
         )
         for _ in range(cfg.ppo_epochs):
             _ascend(work, states, actions, old_log_probs, advantages, cfg)
+
+
+def clipped_surrogate_grad(ratio: float, advantage: float, epsilon: float) -> float:
+    """d/d(log-prob) of one step's ``min(ratio * A, clip(ratio, 1 - eps,
+    1 + eps) * A)``: 0 when A >= 0 and ratio > 1 + eps or when A < 0 and
+    ratio < 1 - eps, else ratio * A.  ``_ascend`` applies this rule to a
+    whole batch without calling it; it is the per-step reference of
+    ``_ascend``'s differential test, and perfbench's tracer wraps it here."""
+    if advantage >= 0 and ratio > 1 + epsilon:
+        return 0.0
+    if advantage < 0 and ratio < 1 - epsilon:
+        return 0.0
+    return ratio * advantage
 
 
 def _ascend(

@@ -21,7 +21,7 @@ _CRITERIA = {
     5: "split leakage",
     6: "prompt builder levels",
     7: "truncation properties",
-    8: "RL math gradients",
+    8: "PPO step, KL table, reward fit",
     9: "toy PPO convergence",
     10: "sequential strategy",
     11: "reporting fidelity",

@@ -301,6 +301,18 @@ def test_score_config_rejects_unknown_property():
         ScoreConfig(positive_properties=("made_up",))
 
 
+@pytest.mark.parametrize("positive, smell, repeated", [
+    (("has_assertion",) * 3, (), "has_assertion"),
+    (("has_assertion",), ("duplicate_assertion",) * 2, "duplicate_assertion"),
+    (("has_assertion",), ("has_assertion",), "has_assertion"),
+], ids=["positive-repeated", "smell-repeated", "positive-and-smell"])
+def test_score_config_rejects_a_property_listed_twice(positive, smell, repeated):
+    # Repeated, a property would count once per listing; as both positive
+    # and smell, it would cancel out of the score.
+    with pytest.raises(ValueError, match=f"quality property '{repeated}' is listed"):
+        ScoreConfig(positive_properties=positive, smell_properties=smell)
+
+
 def test_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
         score_corpus([])

@@ -362,6 +362,26 @@ def test_out_naming_the_input_of_a_per_line_command_is_usage_error(
     assert str(out) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", ["F.cs", "./F.cs", "absolute"])
+def test_prompt_out_naming_a_focal_file_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                       spelling):
+    # The output is opened before the requests are read, so it would empty
+    # the focal file that a request names.
+    monkeypatch.chdir(tmp_path)
+    focal = tmp_path / "F.cs"
+    shutil.copy(Path(__file__).parent / "fixtures" / "focal_files" / "InventoryService.cs",
+                focal)
+    before = focal.read_bytes()
+    named = str(focal) if spelling == "absolute" else spelling
+    (tmp_path / "req.jsonl").write_text(
+        dump_line({"focal_path": "other.cs", "focal_method": "Reserve"}) + "\n"
+        + dump_line({"focal_path": named, "focal_method": "Reserve"}) + "\n")
+    assert main(["prompt", "req.jsonl", "--out", "F.cs"]) == 2
+    assert focal.read_bytes() == before
+    assert capsys.readouterr().err == (
+        "tqual: --out F.cs is the focal file of req.jsonl line 2; it would be emptied\n")
+
+
 @pytest.mark.parametrize("spelling", ["same", "dotted", "hard-link"])
 def test_two_outputs_naming_one_file_is_usage_error(tmp_path, capsys, spelling):
     # train-toy would write its metrics, then overwrite them with the policy.
@@ -975,6 +995,22 @@ def pipeline_dir(pipeline_inputs, tmp_path, monkeypatch):
         shutil.copy(path, tmp_path)
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+# The refusal is put on the key whose value raises it by itself.
+@pytest.mark.parametrize("lines, key", [
+    ("score.positive_properties = has_assertion, has_assertion",
+     "score.positive_properties"),
+    ("score.positive_properties = has_assertion\nscore.smell_properties = has_assertion",
+     "score.smell_properties"),
+], ids=["positive-repeated", "positive-and-smell"])
+def test_a_score_property_listed_twice_is_refused_naming_the_key(pipeline_dir, capsys,
+                                                                 lines, key):
+    (pipeline_dir / "bad.cfg").write_text(lines + "\n")
+    assert main(RUNS["report"] + ["--config", "bad.cfg"]) == 2
+    assert capsys.readouterr().err == (
+        f"tqual: bad.cfg: {key}: quality property 'has_assertion' is listed more than once\n")
+    assert not (pipeline_dir / "out").exists()
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))

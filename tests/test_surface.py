@@ -29,18 +29,13 @@ KEPT = {
     "rewards.py:RewardScheme.individual": "library constructor of a one-property scheme",
     "rewards.py:RewardScheme.combined": "library constructor of a many-property scheme",
     "rewards.py:RewardScheme.k": "the scheme's property count, read by acceptance criterion 3",
-    "rlcore/math.py:clipped_surrogate": "scalar reference of acceptance criterion 8",
-    "rlcore/math.py:clipped_surrogate_grad":
-        "scalar reference of criterion 8 and of the PPO pass's differential test; "
-        "perfbench/tracing.py patches trainer's binding",
-    "rlcore/math.py:kl_divergence": "scalar reference of acceptance criterion 8",
-    "rlcore/math.py:mse_loss": "scalar reference of acceptance criterion 8",
-    "rlcore/math.py:mse_grad": "scalar reference of acceptance criterion 8",
     "rlcore/policy.py:PolicyTable.kl_from_reference":
         "perfbench/tracing.py patches it, and it is the row reference of kl_table",
     "rlcore/policy.py:PolicyTable.log_probs":
         "perfbench/tracing.py patches it, and it is the row reference of log_prob_table",
     "rlcore/reward_model.py:train_reward_model": "the reward-model stage, to be wired in",
+    "rlcore/trainer.py:clipped_surrogate_grad":
+        "per-step reference of _ascend's differential test; perfbench/tracing.py patches it",
     "rlcore/trainer.py:make_model_reward": "the reward-model stage, to be wired in",
 }
 

@@ -23,7 +23,6 @@ from tqual.errors import DomainError
 from tqual.rewards import RewardScheme
 from tqual.rlcore import policy as policy_module
 from tqual.rlcore import trainer
-from tqual.rlcore.math import TrajectoryStep, clipped_surrogate_grad
 from tqual.rlcore.policy import PolicyTable, SampledCompletion
 from tqual.rlcore.reward_model import LinearRewardModel
 from tqual.rlcore.trainer import (
@@ -366,7 +365,7 @@ def test_episode_kls_are_np_mean_bit_for_bit():
 
 
 def _scalar_ascend(policy, batch, steps, cfg):
-    """The PPO pass as one ``clipped_surrogate_grad`` call per step: the
+    """The PPO pass as one ``trainer.clipped_surrogate_grad`` call per step: the
     reference ``trainer._ascend`` must match bit for bit."""
     if not steps:
         return
@@ -375,10 +374,8 @@ def _scalar_ascend(policy, batch, steps, cfg):
     probs = np.exp(log_probs)
     for state, group in batch.items():
         for action, logprob_old, advantage in group:
-            current = TrajectoryStep(
-                state, action, float(log_probs[state, action]), logprob_old, advantage
-            )
-            g = clipped_surrogate_grad(current, cfg.epsilon)
+            ratio = math.exp(float(log_probs[state, action]) - logprob_old)
+            g = trainer.clipped_surrogate_grad(ratio, advantage, cfg.epsilon)
             if g == 0.0:
                 continue
             grad[state] -= g * probs[state]
